@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basslab.network import Network, build_circle, build_line
+from basslab.network import Network, build_circle, build_grid, build_line
 from basslab.oracle import exact_f
 from basslab.simulator import (
     ConstantTape,
@@ -19,7 +19,33 @@ from basslab.simulator import (
     run_event_driven,
     validate_dt,
 )
-from conftest import discrete_chain_f
+from conftest import discrete_chain_f, two_node_chain_survival
+
+
+def _awkward_times(t, trials, M):
+    """Adoption times with ties on grid points, never-adopted (inf) nodes
+    and, for a block of 16, a partial last block."""
+    rng = np.random.default_rng(4)
+    times = rng.exponential(3.0, size=(trials, M))
+    times[rng.random(times.shape) < 0.15] = np.inf
+    ties = rng.random(times.shape) < 0.1
+    times[ties] = t[rng.integers(1, t.size, size=times.shape)][ties]
+    return times
+
+
+def _boolean_blocked_curve(times, t, block):
+    """Reference aggregator: the (R, M, T) hit array, block by block."""
+    trials, M = times.shape
+    sum_f, sum_f2, node_counts = np.zeros(t.size), np.zeros(t.size), np.zeros((M, t.size))
+    for lo in range(0, trials, block):
+        hit = times[lo : lo + block, :, None] <= t[None, None, :]
+        frac = hit.sum(axis=1) / M
+        sum_f += frac.sum(axis=0)
+        sum_f2 += (frac**2).sum(axis=0)
+        node_counts += hit.sum(axis=0)
+    mean = sum_f / trials
+    var = (sum_f2 - trials * mean**2) / (trials - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / trials), node_counts / trials
 
 
 class TestSimConfig:
@@ -136,6 +162,39 @@ class TestEventDriven:
         for x, y in zip(ta, tb[:16]):
             assert np.array_equal(x, y)
 
+    def test_trials_do_not_depend_on_block_mates(self):
+        # trial r's clocks are row r of its block's draw, so adding trials
+        # to a block leaves the earlier trials untouched
+        net = build_line(5, 0.1, 0.4, sided="two")
+        few = event_trajectories(net, SimConfig(trials=10, base_seed=8))
+        more = event_trajectories(net, SimConfig(trials=13, base_seed=8))
+        for x, y in zip(few, more[:10]):
+            assert np.array_equal(x.adoption_time, y.adoption_time)
+
+    def test_two_node_chain_matches_conditioning_formula(self):
+        p1, p2, w = 0.3, 0.05, 0.8
+        net = Network(n=2, p=np.array([p1, p2]), edges=((0, 1, w),))
+        t = np.linspace(0, 10, 21)
+        n = 4000
+        curve = run_event_driven(net, SimConfig(trials=n, base_seed=31), t_grid=t)
+        exact = np.vstack([1 - np.exp(-p1 * t), 1 - two_node_chain_survival(t, p1, p2, w)])
+        sigma = np.sqrt(exact * (1 - exact) / n)[:, 1:]
+        z = (curve.per_node - exact)[:, 1:] / sigma
+        assert np.max(np.abs(z)) <= 4
+
+    def test_box_with_silent_node_matches_master_equation(self):
+        # the centre node has p = 0: it adopts only through its neighbours,
+        # so the source has no edge to it
+        grid = build_grid(2, 3, 0.05, 0.4, sided="two", periodic=False)
+        p = grid.p.copy()
+        p[4] = 0.0
+        net = Network(n=grid.n, p=p, edges=grid.edges)
+        t = np.linspace(0, 20, 21)
+        curve = run_event_driven(net, SimConfig(trials=4000, base_seed=37), t_grid=t)
+        exact = exact_f(net, t)
+        z = (curve.f - exact.f)[1:] / curve.stderr[1:]
+        assert np.max(np.abs(z)) <= 4
+
     def test_edgeless_matches_independent_exact_curve(self):
         p = np.array([0.05, 0.12, 0.3, 0.7])
         net = Network(n=4, p=p, edges=())
@@ -166,6 +225,12 @@ class TestEventDriven:
         finite = [tr.adoption_time[0] for tr in trajs if np.isfinite(tr.adoption_time[0])]
         assert 0 < len(finite) < 200
         assert max(finite) <= 1.0
+
+    def test_oversized_block_is_refused_before_any_work(self):
+        net = build_circle(4, 0.05, 0.3)
+        cfg = SimConfig(trials=2**30, block_size=2**30, t_max=1.0)
+        with pytest.raises(ValueError, match="block_size"):
+            event_trajectories(net, cfg)
 
     def test_needs_some_horizon(self):
         net = build_circle(3, 0.1, 0.4)
@@ -290,6 +355,32 @@ class TestCurveAssembly:
         assert np.allclose(a.stderr, b.stderr, atol=1e-14)
         hit = (times[:, :, None] <= t[None, None, :]).mean(axis=(0, 1))
         assert np.allclose(a.f, hit, atol=1e-14)
+
+    def test_binned_counts_equal_direct_formula_exactly(self):
+        # M = 8 keeps every per-trial fraction a binary fraction, so the
+        # blocked sums are exact and equality is the contract
+        t = np.linspace(0.0, 6.0, 13)
+        times = _awkward_times(t, 101, 8)
+        curve = curve_from_times(times, t, block=16)
+        hit = times[:, :, None] <= t
+        n = times.shape[0]
+        f = hit.mean(axis=(0, 1))
+        frac = hit.mean(axis=1)
+        var = ((frac**2).sum(axis=0) - n * f**2) / (n - 1)
+        assert np.array_equal(curve.f, f)
+        assert np.array_equal(curve.stderr, np.sqrt(np.maximum(var, 0.0) / n))
+        assert np.array_equal(curve.per_node, hit.mean(axis=0))
+
+    def test_binned_counts_match_boolean_accumulation_bytewise(self):
+        # any M: the same per-trial counts summed in the same order as the
+        # (R, M, T) boolean accumulation give the same bytes
+        t = np.linspace(0.0, 6.0, 13)
+        times = _awkward_times(t, 101, 5)
+        curve = curve_from_times(times, t, block=16)
+        f, stderr, per_node = _boolean_blocked_curve(times, t, block=16)
+        assert np.array_equal(curve.f, f)
+        assert np.array_equal(curve.stderr, stderr)
+        assert np.array_equal(curve.per_node, per_node)
 
     def test_single_trial_has_zero_stderr(self):
         curve = curve_from_times(np.array([[1.0, 2.0]]), np.linspace(0, 3, 4))

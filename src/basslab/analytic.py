@@ -27,8 +27,14 @@ DEGENERACY_TOL = 1e-9
 # Coefficient recursion cancels catastrophically for large M; beyond this the
 # ODE hierarchy (exactly equivalent) is used.
 CLOSED_FORM_MAX_M = 30
-# Adaptive Runge-Kutta tolerances for all linear systems here.
-ODE_RTOL = 1e-10
+# Automatic routing takes the exponent sum only when its rounding bound
+# eps * (sum_k |A_k| + |B|) is at most this; otherwise the ODE hierarchy.
+CLOSED_FORM_ROUNDING = 1e-12
+# Adaptive Runge-Kutta tolerances for all linear systems here. The global
+# error runs several times rtol: with rtol 1e-11 every route stays within
+# 1e-10 of the master equation up to q/p = 45 (worst, 8e-11: the two-sided
+# line at M = 16).
+ODE_RTOL = 1e-11
 ODE_ATOL = 1e-12
 
 
@@ -103,17 +109,33 @@ def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
     return CircleCoefficients(M=M, p=p, q=q, A=np.asarray(A_cur), B=B_cur, c=c)
 
 
+def _trusted_coefficients(p: float, q: float, M: int) -> CircleCoefficients | None:
+    """The closed-form coefficients when automatic routing may use them, else
+    None: M within CLOSED_FORM_MAX_M, q off every resonance, and the
+    exponent sum's rounding bound eps * (sum_k |A_k| + |B|) at most
+    CLOSED_FORM_ROUNDING. The coefficients grow like (q/p)^k / k!, so large
+    q/p or a near-resonance fails the bound long before the cap."""
+    if M > CLOSED_FORM_MAX_M or is_degenerate(p, q, M):
+        return None
+    coef = circle_coefficients(p, q, M)
+    bound = np.finfo(float).eps * (float(np.abs(coef.A).sum()) + abs(coef.B))
+    return coef if bound <= CLOSED_FORM_ROUNDING else None
+
+
+def _exponent_sum(t, coef: CircleCoefficients) -> np.ndarray:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    S = coef.B * np.exp(-coef.M * coef.p * t)
+    for k in range(1, coef.M):
+        S = S + coef.A[k - 1] * np.exp(-(k * coef.p + coef.q) * t)
+    return S
+
+
 def survival_circle_closed_form(t, p: float, q: float, M: int) -> np.ndarray:
     """S_1(t;M) on the circle via the explicit exponent sum.
 
     Raises DegenerateParameters when q is within tolerance of jp (j < M).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    coef = circle_coefficients(p, q, M)
-    S = coef.B * np.exp(-M * p * t)
-    for k in range(1, M):
-        S = S + coef.A[k - 1] * np.exp(-(k * p + q) * t)
-    return S
+    return _exponent_sum(t, circle_coefficients(p, q, M))
 
 
 @dataclass(frozen=True)
@@ -189,9 +211,11 @@ def survival_interpolant(
     p: float, q: float, M: int, t_max: float, k: int = 1
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluator for S_k(tau;M) at arbitrary tau in [0, t_max]: closed form
-    when available for k=1, dense ODE interpolant otherwise."""
-    if k == 1 and M <= CLOSED_FORM_MAX_M and not is_degenerate(p, q, M):
-        return lambda tau: survival_circle_closed_form(tau, p, q, M)
+    for k=1 when _trusted_coefficients passes, dense ODE interpolant
+    otherwise."""
+    coef = _trusted_coefficients(p, q, M) if k == 1 else None
+    if coef is not None:
+        return lambda tau: _exponent_sum(tau, coef)
     L = _hierarchy_matrix(p, q, M)
     sol = solve_ivp(
         lambda _t, y: L @ y,
@@ -208,19 +232,22 @@ def survival_interpolant(
 
 
 def survival_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
-    """S_1(t;M) with automatic routing: closed form where its hypothesis
-    holds, ODE hierarchy at degeneracies or large M.
+    """S_1(t;M) with automatic routing: closed form where
+    _trusted_coefficients vouches for it, ODE hierarchy otherwise (near a
+    resonance, at large q/p, or at large M). An explicit
+    method="closed_form" always evaluates the exponent sum.
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if method not in ("auto", "closed_form", "ode"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "ode" and M <= CLOSED_FORM_MAX_M and not is_degenerate(p, q, M):
-        return survival_circle_closed_form(t_grid, p, q, M), "closed_form"
     if method == "closed_form":
         # surface the precondition failure rather than silently rerouting
         return survival_circle_closed_form(t_grid, p, q, M), "closed_form"
+    coef = _trusted_coefficients(p, q, M) if method == "auto" else None
+    if coef is not None:
+        return _exponent_sum(t_grid, coef), "closed_form"
     return survival_circle_ode(t_grid, p, q, M).values[0], "ode"
 
 

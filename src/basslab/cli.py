@@ -36,7 +36,7 @@ from .analytic import (
     f_line_one_sided,
     f_line_two_sided,
     gamma_diag,
-    nu_diag,
+    nu_from_node_survivals,
     psi_diag,
 )
 from .curves import AdoptionCurve, write_curve_csv
@@ -301,6 +301,11 @@ def _suite_indifference(spec: RunSpec) -> dict:
             "passed": all(r["passed"] for r in reports)}
 
 
+def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
+    m = float(np.min(vals))
+    return {"diagnostic": kind, "k": k, "M": M, "min_value": m, "passed": m > 0}
+
+
 def _appendix_entry(kind: str, k: int, M: int, p: float, q: float, t: np.ndarray) -> dict:
     if kind == "alpha":
         vals = alpha_diag(t, p, q, k)
@@ -308,12 +313,20 @@ def _appendix_entry(kind: str, k: int, M: int, p: float, q: float, t: np.ndarray
         vals = beta_diag(t, p, q, k, M)
     elif kind == "gamma":
         vals = gamma_diag(t, p, q, k, M)
-    elif kind == "nu":
-        vals = nu_diag(t, p, q, k, M)
     else:
         vals = psi_diag(t, p, q, k, M)
-    m = float(np.min(vals))
-    return {"diagnostic": kind, "k": k, "M": M, "min_value": m, "passed": m > 0}
+    return _diag_entry(kind, k, M, vals)
+
+
+def _nu_entries(M: int, p: float, q: float, t: np.ndarray) -> list[dict]:
+    """nu(t, k, M) for k = 1..M, as nu_diag gives it, from one solve of
+    each line."""
+    per_one, _, _ = f_line_one_sided(t, p, q, M)
+    per_two, _, _ = f_line_two_sided(t, p, q, M)
+    return [
+        _diag_entry("nu", k, M, nu_from_node_survivals(1.0 - per_one, 1.0 - per_two, k))
+        for k in range(1, M + 1)
+    ]
 
 
 def _suite_appendix(spec: RunSpec) -> dict:
@@ -328,9 +341,15 @@ def _suite_appendix(spec: RunSpec) -> dict:
     tasks = [
         (f"{kind}:{k}:{M}", functools.partial(_appendix_entry, kind, k, M, p, q, t))
         for kind, k, M in jobs
+        if kind != "nu"
     ]
+    nu_sizes = sorted({M for kind, _, M in jobs if kind == "nu"})
+    tasks += [(f"nu:{M}", functools.partial(_nu_entries, M, p, q, t)) for M in nu_sizes]
     results = _run_tasks(tasks)
-    entries = [results[f"{kind}:{k}:{M}"] for kind, k, M in jobs]
+    entries = [
+        results[f"nu:{M}"][k - 1] if kind == "nu" else results[f"{kind}:{k}:{M}"]
+        for kind, k, M in jobs
+    ]
     return {"suite": "appendix", "t_min": 1.5, "t_max": 30.0, "points": 20,
             "cases": entries, "passed": all(e["passed"] for e in entries)}
 

@@ -239,8 +239,14 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
 
 def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> AdoptionCurve:
     """Empirical mean adopter fraction (with stderr and per-node
-    frequencies) from per-trial adoption times, shape (trials, M)."""
+    frequencies) from per-trial adoption times, shape (trials, M).
+
+    Adoption times must be > 0 (inf for a node that never adopts): nobody
+    has adopted at t = 0.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(times > 0):
+        raise ValueError(f"adoption times must be > 0, got minimum {np.min(times)}")
     trials, M = times.shape
     T = t_grid.size
     sum_f = np.zeros(T)

@@ -1,12 +1,32 @@
+import logging
+import tracemalloc
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
-from basslab.analytic import f_circle, pair_survival_two_sided_line
-from basslab.network import Network, build_circle, build_hybrid_circle_ray, build_line
+from basslab import oracle
+from basslab.analytic import (
+    f_circle,
+    f_line_one_sided,
+    f_line_two_sided,
+    pair_survival_two_sided_line,
+)
+from basslab.network import (
+    Network,
+    build_circle,
+    build_grid,
+    build_hybrid_circle_ray,
+    build_line,
+)
 from basslab.oracle import (
     HARD_CAP,
     MasterSolution,
     StateDistribution,
+    _marginals,
+    _poisson_terms,
+    _poisson_weights,
     build_generator,
     exact_f,
     exact_marginals,
@@ -17,6 +37,25 @@ from basslab.oracle import (
 from conftest import independent_survival, two_node_chain_survival
 
 T = np.linspace(0.0, 20.0, 21)
+
+
+def _bits(M):
+    """bits[A, j] = 1 iff node j is in adopter set A."""
+    return ((np.arange(1 << M)[:, None] >> np.arange(M)) & 1).astype(float)
+
+
+def _dense_rate_generator(net):
+    """Generator assembled from rate[A, j] = p_j + sum_{i in A} W[i, j]."""
+    M = net.n
+    bits = _bits(M)
+    rate = (net.p[None, :] + bits @ net.weight_matrix) * (1 - bits)
+    states = np.arange(1 << M)
+    Q = np.zeros((1 << M, 1 << M))
+    for j in range(M):
+        src = states[bits[:, j] == 0]
+        Q[src | (1 << j), src] = rate[src, j]
+    Q[states, states] = -rate.sum(axis=1)
+    return Q
 
 
 class TestSmallExactCases:
@@ -134,6 +173,21 @@ class TestStructure:
         assert np.all(popcount(rows) == popcount(cols) + 1)
         assert np.all(Q.data[off] > 0)
 
+    def test_generator_matches_dense_rate_construction(self):
+        # the reference builds every rate from the dense weight matrix
+        rng = np.random.default_rng(3)
+        edges = tuple(
+            (int(i), int(j), float(rng.uniform(0.1, 0.9)))
+            for i in range(6) for j in range(6) if i != j and rng.random() < 0.4
+        )
+        for net in (
+            build_grid(2, 3, 0.05, 0.3, periodic=True, sided="two"),
+            Network(n=6, p=rng.uniform(0.0, 0.2, 6), edges=edges),
+        ):
+            Q = build_generator(net)
+            assert Q.has_sorted_indices
+            assert np.max(np.abs(Q.toarray() - _dense_rate_generator(net))) < 1e-15
+
     def test_generator_columns_sum_to_zero(self):
         Q = build_generator(build_circle(5, 0.05, 0.3))
         colsum = np.asarray(Q.sum(axis=0)).ravel()
@@ -206,3 +260,123 @@ class TestContainers:
         assert np.allclose(rep.f, rep.marginals.mean(axis=0), atol=0)
         assert set(rep.survivals) == {(0,), (0, 3)}
         assert np.all(rep.survivals[(0, 3)] <= rep.survivals[(0,)] + 1e-12)
+
+
+class TestUniformization:
+    def test_silent_network_stays_empty_without_warnings(self):
+        # p = 0 everywhere: nobody ever adopts. Edgeless, every outflow is 0
+        # (Lambda = 0); with edges, Lambda > 0 but the empty set still never
+        # leaves.
+        silent = Network(n=3, p=np.zeros(3), edges=())
+        ring = Network(n=3, p=np.zeros(3), edges=((0, 1, 0.3), (1, 2, 0.3), (2, 0, 0.3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for net in (silent, ring):
+                curve = exact_f(net, T)
+                assert np.all(curve.f == 0.0)
+                assert np.all(curve.per_node == 0.0)
+                assert np.max(np.abs(survival(net, [0, 2], T) - 1.0)) < 1e-14
+
+    def test_grid_shapes(self):
+        net = build_line(4, 0.05, 0.3, sided="two")
+        ref = exact_marginals(net, np.array([0.0, 0.5, 1.0, 2.0]))
+        repeated = exact_marginals(net, np.array([0.0, 1.0, 1.0, 2.0, 2.0]))
+        assert np.max(np.abs(repeated - ref[:, [0, 2, 2, 3, 3]])) < 1e-15
+        late = exact_f(net, np.array([0.5, 1.0, 2.0]))
+        assert np.max(np.abs(late.per_node - ref[:, 1:])) < 1e-15
+        assert late.f[0] > 0
+        origin = exact_f(net, np.array([0.0]))
+        assert origin.f.tolist() == [0.0] and np.all(origin.per_node == 0.0)
+        assert survival(net, [1], [0.0]).tolist() == [1.0]
+
+    def test_folded_marginals_match_bit_table(self):
+        v = np.random.default_rng(5).random(1 << 7)
+        assert np.max(np.abs(_marginals(v) - v @ _bits(7))) < 1e-13
+
+    def test_curve_matches_full_distribution(self):
+        net = build_hybrid_circle_ray(3, 2, 0.05, 0.3)
+        curve = exact_f(net, T)
+        full = solve_master(net, T)
+        assert np.max(np.abs(curve.per_node - full.marginals())) <= 1e-14
+        assert np.max(np.abs(survival(net, [0, 4], T) - full.survival([0, 4]))) <= 1e-14
+
+    def test_poisson_weights_hold_their_mass_at_large_means(self):
+        # e^{-m} underflows in linear space past m = 745, and the plain log
+        # form -m + n log m - lgamma(n+1) loses 6e-11 of the mass at 44,000
+        means = np.array([0.0, 1e-3, 1.0, 100.0, 1000.0, 44000.0])
+        W = _poisson_weights(means, 0, _poisson_terms(44000.0))
+        assert np.all(W >= 0)
+        assert W[0].tolist() == [1.0] + [0.0] * (W.shape[1] - 1)
+        assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-13
+        assert np.argmax(W[4]) in (999, 1000)
+        assert np.array_equal(_poisson_weights(means, 40, 72), W[:, 40:72])
+        for m, n in ((0.5, 0), (0.5, 3), (30.0, 16), (1000.0, 1000), (1000.0, 1150), (44000.0, 44500)):
+            with mp.workdps(40):
+                ref = float(mp.exp(n * mp.log(m) - m - mp.loggamma(n + 1)))
+            got = _poisson_weights(np.array([m]), n, n + 1)[0, 0]
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_truncated_tail_fails_conservation(self, monkeypatch):
+        monkeypatch.setattr(oracle, "POISSON_TAIL", 1e-3)
+        with pytest.raises(RuntimeError, match="conservation"):
+            exact_f(build_circle(4, 0.05, 0.3), T)
+
+    def test_each_solve_logs_its_statistics(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="basslab.oracle"):
+            exact_f(Network(n=1, p=np.array([0.17]), edges=()), T)
+        (record,) = caplog.records
+        assert record.name == "basslab.oracle"
+        msg = record.getMessage()
+        assert "2 states" in msg and "Lambda 0.17" in msg
+        assert "terms" in msg and "conservation defect" in msg
+
+    def test_curves_do_not_hold_the_distribution(self):
+        M, t = 14, np.linspace(0.0, 60.0, 200)
+        net = build_circle(M, 0.01, 0.1)
+        exact_f(net, t[:2])  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            exact_f(net, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t.size * 2**M * 8 / 4
+
+    def test_full_distribution_memory_follows_the_grid_not_the_terms(self):
+        # a long horizon needs hundreds of terms; only two times are kept
+        M, t = 10, np.array([0.0, 300.0])
+        net = build_circle(M, 0.05, 0.3)
+        solve_master(net, t[:1])
+        tracemalloc.start()
+        try:
+            sol = solve_master(net, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.conservation_defect() < 1e-12
+        assert peak < 100 * 2**M * 8
+
+
+# q/p at which the exponent sum cancels badly (45), just off the q = 2p
+# resonance, and a moderate ratio
+RATIOS = (4.5, 45.0, 2 * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("M", (5, 8, 12, 16))
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("topology", ("circle", "line_one", "line_two"))
+def test_analytic_routes_agree_with_master_equation(topology, ratio, M):
+    p = 0.01
+    q = ratio * p
+    t = np.linspace(0.0, 2.0 / (p + q) + 100.0, 41)
+    if topology == "circle":
+        fc, _ = f_circle(t, p, q, M)
+        per_node = np.tile(fc, (M, 1))
+        net = build_circle(M, p, q)
+    else:
+        sided = topology[-3:]
+        fn = f_line_one_sided if sided == "one" else f_line_two_sided
+        per_node, _, _ = fn(t, p, q, M)
+        net = build_line(M, p, q, sided=sided)
+    assert np.all((per_node > -1e-12) & (per_node < 1 + 1e-12))
+    assert np.max(np.abs(per_node - exact_f(net, t).per_node)) <= 1e-10

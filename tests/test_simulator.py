@@ -386,6 +386,12 @@ class TestCurveAssembly:
         curve = curve_from_times(np.array([[1.0, 2.0]]), np.linspace(0, 3, 4))
         assert np.all(curve.stderr == 0)
 
+    def test_time_zero_adopter_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="adoption times must be > 0"):
+            curve_from_times(np.array([[0.0, 2.0]]), np.linspace(0, 3, 4))
+        with pytest.raises(ValueError, match="adoption times must be > 0"):
+            curve_from_times(np.array([[1.0, np.nan]]), np.linspace(0, 3, 4))
+
 
 class TestCoupled:
     def test_self_coupling_is_identical(self):

@@ -11,7 +11,18 @@ with S_k(0) = 1, and (away from the resonances q = jp) the closed form
 
     S_1(t;M) = sum_{k=1}^{M-1} A_{k,M} e^{-(kp+q)t} + B_M e^{-Mpt}.
 
-Everything else (lines, hybrid, diagnostics) is assembled from S_k.
+The block-shift identity S_2(t;m) = e^{-pt} S_1(t;m-1) closes the first row
+of the hierarchy into one recursion over circle sizes,
+
+    u_m' = -(p+q) u_m + q e^{-pt} u_{m-1},   u_1 = e^{-pt},   u_m(0) = 1,
+
+so one solve of M states gives S_1(t;m) for every m <= M, with no exponent
+sums to cancel. It feeds the circle (where the closed form is not trusted),
+the one-sided line (node j is a j-circle) and the hybrid (circle nodes are
+C-circles, ray node k a (C+k)-circle). The two-sided line adds its M-2
+interior non-adoption probabilities to the M half-rate survivals: 2M-2
+states. The full hierarchy (S_k for k >= 2) stays a separate solve for the
+diagnostics and the shift-identity checks.
 """
 from __future__ import annotations
 
@@ -30,12 +41,16 @@ CLOSED_FORM_MAX_M = 30
 # Automatic routing takes the exponent sum only when its rounding bound
 # eps * (sum_k |A_k| + |B|) is at most this; otherwise the ODE hierarchy.
 CLOSED_FORM_ROUNDING = 1e-12
-# Adaptive Runge-Kutta tolerances for all linear systems here. The global
-# error runs several times rtol: with rtol 1e-11 every route stays within
-# 1e-10 of the master equation up to q/p = 45 (worst, 8e-11: the two-sided
-# line at M = 16).
+# Adaptive Runge-Kutta tolerances of the S_k hierarchy and the difference
+# system. The global error runs several times rtol.
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-12
+# Tolerances of the S_1 recursion over circle sizes. Its M sizes are chained
+# and DOP853's error norm is an RMS over all of them, so one size can drift
+# well past rtol: at ODE_RTOL the one-sided line at q/p = 45 ran 2.6e-10 off
+# the master equation (M = 16). At these the lines stay within 1e-10.
+RECURSION_RTOL = 1e-12
+RECURSION_ATOL = 1e-13
 
 
 class DegenerateParameters(ValueError):
@@ -159,6 +174,42 @@ class SurvivalSeries:
         return self.values[k - 1]
 
 
+def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str,
+               rtol: float = ODE_RTOL, atol: float = ODE_ATOL) -> np.ndarray:
+    """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
+    (len(y0), T)."""
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
+        y0,
+        t_eval=t_grid,
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    if not sol.success:
+        raise RuntimeError(f"{what} integration failed: {sol.message}")
+    return sol.y
+
+
+def _survival_rates(t: float, u: np.ndarray, p: float, q: float) -> np.ndarray:
+    """u' for u_m = S_1(t;m), m = 1..len(u): the recursion over circle sizes."""
+    du = -(p + q) * u
+    du[0] = -p * u[0]
+    du[1:] += q * np.exp(-p * t) * u[:-1]
+    return du
+
+
+def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndarray:
+    """S_1(t;m) of the m-circle for every m = 1..M, shape (M, T), from one
+    solve of the recursion."""
+    _check_pq(p, q)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    return _integrate(lambda t, u: _survival_rates(t, u, p, q), t_grid, np.ones(M),
+                      "circle recursion", RECURSION_RTOL, RECURSION_ATOL)
+
+
 def _hierarchy_matrix(p: float, q: float, M: int, sided: str = "one") -> np.ndarray:
     """Coefficient matrix of the S_k hierarchy, assembled from the sided
     edge weights: a block of k adjacent nodes is fed by 1 outside neighbor
@@ -184,8 +235,6 @@ def survival_circle_ode(
     q: float,
     M: int,
     sided: str = "one",
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
 ) -> SurvivalSeries:
     """Integrate the S_k hierarchy on a grid; valid for all (p, q)."""
     _check_pq(p, q)
@@ -193,18 +242,8 @@ def survival_circle_ode(
         raise ValueError(f"M must be >= 1, got {M}")
     t_grid = np.asarray(t_grid, dtype=float)
     L = _hierarchy_matrix(p, q, M, sided)
-    sol = solve_ivp(
-        lambda _t, y: L @ y,
-        (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
-        np.ones(M),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"hierarchy integration failed: {sol.message}")
-    return SurvivalSeries(M=M, sided=sided, t=t_grid, values=sol.y)
+    values = _integrate(lambda _t, y: L @ y, t_grid, np.ones(M), "hierarchy")
+    return SurvivalSeries(M=M, sided=sided, t=t_grid, values=values)
 
 
 def survival_interpolant(
@@ -233,8 +272,8 @@ def survival_interpolant(
 
 def survival_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
     """S_1(t;M) with automatic routing: closed form where
-    _trusted_coefficients vouches for it, ODE hierarchy otherwise (near a
-    resonance, at large q/p, or at large M). An explicit
+    _trusted_coefficients vouches for it, the S_1 recursion otherwise (near
+    a resonance, at large q/p, or at large M). An explicit
     method="closed_form" always evaluates the exponent sum.
 
     Returns (values, source) with source in {"closed_form", "ode"}.
@@ -248,7 +287,7 @@ def survival_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
     coef = _trusted_coefficients(p, q, M) if method == "auto" else None
     if coef is not None:
         return _exponent_sum(t_grid, coef), "closed_form"
-    return survival_circle_ode(t_grid, p, q, M).values[0], "ode"
+    return _circle_survivals(t_grid, p, q, M)[M - 1], "ode"
 
 
 def f_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
@@ -286,61 +325,30 @@ def default_time_grid(p: float, q: float, points: int = 200, coverage: float = 0
 # Lines
 
 
-def _curve_source(sources: set[str]) -> str:
-    return "closed_form" if sources == {"closed_form"} else "ode"
-
-
 def f_line_one_sided(t_grid, p: float, q: float, M: int):
     """Per-node and aggregate adoption on the one-sided line.
 
-    Node j (1-based) behaves exactly like a node of a j-circle, so its
-    adoption probability is f_circle(t; p, q, j).
+    Node j (1-based) behaves exactly like a node of a j-circle, so one solve
+    of the S_1 recursion gives every node.
 
-    Returns (per_node (M,T), f (T,), source).
+    Returns (per_node (M,T), f (T,), source="ode").
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    per_node = np.empty((M, t_grid.size))
-    sources: set[str] = set()
-    for j in range(1, M + 1):
-        fj, src = f_circle(t_grid, p, q, j)
-        per_node[j - 1] = fj
-        sources.add(src)
-    return per_node, per_node.mean(axis=0), _curve_source(sources)
+    per_node = 1.0 - _circle_survivals(np.asarray(t_grid, dtype=float), p, q, M)
+    return per_node, per_node.mean(axis=0), "ode"
 
 
-def _two_sided_line_system(p: float, q: float, M: int):
-    """Index plumbing for the coupled system solving the two-sided line.
-
-    State vector: the S_k hierarchies at internal rate q/2 for every circle
-    size m = 1..M (block m starts at offset m(m-1)/2), followed by the
-    non-adoption probabilities u_j of the interior nodes j = 2..M-1.
-    """
-    q2 = q / 2
-    NS = M * (M + 1) // 2
-    off = [0] * (M + 1)
-    for m in range(1, M + 1):
-        off[m] = m * (m - 1) // 2
-    Lbig = np.zeros((NS, NS))
-    for m in range(1, M + 1):
-        Lbig[off[m] : off[m] + m, off[m] : off[m] + m] = _hierarchy_matrix(p, q2, m)
-    interior = list(range(2, M))  # 1-based interior node labels
-    iA1 = np.array([off[j - 1] for j in interior], dtype=int)
-    iA2 = np.array([off[M - j + 1] for j in interior], dtype=int)
-    iB1 = np.array([off[j] for j in interior], dtype=int)
-    iB2 = np.array([off[M - j] for j in interior], dtype=int)
-    return NS, off, Lbig, (iA1, iA2, iB1, iB2)
-
-
-def f_line_two_sided(
-    t_grid, p: float, q: float, M: int, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
-):
+def f_line_two_sided(t_grid, p: float, q: float, M: int):
     """Per-node and aggregate adoption on the two-sided line.
 
-    The boundary nodes equal f_circle(t; p, q/2, M); each interior node
-    solves a scalar ODE fed by the closed-form pair survivals
-    Prob(X_{j-1}=0, X_j=0) = S(t;p,q/2,j-1) S(t;p,q/2,M-j+1). The pair
-    survivals and the interior unknowns are integrated as one coupled
-    system, so no interpolation error enters.
+    The boundary nodes are (q/2)-circles of size M; interior node j solves
+
+        u_j' = -(p+q) u_j + (q/2) [S(j-1) S(M-j+1) + S(j) S(M-j)],
+
+    fed by the pair survivals Prob(X_{j-1}=0, X_j=0) = S(j-1) S(M-j+1),
+    products of half-rate circle survivals S(m) = S_1(t;p,q/2,m). The M
+    survivals (the S_1 recursion) and the M-2 interior unknowns are
+    integrated as one system of 2M-2 states, so no interpolation error
+    enters.
 
     Returns (per_node (M,T), f (T,), source="ode").
     """
@@ -352,37 +360,17 @@ def f_line_two_sided(
         S, _ = survival_circle(t_grid, p, q / 2, 1)
         per_node = (1.0 - S)[None, :]
         return per_node, per_node.mean(axis=0), "ode"
-    NS, off, Lbig, (iA1, iA2, iB1, iB2) = _two_sided_line_system(p, q, M)
-    n_int = M - 2
+    h = q / 2
+    j = np.arange(2, M)  # 1-based interior node labels
 
-    def rhs(_t, y):
-        yS = y[:NS]
-        dy = np.empty_like(y)
-        dy[:NS] = Lbig @ yS
-        if n_int:
-            u = y[NS:]
-            pair_left = yS[iA1] * yS[iA2]
-            pair_right = yS[iB1] * yS[iB2]
-            dy[NS:] = -(p + q) * u + (q / 2) * (pair_left + pair_right)
-        return dy
+    def rhs(t, y):
+        S, u = y[:M], y[M:]
+        du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
+        return np.concatenate([_survival_rates(t, S, p, h), du])
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
-        np.ones(NS + n_int),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"two-sided line integration failed: {sol.message}")
-    per_node = np.empty((M, t_grid.size))
-    boundary = 1.0 - sol.y[off[M]]  # S_1 of the size-M hierarchy
-    per_node[0] = boundary
-    per_node[M - 1] = boundary
-    for idx, j in enumerate(range(2, M)):
-        per_node[j - 1] = 1.0 - sol.y[NS + idx]
+    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line",
+                   RECURSION_RTOL, RECURSION_ATOL)
+    per_node = 1.0 - np.vstack([y[M - 1], y[M:], y[M - 1]])
     return per_node, per_node.mean(axis=0), "ode"
 
 
@@ -449,25 +437,17 @@ def f_line_two_sided_quadrature(t_grid, p: float, q: float, M: int):
 
 
 def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
-    """Circle-with-ray curve: circle nodes follow the (M-K)-circle, the k-th
-    ray node follows an (M-K+k)-circle.
+    """Circle-with-ray curve: circle nodes follow the C-circle, the k-th ray
+    node follows the (C+k)-circle; one solve of the S_1 recursion.
 
-    Returns (per_node (M,T), f (T,), source).
+    Returns (per_node (C+K,T), f (T,), source="ode").
     """
     if circle_size < 1 or ray_size < 1:
         raise ValueError("circle_size and ray_size must be >= 1")
-    t_grid = np.asarray(t_grid, dtype=float)
     C, K = circle_size, ray_size
-    per_node = np.empty((C + K, t_grid.size))
-    sources: set[str] = set()
-    fC, src = f_circle(t_grid, p, q, C)
-    sources.add(src)
-    per_node[:C] = fC
-    for k in range(1, K + 1):
-        fk, src = f_circle(t_grid, p, q, C + k)
-        sources.add(src)
-        per_node[C + k - 1] = fk
-    return per_node, per_node.mean(axis=0), _curve_source(sources)
+    f = 1.0 - _circle_survivals(np.asarray(t_grid, dtype=float), p, q, C + K)
+    per_node = np.vstack([np.repeat(f[C - 1 : C], C, axis=0), f[C:]])
+    return per_node, per_node.mean(axis=0), "ode"
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +503,7 @@ def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
         d[1:] += drive * a[:-1]
         return d
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
-        np.zeros(k),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=1e-18,
-    )
-    if not sol.success:
-        raise RuntimeError(f"difference system integration failed: {sol.message}")
-    return sol.y[k - 1]
+    return _integrate(rhs, t_grid, np.zeros(k), "difference system", atol=1e-18)[k - 1]
 
 
 def beta_diag(t_grid, p: float, q: float, k: int, M: int) -> np.ndarray:

@@ -49,50 +49,18 @@ from .principles import (
     oracle_dominance_report,
     verify_indifference,
 )
-from .simulator import SimConfig, curve_from_trajectories, run_coupled, run_discrete, run_event_driven
+from .simulator import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_TRIALS,
+    SimConfig,
+    curve_from_trajectories,
+    run_coupled,
+    run_discrete,
+    run_event_driven,
+)
 
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "all")
-
-_COMMON_DEFAULTS = {
-    "topology": "circle",
-    "sided": "one",
-    "M": 6,
-    "D": 2,
-    "side": 6,
-    "p": 0.01,
-    "q": 0.1,
-    "periodic": False,
-    "ray": 3,
-    "t_max": None,
-    "grid": 200,
-    "out": None,
-}
-
-DEFAULTS = {
-    "analytic": dict(_COMMON_DEFAULTS),
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "trials": 4000,
-        "seed": 0,
-        "scheme": "event",
-        "dt": None,
-        "preset": None,
-        "per_node": False,
-    },
-    "verify": {
-        "p": 0.01,
-        "q": 0.1,
-        "trials": 4000,
-        "seed": 0,
-        "dt": None,
-        "t_max": None,
-        "suite": "all",
-        "preset": None,
-        "out": None,
-    },
-}
-
 
 @dataclass
 class RunSpec:
@@ -106,16 +74,30 @@ class RunSpec:
     q: float = 0.1
     periodic: bool = False
     ray: int = 3
-    trials: int = 4000
+    trials: int = DEFAULT_TRIALS
     seed: int = 0
     scheme: str = "event"
     dt: float | None = None
     t_max: float | None = None
-    grid: int = 200
+    grid: int = DEFAULT_GRID_POINTS
     out: str | None = None
-    suite: str | None = None
+    suite: str = "all"
     preset: str | None = None
     per_node: bool = False
+
+
+# the RunSpec fields each command accepts, from the command line or --config
+_COMMON_KEYS = ("p", "q", "t_max", "out")
+_TOPOLOGY_KEYS = ("topology", "sided", "M", "D", "side", "periodic", "ray", "grid")
+_RUN_KEYS = ("trials", "seed", "dt", "preset")
+DEFAULTS = {
+    command: {f.name: f.default for f in fields(RunSpec) if f.name in keys}
+    for command, keys in (
+        ("analytic", _COMMON_KEYS + _TOPOLOGY_KEYS),
+        ("simulate", _COMMON_KEYS + _TOPOLOGY_KEYS + _RUN_KEYS + ("scheme", "per_node")),
+        ("verify", _COMMON_KEYS + _RUN_KEYS + ("suite",)),
+    )
+}
 
 
 class _JSONEncoder(json.JSONEncoder):
@@ -359,8 +341,8 @@ def _dominance_entry(name: str, lo: Network, hi: Network, spec: RunSpec) -> dict
         lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed, scheme="discrete",
                           dt=spec.dt, t_max=spec.t_max if spec.t_max is not None else 30.0)
     )
-    report.pop("trajectories_a")
-    report.pop("trajectories_b")
+    report.pop("times_a")
+    report.pop("times_b")
     return {"pair": name, **report, "passed": report["verdict"] == "pass"}
 
 
@@ -375,6 +357,32 @@ def _suite_dominance(spec: RunSpec) -> dict:
     coupled = [results[name] for name, _lo, _hi in pairs]
     passed = all(m["passed"] for m in mono) and all(c["passed"] for c in coupled)
     return {"suite": "dominance", "monotonicity": mono, "coupling": coupled, "passed": passed}
+
+
+def _entry_line(entry: dict) -> str:
+    label = (entry.get("label") or entry.get("pair") or entry.get("name")
+             or f"{entry.get('diagnostic')}(k={entry.get('k')}, M={entry.get('M')})")
+    if "max_gap" in entry:
+        detail = f"max_gap={entry['max_gap']:.3e}"
+    elif "min_value" in entry:
+        detail = f"min={entry['min_value']:.3e}"
+    elif "violation_count" in entry:
+        detail = f"violations={entry['violation_count']}"
+    else:
+        detail = ""
+    return f"  [FAIL] {label:28s} {detail}"
+
+
+def _write_summary(report: dict) -> None:
+    """Pass counts per suite (or preset) and every failing entry, to stderr."""
+    for section in report.get("suites", [report]):
+        entries = [e for key in ("cases", "monotonicity", "coupling") for e in section.get(key, [])]
+        name = section.get("suite") or section["preset"]
+        print(f"{name}: {sum(e['passed'] for e in entries)}/{len(entries)} checks passed",
+              file=sys.stderr)
+        for e in entries:
+            if not e["passed"]:
+                print(_entry_line(e), file=sys.stderr)
 
 
 def cmd_verify(spec: RunSpec) -> int:
@@ -402,6 +410,7 @@ def cmd_verify(spec: RunSpec) -> int:
                 raise SystemExit(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
         report = {"command": "verify", "suites": suites,
                   "passed": all(s["passed"] for s in suites)}
+    _write_summary(report)
     text = json.dumps(report, indent=2, cls=_JSONEncoder) + "\n"
     if spec.out is None:
         sys.stdout.write(text)
@@ -502,10 +511,6 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
             )
         merged.update(loaded)
     merged.update(explicit)
-    field_names = {f.name for f in fields(RunSpec)}
-    stray = sorted(set(merged) - field_names)
-    if stray:
-        raise SystemExit(f"internal flag mismatch: {stray}")
     return RunSpec(command=command, **merged)
 
 

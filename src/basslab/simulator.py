@@ -346,7 +346,8 @@ def run_coupled(
     Only meaningful when A's parameters are componentwise <= B's ("not
     applicable" otherwise); the report lists any (trial, step, node)
     ordering violations, and zero is the expected outcome whenever the
-    ordering applies.
+    ordering applies. times_a/times_b hold each (trial, node) adoption time
+    as a (trials, M) array, inf for nodes that never adopted.
     """
     if net_a.n != net_b.n:
         raise ValueError("coupled networks must have the same node count")
@@ -384,7 +385,6 @@ def run_coupled(
                 if len(violations) >= VIOLATION_LIST_CAP:
                     break
                 violations.append({"trial": int(trial), "step": step, "node": int(node)})
-    horizon = n_steps * dt
     if applicable:
         verdict = "pass" if violation_count == 0 else "fail"
     else:
@@ -399,6 +399,6 @@ def run_coupled(
         "verdict": verdict,
         "mean_final_fraction_a": float(Xa.mean()),
         "mean_final_fraction_b": float(Xb.mean()),
-        "trajectories_a": [Trajectory(adoption_time=row, horizon=horizon) for row in times_a],
-        "trajectories_b": [Trajectory(adoption_time=row, horizon=horizon) for row in times_b],
+        "times_a": times_a,
+        "times_b": times_b,
     }

@@ -31,8 +31,8 @@ from basslab.analytic import (
     survival_circle_ode,
     survival_interpolant,
 )
-from basslab.network import build_line
-from basslab.oracle import solve_master
+from basslab.network import build_hybrid_circle_ray, build_line
+from basslab.oracle import exact_f, solve_master
 
 T_GRID = np.linspace(0.0, 30.0, 61)
 
@@ -216,10 +216,12 @@ class TestLines:
     def test_one_sided_nodes_are_growing_circles(self):
         p, q, M = 0.02, 0.18, 6
         per_node, f, source = f_line_one_sided(T_GRID, p, q, M)
-        assert source == "closed_form"
+        assert source == "ode"
+        exact = exact_f(build_line(M, p, q, sided="one"), T_GRID).per_node
         for j in range(1, M + 1):
             fj, _ = f_circle(T_GRID, p, q, j)
-            assert np.array_equal(per_node[j - 1], fj)
+            assert np.max(np.abs(per_node[j - 1] - fj)) <= 1e-10
+            assert np.max(np.abs(per_node[j - 1] - exact[j - 1])) <= 1e-10
         assert np.allclose(f, per_node.mean(axis=0), atol=0)
 
     def test_one_sided_matches_oracle(self):
@@ -301,14 +303,18 @@ class TestLines:
 class TestHybrid:
     def test_per_node_structure(self):
         p, q, C, K = 0.02, 0.19, 4, 3
-        per_node, f, _ = f_hybrid(T_GRID, p, q, C, K)
+        per_node, f, source = f_hybrid(T_GRID, p, q, C, K)
+        assert source == "ode"
         assert per_node.shape == (C + K, T_GRID.size)
+        exact = exact_f(build_hybrid_circle_ray(C, K, p, q), T_GRID).per_node
         fC, _ = f_circle(T_GRID, p, q, C)
         for j in range(C):
-            assert np.array_equal(per_node[j], fC)
+            assert np.array_equal(per_node[j], per_node[0])
+            assert np.max(np.abs(per_node[j] - fC)) <= 1e-10
         for k in range(1, K + 1):
             fk, _ = f_circle(T_GRID, p, q, C + k)
-            assert np.array_equal(per_node[C + k - 1], fk)
+            assert np.max(np.abs(per_node[C + k - 1] - fk)) <= 1e-10
+        assert np.max(np.abs(per_node - exact)) <= 1e-10
         assert np.allclose(f, per_node.mean(axis=0), atol=0)
 
     def test_matches_oracle(self):

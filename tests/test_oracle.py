@@ -9,6 +9,7 @@ import pytest
 from basslab import oracle
 from basslab.analytic import (
     f_circle,
+    f_hybrid,
     f_line_one_sided,
     f_line_two_sided,
     pair_survival_two_sided_line,
@@ -364,7 +365,7 @@ RATIOS = (4.5, 45.0, 2 * (1 + 1e-9))
 
 @pytest.mark.parametrize("M", (5, 8, 12, 16))
 @pytest.mark.parametrize("ratio", RATIOS)
-@pytest.mark.parametrize("topology", ("circle", "line_one", "line_two"))
+@pytest.mark.parametrize("topology", ("circle", "line_one", "line_two", "hybrid"))
 def test_analytic_routes_agree_with_master_equation(topology, ratio, M):
     p = 0.01
     q = ratio * p
@@ -373,6 +374,10 @@ def test_analytic_routes_agree_with_master_equation(topology, ratio, M):
         fc, _ = f_circle(t, p, q, M)
         per_node = np.tile(fc, (M, 1))
         net = build_circle(M, p, q)
+    elif topology == "hybrid":
+        C = M // 2
+        per_node, _, _ = f_hybrid(t, p, q, C, M - C)
+        net = build_hybrid_circle_ray(C, M - C, p, q)
     else:
         sided = topology[-3:]
         fn = f_line_one_sided if sided == "one" else f_line_two_sided
@@ -380,3 +385,17 @@ def test_analytic_routes_agree_with_master_equation(topology, ratio, M):
         net = build_line(M, p, q, sided=sided)
     assert np.all((per_node > -1e-12) & (per_node < 1 + 1e-12))
     assert np.max(np.abs(per_node - exact_f(net, t).per_node)) <= 1e-10
+
+
+def test_two_sided_line_memory_is_linear_in_size():
+    # 2M-2 states and no matrix; a dense block-diagonal hierarchy over every
+    # size up to M = 60 would take 27 MB by itself
+    t = np.linspace(0.0, 300.0, 200)
+    f_line_two_sided(t, 0.01, 0.1, 5)
+    tracemalloc.start()
+    try:
+        f_line_two_sided(t, 0.01, 0.1, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

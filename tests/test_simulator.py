@@ -400,8 +400,8 @@ class TestCoupled:
         rep = run_coupled(net, net, cfg)
         assert rep["applicable"] and rep["verdict"] == "pass"
         assert rep["violation_count"] == 0 and rep["violations"] == []
-        for ta, tb in zip(rep["trajectories_a"], rep["trajectories_b"]):
-            assert np.array_equal(ta.adoption_time, tb.adoption_time)
+        assert rep["times_a"].shape == (200, 4)
+        assert np.array_equal(rep["times_a"], rep["times_b"])
 
     def test_dominated_pair_never_violates(self):
         line = build_line(5, 0.05, 0.3, sided="one")

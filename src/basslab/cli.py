@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -53,7 +54,7 @@ from .simulator import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TRIALS,
     SimConfig,
-    curve_from_trajectories,
+    curve_from_times,
     run_coupled,
     run_discrete,
     run_event_driven,
@@ -98,6 +99,24 @@ DEFAULTS = {
         ("verify", _COMMON_KEYS + _RUN_KEYS + ("suite",)),
     )
 }
+
+
+_FIELD_TYPES = typing.get_type_hints(RunSpec)
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(key: str, value):
+    """A --config value checked against its flag's type; a JSON integer
+    passes for a number flag and becomes a float, as on the command line."""
+    kinds = typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],)
+    if value is None and type(None) in kinds:
+        return value
+    kind = kinds[0]
+    accepted = (int, float) if kind is float else kind
+    # bool is an int subclass: true/false pass only for switches
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise SystemExit(f"--config value for {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 class _JSONEncoder(json.JSONEncoder):
@@ -194,13 +213,10 @@ def cmd_analytic(spec: RunSpec) -> int:
 def _simulate_network(net: Network, t: np.ndarray, spec: RunSpec) -> AdoptionCurve:
     if spec.scheme not in ("event", "discrete"):
         raise SystemExit(f"unknown scheme {spec.scheme!r}")
-    scheme = "event_driven" if spec.scheme == "event" else "discrete"
-    config = SimConfig(
-        trials=spec.trials, base_seed=spec.seed, scheme=scheme, dt=spec.dt, t_max=float(t[-1])
-    )
-    if scheme == "event_driven":
+    config = SimConfig(trials=spec.trials, base_seed=spec.seed, dt=spec.dt, t_max=float(t[-1]))
+    if spec.scheme == "event":
         return run_event_driven(net, config, t_grid=t)
-    return curve_from_trajectories(run_discrete(net, config), t)
+    return curve_from_times(run_discrete(net, config), t)
 
 
 def _drop_per_node(curve: AdoptionCurve, per_node: bool) -> AdoptionCurve:
@@ -338,8 +354,8 @@ def _suite_appendix(spec: RunSpec) -> dict:
 
 def _dominance_entry(name: str, lo: Network, hi: Network, spec: RunSpec) -> dict:
     report = run_coupled(
-        lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed, scheme="discrete",
-                          dt=spec.dt, t_max=spec.t_max if spec.t_max is not None else 30.0)
+        lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed, dt=spec.dt,
+                          t_max=spec.t_max if spec.t_max is not None else 30.0)
     )
     report.pop("times_a")
     report.pop("times_b")
@@ -495,13 +511,17 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
     override = explicit.pop("override", False)
     merged = dict(DEFAULTS[command])
     if config_path is not None:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing file or malformed JSON
+            raise SystemExit(f"basslab: error: cannot read --config {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise SystemExit("--config must contain a JSON object of flag values")
         unknown = sorted(set(loaded) - set(merged))
         if unknown:
             raise SystemExit(f"--config keys not valid for `{command}`: {', '.join(unknown)}")
+        loaded = {k: _config_value(k, v) for k, v in loaded.items()}
         conflicts = sorted(
             k for k in loaded if k in explicit and explicit[k] != loaded[k]
         )
@@ -515,14 +535,16 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    spec = _merge_spec(ns)
-    if spec.command == "analytic":
-        return cmd_analytic(spec)
-    if spec.command == "simulate":
-        return cmd_simulate(spec)
-    return cmd_verify(spec)
+    ns = build_parser().parse_args(argv)
+    try:
+        spec = _merge_spec(ns)
+        if spec.command == "analytic":
+            return cmd_analytic(spec)
+        if spec.command == "simulate":
+            return cmd_simulate(spec)
+        return cmd_verify(spec)
+    except ValueError as exc:  # bad input the library rejected: one line, no traceback
+        raise SystemExit(f"basslab: error: {exc}") from None
 
 
 if __name__ == "__main__":

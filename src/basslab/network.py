@@ -86,14 +86,8 @@ class Network:
             out[i].append(j)
         return tuple(tuple(v) for v in out)
 
-    def edge_weight(self, i: int, j: int) -> float | None:
-        for a, b, w in self.edges:
-            if (a, b) == (i, j):
-                return w
-        return None
-
     def has_edge(self, i: int, j: int) -> bool:
-        return self.edge_weight(i, j) is not None
+        return any((a, b) == (i, j) for a, b, _ in self.edges)
 
     def in_degree(self, j: int) -> int:
         return sum(1 for _, b, _ in self.edges if b == j)

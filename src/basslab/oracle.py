@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -301,16 +301,6 @@ def solve_master(net: Network, t_grid) -> MasterSolution:
     return MasterSolution(network=net, t=t_grid, probs=probs)
 
 
-@dataclass(frozen=True)
-class MarginalReport:
-    """Per-node adoption probabilities plus joint survivals for chosen sets."""
-
-    t: np.ndarray
-    marginals: np.ndarray
-    f: np.ndarray
-    survivals: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
-
-
 def exact_marginals(net: Network, t_grid) -> np.ndarray:
     """Per-node adoption probabilities, shape (M, T)."""
     return _uniformized(net, t_grid, _marginals, net.n).T
@@ -330,15 +320,3 @@ def survival(net: Network, omega, t_grid) -> np.ndarray:
     masks = _survival_masks(net, [omega])
     return _uniformized(net, t_grid, lambda v: masks @ v, 1)[:, 0]
 
-
-def marginal_report(net: Network, t_grid, omegas=()) -> MarginalReport:
-    """One sweep summarised as marginals, f, and requested survivals."""
-    t_grid = _check_grid(t_grid)
-    M = net.n
-    masks = _survival_masks(net, omegas)
-    obs = _uniformized(
-        net, t_grid, lambda v: np.concatenate([_marginals(v), masks @ v]), M + len(omegas)
-    )
-    marg = obs[:, :M].T
-    surv = {tuple(sorted(om)): obs[:, M + k] for k, om in enumerate(omegas)}
-    return MarginalReport(t=t_grid, marginals=marg, f=marg.mean(axis=0), survivals=surv)

@@ -1,6 +1,8 @@
 """Stochastic simulation of the adoption process.
 
-Two schemes:
+Every sampler returns adoption times as one (trials, M) array, inf for a
+node that never adopted; `curve_from_times` turns such an array into a
+Monte Carlo curve. Two schemes:
 
 * event-driven: exact continuous-time sampling as first-passage
   percolation. Hazards add, so each adoption time is a shortest-path
@@ -9,9 +11,12 @@ Two schemes:
   block-diagonal graph solves a whole block of trials, at
   O(trials * E * log(trials * E)) cost for E = nodes + edges per trial;
 * discrete: synchronous updates with step dt, node j adopting in a step
-  iff its uniform draw is <= lambda_j * dt. The discrete scheme consumes a
-  counter-based tape, so two networks simulated against the same tape are
-  coupled draw-for-draw; that is what makes pathwise dominance checks exact.
+  iff its uniform draw is <= lambda_j * dt. One kernel steps any number of
+  networks against the same counter-based tape and records the step in
+  which each node adopted. `run_discrete` runs it on one network and
+  `run_coupled` on a pair: the pair is coupled draw-for-draw, which is
+  what makes pathwise dominance checks exact, and the coupling report is
+  read off the two step arrays.
 
 Event-driven trials are partitioned into fixed-size blocks, each with its
 own child stream of the base seed, and trial r of a block uses row r of the
@@ -37,7 +42,6 @@ from .network import Network, weakly_dominates
 TRIAL_BLOCK = 512
 DEFAULT_TRIALS = 4000
 DEFAULT_GRID_POINTS = 200
-SCHEMES = ("event_driven", "discrete")
 # discrete-step targets: per-step adoption probability aimed at <= this
 DEFAULT_STEP_PROB = 0.01
 STEP_PROB_WARN = 0.1
@@ -50,7 +54,6 @@ VIOLATION_LIST_CAP = 100
 class SimConfig:
     trials: int = DEFAULT_TRIALS
     base_seed: int = 0
-    scheme: str = "event_driven"
     dt: float | None = None
     t_max: float | None = None
     grid_points: int = DEFAULT_GRID_POINTS
@@ -59,8 +62,6 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_max is not None and self.t_max <= 0:
@@ -69,41 +70,6 @@ class SimConfig:
             raise ValueError("grid_points must be >= 2")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One trial's outcome: per-node adoption times, inf = never adopted
-    within the horizon."""
-
-    adoption_time: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        at = np.asarray(self.adoption_time, dtype=float)
-        if at.ndim != 1 or at.size == 0:
-            raise ValueError("adoption_time must be a non-empty 1D array")
-        if np.any(at < 0):
-            raise ValueError("adoption times must be >= 0")
-        object.__setattr__(self, "adoption_time", at)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adoption_time.size
-
-    def state(self, t: float) -> np.ndarray:
-        """Adoption indicators X_j(t)."""
-        return self.adoption_time <= t
-
-    def n_adopted(self, t: float) -> int:
-        return int(np.count_nonzero(self.state(t)))
-
-    def t_omega(self, nodes) -> float:
-        """Time of the first adoption inside the node set (inf if none)."""
-        idx = np.asarray(list(nodes), dtype=int)
-        if idx.size == 0:
-            raise ValueError("node set must be non-empty")
-        return float(self.adoption_time[idx].min())
 
 
 class CouplingTape:
@@ -275,11 +241,6 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
     )
 
 
-def curve_from_trajectories(trajectories, t_grid) -> AdoptionCurve:
-    times = np.vstack([tr.adoption_time for tr in trajectories])
-    return curve_from_times(times, t_grid)
-
-
 def run_event_driven(net: Network, config: SimConfig = SimConfig(), t_grid=None) -> AdoptionCurve:
     """Exact continuous-time simulation; Monte Carlo curve on the output
     grid (linspace(0, t_max, grid_points) unless a grid is passed)."""
@@ -288,33 +249,42 @@ def run_event_driven(net: Network, config: SimConfig = SimConfig(), t_grid=None)
     return curve_from_times(_event_times(net, config), grid, block=config.block_size)
 
 
-def event_trajectories(net: Network, config: SimConfig = SimConfig()) -> list[Trajectory]:
-    """Per-trial adoption times under the exact continuous-time scheme."""
-    horizon = config.t_max if config.t_max is not None else np.inf
+def event_trajectories(net: Network, config: SimConfig = SimConfig()) -> np.ndarray:
+    """Per-trial adoption times, shape (trials, M), under the exact
+    continuous-time scheme; times past config.t_max (if set) are inf."""
     times = _event_times(net, config)
-    if np.isfinite(horizon):
-        times = np.where(times <= horizon, times, np.inf)
-    return [Trajectory(adoption_time=row, horizon=float(horizon)) for row in times]
-
-
-def _discrete_times(net: Network, config: SimConfig, tape, n_steps: int, dt: float) -> np.ndarray:
-    W = net.weight_matrix
-    M = net.n
-    R = config.trials
-    X = np.zeros((R, M), dtype=bool)
-    times = np.full((R, M), np.inf)
-    for step in range(n_steps):
-        lam = net.p[None, :] + X @ W
-        u = tape.uniforms(step, (R, M))
-        newly = (~X) & (u <= lam * dt)
-        times[newly] = (step + 1) * dt
-        X |= newly
+    if config.t_max is not None:
+        times[times > config.t_max] = np.inf
     return times
 
 
-def _discrete_setup(net: Network, config: SimConfig, tape):
-    dt = config.dt if config.dt is not None else default_dt(net)
-    validate_dt(net, dt)
+def _discrete_steps(
+    nets: list[Network], config: SimConfig, tape, n_steps: int, dt: float
+) -> list[np.ndarray]:
+    """Step every network in nets (all with the same node count) against
+    the same tape; for each, the step index at which each (trial, node)
+    adopted, shape (trials, M), n_steps for never. Step k ends at time
+    (k + 1) * dt."""
+    R, M = config.trials, nets[0].n
+    weights = [net.weight_matrix for net in nets]
+    adopted = [np.zeros((R, M), dtype=bool) for _ in nets]
+    steps = [np.full((R, M), n_steps) for _ in nets]
+    for step in range(n_steps):
+        u = tape.uniforms(step, (R, M))
+        for net, W, X, k in zip(nets, weights, adopted, steps):
+            newly = (~X) & (u <= (net.p[None, :] + X @ W) * dt)
+            k[newly] = step
+            X |= newly
+    return steps
+
+
+def _times(steps: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
+    return np.where(steps < n_steps, (steps + 1) * dt, np.inf)
+
+
+def _discrete_setup(dt_net: Network, config: SimConfig, tape):
+    dt = config.dt if config.dt is not None else default_dt(dt_net)
+    validate_dt(dt_net, dt)
     if config.t_max is None:
         raise ValueError("the discrete scheme needs config.t_max")
     n_steps = int(np.ceil(config.t_max / dt - 1e-12))
@@ -323,18 +293,38 @@ def _discrete_setup(net: Network, config: SimConfig, tape):
     return dt, n_steps, tape
 
 
-def run_discrete(net: Network, config: SimConfig = SimConfig(), tape=None) -> list[Trajectory]:
-    """Synchronous discrete-time simulation with step dt; one Trajectory
-    per trial.
+def run_discrete(net: Network, config: SimConfig = SimConfig(), tape=None) -> np.ndarray:
+    """Synchronous discrete-time simulation with step dt; adoption times,
+    shape (trials, M), inf for never within the horizon.
 
     All trials advance in lockstep from a shared tape and trial r consumes
     the r-th slice of each step's draw block, so the uniform used by
     (trial, node, step) does not depend on how many trials run.
     """
     dt, n_steps, tape = _discrete_setup(net, config, tape)
-    times = _discrete_times(net, config, tape, n_steps, dt)
-    horizon = n_steps * dt
-    return [Trajectory(adoption_time=row, horizon=horizon) for row in times]
+    (steps,) = _discrete_steps([net], config, tape, n_steps, dt)
+    return _times(steps, n_steps, dt)
+
+
+def _violation_list(steps_a: np.ndarray, steps_b: np.ndarray) -> list[dict]:
+    """The first VIOLATION_LIST_CAP (step, trial, node) cells, in that
+    order, where A has adopted and B has not: steps_a <= step < steps_b."""
+    trial, node = np.nonzero(steps_a < steps_b)  # ordered by trial, then node
+    first, end = steps_a[trial, node], steps_b[trial, node]
+    out: list[dict] = []
+    step = 0
+    while len(out) < VIOLATION_LIST_CAP:
+        on = (first <= step) & (step < end)
+        if not on.any():
+            later = first[first > step]
+            if later.size == 0:
+                break
+            step = int(later.min())
+            continue
+        for r, j in zip(trial[on][: VIOLATION_LIST_CAP - len(out)], node[on]):
+            out.append({"trial": int(r), "step": step, "node": int(j)})
+        step += 1
+    return out
 
 
 def run_coupled(
@@ -343,62 +333,34 @@ def run_coupled(
     """Simulate both networks against one shared tape and check the
     pathwise ordering: every adopter of A is an adopter of B at every step.
 
-    Only meaningful when A's parameters are componentwise <= B's ("not
-    applicable" otherwise); the report lists any (trial, step, node)
-    ordering violations, and zero is the expected outcome whenever the
-    ordering applies. times_a/times_b hold each (trial, node) adoption time
-    as a (trials, M) array, inf for nodes that never adopted.
+    dt defaults from B, the faster network when the ordering applies. Only
+    meaningful when A's parameters are componentwise <= B's ("not
+    applicable" otherwise); the report counts every (trial, step, node)
+    ordering violation and lists the first VIOLATION_LIST_CAP in that
+    order, and zero is the expected outcome whenever the ordering applies.
+    times_a/times_b are the two (trials, M) adoption-time arrays.
     """
     if net_a.n != net_b.n:
         raise ValueError("coupled networks must have the same node count")
     applicable = weakly_dominates(net_a, net_b)
-    M = net_a.n
-    dt = config.dt if config.dt is not None else default_dt(net_b)
-    validate_dt(net_b, dt)
-    t_max = config.t_max if config.t_max is not None else 30.0
-    n_steps = int(np.ceil(t_max / dt - 1e-12))
-    if tape is None:
-        tape = CouplingTape(config.base_seed)
-    Wa, Wb = net_a.weight_matrix, net_b.weight_matrix
-    R = config.trials
-    Xa = np.zeros((R, M), dtype=bool)
-    Xb = np.zeros((R, M), dtype=bool)
-    times_a = np.full((R, M), np.inf)
-    times_b = np.full((R, M), np.inf)
-    violation_count = 0
-    violations: list[dict] = []
-    for step in range(n_steps):
-        u = tape.uniforms(step, (R, M))
-        lam_a = net_a.p[None, :] + Xa @ Wa
-        lam_b = net_b.p[None, :] + Xb @ Wb
-        new_a = (~Xa) & (u <= lam_a * dt)
-        new_b = (~Xb) & (u <= lam_b * dt)
-        times_a[new_a] = (step + 1) * dt
-        times_b[new_b] = (step + 1) * dt
-        Xa |= new_a
-        Xb |= new_b
-        bad = Xa & ~Xb
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            violation_count += n_bad
-            for trial, node in zip(*np.nonzero(bad)):
-                if len(violations) >= VIOLATION_LIST_CAP:
-                    break
-                violations.append({"trial": int(trial), "step": step, "node": int(node)})
+    dt, n_steps, tape = _discrete_setup(net_b, config, tape)
+    steps_a, steps_b = _discrete_steps([net_a, net_b], config, tape, n_steps, dt)
+    # a cell violates the ordering in every step from A's adoption to B's
+    violation_count = int(np.maximum(steps_b - steps_a, 0).sum())
     if applicable:
         verdict = "pass" if violation_count == 0 else "fail"
     else:
         verdict = "not_applicable"
     return {
         "applicable": bool(applicable),
-        "trials": R,
+        "trials": config.trials,
         "steps": n_steps,
         "dt": dt,
-        "violations": violations,
+        "violations": _violation_list(steps_a, steps_b),
         "violation_count": violation_count,
         "verdict": verdict,
-        "mean_final_fraction_a": float(Xa.mean()),
-        "mean_final_fraction_b": float(Xb.mean()),
-        "times_a": times_a,
-        "times_b": times_b,
+        "mean_final_fraction_a": float((steps_a < n_steps).mean()),
+        "mean_final_fraction_b": float((steps_b < n_steps).mean()),
+        "times_a": _times(steps_a, n_steps, dt),
+        "times_b": _times(steps_b, n_steps, dt),
     }

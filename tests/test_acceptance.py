@@ -149,7 +149,7 @@ def test_block_shift_identities_hold():
 
 
 def test_coupled_runs_never_break_dominance():
-    cfg = SimConfig(trials=4000, base_seed=0, scheme="discrete", t_max=30.0)
+    cfg = SimConfig(trials=4000, base_seed=0, t_max=30.0)
     for name, lo, hi in dominance_pairs(P, Q):
         report = run_coupled(lo, hi, cfg)
         assert report["applicable"], name

@@ -163,11 +163,40 @@ class TestVerify:
         assert report["passed"] is False
         assert report["cases"][0]["all_non_influential"] is False
 
+    def test_dominance_suite_reruns_byte_for_byte(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["verify", "--suite", "dominance", "--trials", "200", "--seed", "3"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_suite_via_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suite": "mystery"}))
         with pytest.raises(SystemExit, match="unknown suite"):
             run(["verify", "--config", str(cfg)])
+
+
+class TestBadInput:
+    @pytest.mark.filterwarnings("ignore:dt=5.0")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--trials", "0"], "trials must be >= 1"),
+            (["simulate", "-M", "0"], "M must be positive"),
+            (["analytic", "-p", "0"], "p must be positive"),
+            (["analytic", "-q", "-1"], "q must be non-negative"),
+            (["simulate", "--topology", "grid", "-D", "0"], "D must be >= 1"),
+            (["simulate", "--t-max", "-1"], "t_max must be positive"),
+            (["verify", "--suite", "dominance", "--dt", "5"], "per-step probability 1.05 > 1"),
+        ],
+    )
+    def test_library_rejection_is_one_line(self, tmp_path, args, message):
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out", str(tmp_path / "out")])
+        assert str(exc.value).startswith("basslab: error: ")
+        assert message in str(exc.value)
+        assert "\n" not in str(exc.value)
 
 
 class TestConfigFiles:
@@ -208,6 +237,14 @@ class TestConfigFiles:
         with pytest.raises(SystemExit, match="not valid"):
             run(["analytic", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("text", [None, "{bad"])
+    def test_unreadable_config_is_one_line(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit, match=r"^basslab: error: cannot read --config .*cfg\.json"):
+            run(["analytic", "--config", str(cfg)])
+
     def test_config_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([1, 2]))
@@ -220,3 +257,29 @@ class TestConfigFiles:
         with pytest.raises(SystemExit, match="scheme"):
             run(["simulate", "--config", str(cfg), "--trials", "5",
                  "--t-max", "5", "--grid", "3"])
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("periodic", "no", "true or false"),
+            ("trials", "10", "an integer"),
+            ("M", 2.5, "an integer"),
+            ("trials", True, "an integer"),  # JSON true is not the integer 1
+        ],
+    )
+    def test_values_must_match_flag_types(self, tmp_path, key, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=f"'{key}' must be {expected}, got"):
+            run(["simulate", "--config", str(cfg), "--topology", "grid", "--t-max", "5",
+                 "--grid", "3", "--out", str(tmp_path / "out.csv")])
+
+    def test_integer_passes_for_a_number_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_max": 20, "q": 0.2, "dt": None}))
+        via_cfg, via_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+        assert run(["simulate", "--config", str(cfg), "--trials", "20", "--grid", "11",
+                    "--out", str(via_cfg)]) == 0
+        assert run(["simulate", "--t-max", "20", "-q", "0.2", "--trials", "20", "--grid", "11",
+                    "--out", str(via_flags)]) == 0
+        assert via_cfg.read_bytes() == via_flags.read_bytes()

@@ -31,7 +31,6 @@ from basslab.oracle import (
     build_generator,
     exact_f,
     exact_marginals,
-    marginal_report,
     solve_master,
     survival,
 )
@@ -253,14 +252,6 @@ class TestContainers:
         net = build_circle(3, 0.1, 0.3)
         with pytest.raises(ValueError, match="shape"):
             MasterSolution(network=net, t=T, probs=np.zeros((T.size, 4)))
-
-    def test_marginal_report(self):
-        net = build_line(4, 0.05, 0.3, sided="two")
-        rep = marginal_report(net, T, omegas=([0], [0, 3]))
-        assert rep.marginals.shape == (4, T.size)
-        assert np.allclose(rep.f, rep.marginals.mean(axis=0), atol=0)
-        assert set(rep.survivals) == {(0,), (0, 3)}
-        assert np.all(rep.survivals[(0, 3)] <= rep.survivals[(0,)] + 1e-12)
 
 
 class TestUniformization:

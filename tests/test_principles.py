@@ -275,7 +275,7 @@ class TestCouplingConsistency:
     def test_verdicts_match_the_partial_order(self):
         from basslab.simulator import SimConfig, run_coupled
 
-        cfg = SimConfig(trials=200, base_seed=31, scheme="discrete", t_max=15.0)
+        cfg = SimConfig(trials=200, base_seed=31, t_max=15.0)
         for name, lo, hi in dominance_pairs():
             rep = run_coupled(lo, hi, cfg)
             assert rep["verdict"] == "pass", name

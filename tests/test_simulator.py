@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from basslab.network import Network, build_circle, build_grid, build_line
+from basslab.network import Network, build_circle, build_grid, build_line, weakly_dominates
 from basslab.oracle import exact_f
 from basslab.simulator import (
     ConstantTape,
     CouplingTape,
     DEFAULT_STEP_PROB,
+    VIOLATION_LIST_CAP,
     SimConfig,
-    Trajectory,
     curve_from_times,
-    curve_from_trajectories,
     default_dt,
     event_trajectories,
     max_total_rate,
@@ -48,47 +47,79 @@ def _boolean_blocked_curve(times, t, block):
     return mean, np.sqrt(np.maximum(var, 0.0) / trials), node_counts / trials
 
 
+def _stepwise_coupled_report(net_a, net_b, config):
+    """Reference coupling: both networks stepped together against one tape,
+    the ordering checked after every step (the per-step loop run_coupled
+    used before it shared the discrete kernel)."""
+    M = net_a.n
+    applicable = weakly_dominates(net_a, net_b)
+    dt = config.dt if config.dt is not None else default_dt(net_b)
+    n_steps = int(np.ceil(config.t_max / dt - 1e-12))
+    tape = CouplingTape(config.base_seed)
+    Wa, Wb = net_a.weight_matrix, net_b.weight_matrix
+    R = config.trials
+    Xa = np.zeros((R, M), dtype=bool)
+    Xb = np.zeros((R, M), dtype=bool)
+    times_a = np.full((R, M), np.inf)
+    times_b = np.full((R, M), np.inf)
+    violation_count = 0
+    violations = []
+    for step in range(n_steps):
+        u = tape.uniforms(step, (R, M))
+        lam_a = net_a.p[None, :] + Xa @ Wa
+        lam_b = net_b.p[None, :] + Xb @ Wb
+        new_a = (~Xa) & (u <= lam_a * dt)
+        new_b = (~Xb) & (u <= lam_b * dt)
+        times_a[new_a] = (step + 1) * dt
+        times_b[new_b] = (step + 1) * dt
+        Xa |= new_a
+        Xb |= new_b
+        bad = Xa & ~Xb
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad:
+            violation_count += n_bad
+            for trial, node in zip(*np.nonzero(bad)):
+                if len(violations) >= VIOLATION_LIST_CAP:
+                    break
+                violations.append({"trial": int(trial), "step": step, "node": int(node)})
+    if applicable:
+        verdict = "pass" if violation_count == 0 else "fail"
+    else:
+        verdict = "not_applicable"
+    return {
+        "applicable": bool(applicable),
+        "trials": R,
+        "steps": n_steps,
+        "dt": dt,
+        "violations": violations,
+        "violation_count": violation_count,
+        "verdict": verdict,
+        "mean_final_fraction_a": float(Xa.mean()),
+        "mean_final_fraction_b": float(Xb.mean()),
+        "times_a": times_a,
+        "times_b": times_b,
+    }
+
+
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert cfg.trials == 4000 and cfg.scheme == "event_driven"
+        assert cfg.trials == 4000 and cfg.t_max is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"trials": 0},
-            {"scheme": "leapfrog"},
             {"dt": 0.0},
             {"t_max": -1.0},
             {"grid_points": 1},
             {"block_size": 0},
+            {"t_max": 0.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
-
-
-class TestTrajectory:
-    def test_state_and_counts(self):
-        tr = Trajectory(adoption_time=np.array([0.5, 2.0, np.inf]), horizon=10.0)
-        assert tr.n_nodes == 3
-        assert list(tr.state(1.0)) == [True, False, False]
-        assert tr.n_adopted(2.0) == 2
-        assert tr.n_adopted(100.0) == 2
-
-    def test_first_adoption_in_set(self):
-        tr = Trajectory(adoption_time=np.array([0.5, 2.0, np.inf]), horizon=10.0)
-        assert tr.t_omega([1, 2]) == 2.0
-        assert tr.t_omega([2]) == np.inf
-        with pytest.raises(ValueError):
-            tr.t_omega([])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(adoption_time=np.array([-1.0]), horizon=1.0)
-        with pytest.raises(ValueError):
-            Trajectory(adoption_time=np.zeros((2, 2)), horizon=1.0)
 
 
 class TestTapes:
@@ -157,10 +188,7 @@ class TestEventDriven:
         net = build_circle(3, 0.1, 0.4)
         short = SimConfig(trials=16, base_seed=5, block_size=8, t_max=10.0)
         long = SimConfig(trials=24, base_seed=5, block_size=8, t_max=10.0)
-        ta = [tr.adoption_time for tr in event_trajectories(net, short)]
-        tb = [tr.adoption_time for tr in event_trajectories(net, long)]
-        for x, y in zip(ta, tb[:16]):
-            assert np.array_equal(x, y)
+        assert np.array_equal(event_trajectories(net, short), event_trajectories(net, long)[:16])
 
     def test_trials_do_not_depend_on_block_mates(self):
         # trial r's clocks are row r of its block's draw, so adding trials
@@ -168,8 +196,7 @@ class TestEventDriven:
         net = build_line(5, 0.1, 0.4, sided="two")
         few = event_trajectories(net, SimConfig(trials=10, base_seed=8))
         more = event_trajectories(net, SimConfig(trials=13, base_seed=8))
-        for x, y in zip(few, more[:10]):
-            assert np.array_equal(x.adoption_time, y.adoption_time)
+        assert np.array_equal(few, more[:10])
 
     def test_two_node_chain_matches_conditioning_formula(self):
         p1, p2, w = 0.3, 0.05, 0.8
@@ -207,23 +234,23 @@ class TestEventDriven:
     def test_single_node_mean_adoption_time(self):
         net = Network(n=1, p=np.array([0.5]), edges=())
         cfg = SimConfig(trials=4000, base_seed=1)
-        times = np.array([tr.adoption_time[0] for tr in event_trajectories(net, cfg)])
+        times = event_trajectories(net, cfg)[:, 0]
         se = times.std(ddof=1) / np.sqrt(times.size)
         assert abs(times.mean() - 2.0) < 3 * se
 
     def test_unreachable_nodes_stay_susceptible(self):
         # p = 0 and no incoming edges: the trial freezes once node 0 is done
         net = Network(n=2, p=np.array([0.5, 0.0]), edges=())
-        trajs = event_trajectories(net, SimConfig(trials=50, base_seed=3))
-        for tr in trajs:
-            assert np.isfinite(tr.adoption_time[0])
-            assert np.isinf(tr.adoption_time[1])
+        times = event_trajectories(net, SimConfig(trials=50, base_seed=3))
+        assert times.shape == (50, 2)
+        assert np.all(np.isfinite(times[:, 0]))
+        assert np.all(np.isinf(times[:, 1]))
 
     def test_horizon_truncates_to_inf(self):
         net = Network(n=1, p=np.array([0.5]), edges=())
-        trajs = event_trajectories(net, SimConfig(trials=200, base_seed=3, t_max=1.0))
-        finite = [tr.adoption_time[0] for tr in trajs if np.isfinite(tr.adoption_time[0])]
-        assert 0 < len(finite) < 200
+        times = event_trajectories(net, SimConfig(trials=200, base_seed=3, t_max=1.0))[:, 0]
+        finite = times[np.isfinite(times)]
+        assert 0 < finite.size < 200
         assert max(finite) <= 1.0
 
     def test_oversized_block_is_refused_before_any_work(self):
@@ -241,36 +268,31 @@ class TestEventDriven:
 class TestDiscrete:
     def test_deterministic_and_tape_driven(self):
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=100, base_seed=21, scheme="discrete", dt=0.05, t_max=5.0)
+        cfg = SimConfig(trials=100, base_seed=21, dt=0.05, t_max=5.0)
         a = run_discrete(net, cfg)
-        b = run_discrete(net, cfg)
-        c = run_discrete(net, cfg, tape=CouplingTape(21))
-        for x, y, z in zip(a, b, c):
-            assert np.array_equal(x.adoption_time, y.adoption_time)
-            assert np.array_equal(x.adoption_time, z.adoption_time)
+        assert a.shape == (100, 4)
+        assert np.array_equal(a, run_discrete(net, cfg))
+        assert np.array_equal(a, run_discrete(net, cfg, tape=CouplingTape(21)))
 
     def test_trials_do_not_interact(self):
         net = build_circle(3, 0.1, 0.4)
-        few = run_discrete(net, SimConfig(trials=10, base_seed=2, scheme="discrete", dt=0.1, t_max=5.0))
-        many = run_discrete(net, SimConfig(trials=25, base_seed=2, scheme="discrete", dt=0.1, t_max=5.0))
-        for x, y in zip(few, many[:10]):
-            assert np.array_equal(x.adoption_time, y.adoption_time)
+        few = run_discrete(net, SimConfig(trials=10, base_seed=2, dt=0.1, t_max=5.0))
+        many = run_discrete(net, SimConfig(trials=25, base_seed=2, dt=0.1, t_max=5.0))
+        assert np.array_equal(few, many[:10])
 
     def test_all_ones_tape_freezes_everything(self):
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=10, scheme="discrete", dt=0.05, t_max=5.0)
-        for tr in run_discrete(net, cfg, tape=ConstantTape(1.0)):
-            assert np.all(np.isinf(tr.adoption_time))
+        cfg = SimConfig(trials=10, dt=0.05, t_max=5.0)
+        assert np.all(np.isinf(run_discrete(net, cfg, tape=ConstantTape(1.0))))
 
     def test_all_zeros_tape_adopts_immediately(self):
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=10, scheme="discrete", dt=0.05, t_max=5.0)
-        for tr in run_discrete(net, cfg, tape=ConstantTape(0.0)):
-            assert np.all(tr.adoption_time == 0.05)
+        cfg = SimConfig(trials=10, dt=0.05, t_max=5.0)
+        assert np.all(run_discrete(net, cfg, tape=ConstantTape(0.0)) == 0.05)
 
     def test_needs_t_max(self):
         with pytest.raises(ValueError, match="t_max"):
-            run_discrete(build_circle(3, 0.1, 0.4), SimConfig(trials=10, scheme="discrete", dt=0.1))
+            run_discrete(build_circle(3, 0.1, 0.4), SimConfig(trials=10, dt=0.1))
 
     def test_matches_exact_chain_distribution(self):
         # the synchronous chain has an exactly computable mean fraction;
@@ -278,8 +300,8 @@ class TestDiscrete:
         net = build_circle(3, 0.1, 0.4, sided="two")
         dt, t_max = 0.1, 8.0
         ref = discrete_chain_f(net, dt, int(round(t_max / dt)))
-        cfg = SimConfig(trials=3000, base_seed=1, scheme="discrete", dt=dt, t_max=t_max)
-        curve = curve_from_trajectories(run_discrete(net, cfg), np.array([0.0, t_max]))
+        cfg = SimConfig(trials=3000, base_seed=1, dt=dt, t_max=t_max)
+        curve = curve_from_times(run_discrete(net, cfg), np.array([0.0, t_max]))
         assert abs(curve.f[-1] - ref) <= 4 * curve.stderr[-1]
 
     def test_step_bias_shrinks_linearly(self):
@@ -323,9 +345,9 @@ class TestDiscrete:
         net = build_circle(3, 0.1, 0.4, sided="two")
         t = np.linspace(0, 8, 9)
         ev = run_event_driven(net, SimConfig(trials=3000, base_seed=6), t_grid=t)
-        dis = curve_from_trajectories(
+        dis = curve_from_times(
             run_discrete(
-                net, SimConfig(trials=3000, base_seed=106, scheme="discrete", dt=0.02, t_max=8.0)
+                net, SimConfig(trials=3000, base_seed=106, dt=0.02, t_max=8.0)
             ),
             t,
         )
@@ -334,16 +356,19 @@ class TestDiscrete:
 
 
 class TestCurveAssembly:
-    def test_from_times_and_trajectories_agree(self):
+    def test_discrete_times_end_steps_and_feed_the_curve(self):
+        # a finite discrete time is the end of the step the node adopted
+        # in, (k + 1) * dt for k < n_steps; the curve at the horizon is
+        # the fraction of finite times
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=64, base_seed=13, scheme="discrete", dt=0.05, t_max=5.0)
-        trajs = run_discrete(net, cfg)
-        t = np.linspace(0, 5, 6)
-        a = curve_from_trajectories(trajs, t)
-        times = np.vstack([tr.adoption_time for tr in trajs])
-        b = curve_from_times(times, t)
-        assert np.array_equal(a.f, b.f)
-        assert np.array_equal(a.stderr, b.stderr)
+        cfg = SimConfig(trials=64, base_seed=13, dt=0.05, t_max=5.0)
+        times = run_discrete(net, cfg)
+        finite = times[np.isfinite(times)]
+        k = np.round(finite / 0.05).astype(int) - 1
+        assert 0 < finite.size < times.size
+        assert np.all((0 <= k) & (k < 100)) and np.array_equal(finite, (k + 1) * 0.05)
+        curve = curve_from_times(times, np.linspace(0, 5, 6))
+        assert curve.f[-1] == np.isfinite(times).mean()
 
     def test_blocked_accumulation_matches_direct(self):
         rng = np.random.default_rng(0)
@@ -396,7 +421,7 @@ class TestCurveAssembly:
 class TestCoupled:
     def test_self_coupling_is_identical(self):
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=200, base_seed=17, scheme="discrete", dt=0.05, t_max=10.0)
+        cfg = SimConfig(trials=200, base_seed=17, dt=0.05, t_max=10.0)
         rep = run_coupled(net, net, cfg)
         assert rep["applicable"] and rep["verdict"] == "pass"
         assert rep["violation_count"] == 0 and rep["violations"] == []
@@ -406,7 +431,7 @@ class TestCoupled:
     def test_dominated_pair_never_violates(self):
         line = build_line(5, 0.05, 0.3, sided="one")
         circ = build_circle(5, 0.05, 0.3, sided="one")
-        cfg = SimConfig(trials=500, base_seed=23, scheme="discrete", t_max=20.0)
+        cfg = SimConfig(trials=500, base_seed=23, t_max=20.0)
         rep = run_coupled(line, circ, cfg)
         assert rep["verdict"] == "pass"
         assert rep["violation_count"] == 0
@@ -415,7 +440,7 @@ class TestCoupled:
     def test_incomparable_pair_is_not_applicable(self):
         one = build_circle(4, 0.05, 0.3, sided="one")
         two = build_circle(4, 0.05, 0.3, sided="two")
-        cfg = SimConfig(trials=50, base_seed=3, scheme="discrete", t_max=5.0)
+        cfg = SimConfig(trials=50, base_seed=3, t_max=5.0)
         rep = run_coupled(one, two, cfg)
         assert not rep["applicable"]
         assert rep["verdict"] == "not_applicable"
@@ -425,7 +450,7 @@ class TestCoupled:
         # report must say so rather than certify anything
         hot = build_circle(4, 0.05, 0.6)
         cold = build_circle(4, 0.05, 0.1)
-        cfg = SimConfig(trials=400, base_seed=29, scheme="discrete", t_max=20.0)
+        cfg = SimConfig(trials=400, base_seed=29, t_max=20.0)
         rep = run_coupled(hot, cold, cfg)
         assert rep["verdict"] == "not_applicable"
         assert rep["violation_count"] > 0
@@ -436,3 +461,52 @@ class TestCoupled:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             run_coupled(build_circle(3, 0.05, 0.3), build_circle(4, 0.05, 0.3))
+
+    def test_needs_t_max(self):
+        net = build_circle(3, 0.1, 0.4)
+        with pytest.raises(ValueError, match="t_max"):
+            run_coupled(net, net, SimConfig(trials=10))
+
+    @pytest.mark.parametrize(
+        "pair, trials, dt",
+        [
+            ("dominated", 500, None),
+            ("reversed", 400, None),  # about 90,000 violations: the list is capped
+            # 81 violations with a quiet step between two of them; a step this
+            # coarse warns about its bias, which is beside the point here
+            pytest.param(
+                "crossed", 10, 0.2, marks=pytest.mark.filterwarnings("ignore:dt=0.2")
+            ),
+        ],
+    )
+    def test_report_matches_stepwise_reference(self, pair, trials, dt):
+        net_a, net_b = {
+            "dominated": (build_line(5, 0.05, 0.3, sided="one"), build_circle(5, 0.05, 0.3)),
+            "reversed": (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
+            "crossed": (
+                Network(n=2, p=np.array([0.02, 0.3]), edges=()),
+                Network(n=2, p=np.array([0.3, 0.02]), edges=((0, 1, 1.5),)),
+            ),
+        }[pair]
+        cfg = SimConfig(trials=trials, base_seed=23, dt=dt, t_max=20.0)
+        rep = run_coupled(net_a, net_b, cfg)
+        ref = _stepwise_coupled_report(net_a, net_b, cfg)
+        assert list(rep) == list(ref)
+        for key, want in ref.items():
+            if key.startswith("times_"):
+                assert np.array_equal(rep[key], want), key
+            else:
+                assert rep[key] == want and type(rep[key]) is type(want), key
+        if pair != "dominated":
+            assert ref["violation_count"] > 0
+
+    def test_each_side_is_a_single_discrete_run(self):
+        # the shared kernel steps each network exactly as run_discrete does
+        for net_a, net_b in [
+            (build_line(5, 0.05, 0.3, sided="one"), build_circle(5, 0.05, 0.3)),
+            (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
+        ]:
+            cfg = SimConfig(trials=300, base_seed=29, dt=0.02, t_max=10.0)
+            rep = run_coupled(net_a, net_b, cfg)
+            assert np.array_equal(rep["times_a"], run_discrete(net_a, cfg))
+            assert np.array_equal(rep["times_b"], run_discrete(net_b, cfg))

@@ -534,17 +534,25 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
     return RunSpec(command=command, **merged)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"basslab: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    import warnings
+
     ns = build_parser().parse_args(argv)
-    try:
-        spec = _merge_spec(ns)
-        if spec.command == "analytic":
-            return cmd_analytic(spec)
-        if spec.command == "simulate":
-            return cmd_simulate(spec)
-        return cmd_verify(spec)
-    except ValueError as exc:  # bad input the library rejected: one line, no traceback
-        raise SystemExit(f"basslab: error: {exc}") from None
+    with warnings.catch_warnings():  # library warnings print as one line, as errors do
+        warnings.showwarning = _warning_line
+        try:
+            spec = _merge_spec(ns)
+            if spec.command == "analytic":
+                return cmd_analytic(spec)
+            if spec.command == "simulate":
+                return cmd_simulate(spec)
+            return cmd_verify(spec)
+        except ValueError as exc:  # bad input the library rejected: one line, no traceback
+            raise SystemExit(f"basslab: error: {exc}") from None
 
 
 if __name__ == "__main__":

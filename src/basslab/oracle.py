@@ -18,7 +18,9 @@ is formed, and each grid point is the Poisson-weighted sum of those
 reductions. Every term is non-negative, so nothing cancels. The Poisson
 weights are formed in log space, so a large Lambda t cannot underflow them.
 The sweep runs until the Poisson tail at the last grid time is below
-POISSON_TAIL, about Lambda t_max + 8.3 sqrt(Lambda t_max) terms; the
+POISSON_TAIL, about Lambda t_max + 8.3 sqrt(Lambda t_max) terms, or until
+the chain has absorbed: once the mass outside zero-outflow states is below
+POISSON_TAIL, the weight of the terms left goes to the last vector. The
 observed total mass at every grid time is checked against 1, which also
 catches a truncated tail.
 
@@ -26,6 +28,15 @@ Cost is O(terms * nnz), with nnz = 2^M (M/2 + 1) generator entries.
 Curves (marginals, set survivals) need O(M 2^M) memory, for the generator
 and a few state vectors; only solve_master, which returns the whole
 distribution, holds a (T, 2^M) array. Hard cap M = 20.
+
+exact_marginals (and exact_f) lump the chain when a grid's translations
+map the network onto itself, as on circles and tori (Kemeny & Snell 1960;
+Buchholz 1994). The generator commutes with the translations, so the
+chain on orbits of adopter sets is exact; the group is transitive on
+nodes, so every marginal is E|A|/M. The sweep then costs
+O(terms * orbits * M/2), with about 2^M / M orbits: 14,602 for the circle
+M = 18 (0.06 s on a 200-point grid, against 0.7 s unlumped) and 4,156
+for the 4x4 torus. Labelling the orbits takes a few int32 arrays of 2^M.
 """
 from __future__ import annotations
 
@@ -127,6 +138,27 @@ class MasterSolution:
         return float(np.max(np.abs(self.probs.sum(axis=1) - 1.0)))
 
 
+def _check_size(M: int) -> None:
+    if M > HARD_CAP:
+        raise ValueError(f"exact oracle capped at {HARD_CAP} nodes, got {M}")
+
+
+def _in_edges(net: Network) -> list[list[tuple[int, float]]]:
+    """feeds[j] lists (i, w) for every edge i -> j."""
+    feeds: list[list[tuple[int, float]]] = [[] for _ in range(net.n)]
+    for i, j, w in net.edges:
+        feeds[j].append((i, w))
+    return feeds
+
+
+def _rates(p_j: float, feeds_j, src: np.ndarray) -> np.ndarray:
+    """Adoption rate of node j from each adopter set in src (j not in it)."""
+    rate = np.full(src.size, float(p_j))
+    for i, w in feeds_j:
+        rate += w * ((src >> i) & 1)
+    return rate
+
+
 def build_generator(net: Network) -> sparse.csr_matrix:
     """Sparse generator Q with dP/dt = Q P, Q[to, from] = rate.
 
@@ -136,8 +168,7 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     size 2^M x M is formed.
     """
     M = net.n
-    if M > HARD_CAP:
-        raise ValueError(f"exact oracle capped at {HARD_CAP} nodes, got {M}")
+    _check_size(M)
     n_states = 1 << M
     states = np.arange(n_states, dtype=np.int32)
     row_len = np.ones(n_states, dtype=np.int32)
@@ -149,16 +180,12 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     data = np.empty(indptr[-1])
     fill = indptr[:-1].copy()  # next free slot of each row
     outflow = np.zeros(n_states)
-    feeds: list[list[tuple[int, float]]] = [[] for _ in range(M)]
-    for i, j, w in net.edges:
-        feeds[j].append((i, w))
+    feeds = _in_edges(net)
     # in a (-1, 2, 2^j) view of the states, bit j is the middle index
     without = (slice(None), 0, slice(None))
     for j in reversed(range(M)):
         src = states.reshape(-1, 2, 1 << j)[without].ravel()
-        rate = np.full(src.size, float(net.p[j]))
-        for i, w in feeds[j]:
-            rate += w * ((src >> i) & 1)
+        rate = _rates(net.p[j], feeds[j], src)
         outflow.reshape(-1, 2, 1 << j)[without] += rate.reshape(-1, 1 << j)
         dst = src | (1 << j)
         slot = fill[dst]
@@ -168,6 +195,95 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     indices[fill] = states
     data[fill] = -outflow
     return sparse.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
+
+
+def _translation_shape(net: Network) -> tuple[int, ...] | None:
+    """The first grid shape (side,)*D with side**D == n and side >= 2 whose
+    one-step shift along every axis maps p and every weighted edge onto
+    themselves, or None. Nodes are laid out in C order, as build_grid
+    numbers them. Only p and the edges are read, never tag or meta."""
+    n = net.n
+    edges = np.array(net.edges, dtype=float).reshape(-1, 3)
+    src, dst, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
+
+    def invariant(image: np.ndarray) -> bool:
+        if not np.array_equal(net.p[image], net.p):
+            return False
+        s, t = image[src], image[dst]
+        order = np.lexsort((t, s))  # net.edges is sorted by (source, target)
+        return (np.array_equal(s[order], src) and np.array_equal(t[order], dst)
+                and np.array_equal(w[order], w))
+
+    for D in range(1, n.bit_length()):
+        side = round(n ** (1.0 / D))
+        if side < 2 or side**D != n:
+            continue
+        shape = (side,) * D
+        nodes = np.arange(n).reshape(shape)
+        if all(invariant(np.roll(nodes, -1, axis=d).ravel()) for d in range(D)):
+            return shape
+    return None
+
+
+def _orbits(M: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, label) for the orbits of the translations of the grid `shape`
+    on adopter sets: reps holds each orbit's least set, ascending, and
+    label[A] is the index in reps of A's orbit.
+
+    The least image is a running minimum over the group, each image one
+    masked bit-shift from the one before, so no (|G|, 2^M) array exists.
+    """
+    D, side = len(shape), shape[0]
+    states = np.arange(1 << M, dtype=np.int32)
+    least = states.copy()
+    full = (1 << M) - 1
+
+    def shift(x: np.ndarray, d: int) -> np.ndarray:
+        # one step along axis d: within each block of side * stride bits,
+        # bits move up by stride and the top stride bits wrap to the bottom
+        stride = side ** (D - 1 - d)
+        block = side * stride
+        low = sum(1 << i for i in range(M) if i % block < block - stride)
+        wrapped = x & (full ^ low)
+        wrapped >>= block - stride
+        moved = x & low
+        moved <<= stride
+        moved |= wrapped
+        return moved
+
+    def visit(x: np.ndarray, d: int) -> None:
+        for k in range(side):
+            if d + 1 < D:
+                visit(x, d + 1)
+            else:
+                np.minimum(least, x, out=least)
+            if k + 1 < side:
+                x = shift(x, d)
+
+    visit(states, 0)
+    is_rep = least == states
+    number = np.cumsum(is_rep, dtype=np.int32) - 1
+    return states[is_rep], number[least]
+
+
+def _lumped_generator(net: Network, reps: np.ndarray, label: np.ndarray) -> sparse.csr_matrix:
+    """Generator of the chain on orbits: the rates out of each orbit's
+    representative, summed by destination orbit. The diagonal is stored
+    even where it is zero."""
+    orbit = np.arange(reps.size, dtype=np.int32)
+    diagonal = np.zeros(reps.size)
+    rows, cols, rates = [orbit], [orbit], [diagonal]
+    feeds = _in_edges(net)
+    for j in range(net.n):
+        free = np.flatnonzero(((reps >> j) & 1) == 0).astype(np.int32)
+        src = reps[free]
+        rate = _rates(net.p[j], feeds[j], src)
+        diagonal[free] -= rate
+        rows.append(label[src | (1 << j)])
+        cols.append(free)
+        rates.append(rate)
+    entries = (np.concatenate(rates), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.coo_matrix(entries, shape=(reps.size, reps.size)).tocsr()
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -228,17 +344,21 @@ def _poisson_weights(means: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return W
 
 
-def _uniformized(net: Network, t_grid, observe, width: int) -> np.ndarray:
+def _uniformized(Q: sparse.csr_matrix, t_grid, observe, width: int, route: str) -> np.ndarray:
     """Sum over n of Pois(n; Lambda t) observe(v_n) at every grid time t,
-    shape (T, width); observe maps a state vector to `width` numbers and
-    must be linear. The weights are formed one block of terms at a time,
-    so a long horizon costs sweep steps but no (T, terms) array.
+    shape (T, width), for the generator Q from the state with index 0;
+    observe maps a state vector to `width` numbers and must be linear. The
+    weights are formed one block of terms at a time, so a long horizon
+    costs sweep steps but no (T, terms) array.
+
+    Once the mass outside zero-outflow states is below POISSON_TAIL, every
+    later v_n is within twice that mass of the current one, so the sweep
+    stops and the Poisson weight of the terms left goes to that vector.
 
     Raises RuntimeError when the observed total mass is more than
     CONSERVATION_TOL off 1 at any grid time.
     """
     t_grid = _check_grid(t_grid)
-    Q = build_generator(net)
     outflow = -Q.diagonal()
     lam = float(outflow.max())
     means = lam * t_grid
@@ -246,6 +366,7 @@ def _uniformized(net: Network, t_grid, observe, width: int) -> np.ndarray:
     if n_terms > 1:
         P = Q / lam
         P.setdiag((lam - outflow) / lam)  # >= 0: lam is the largest outflow
+    moving = outflow > 0
     v = np.zeros(Q.shape[0])
     v[0] = 1.0
     out = np.zeros((t_grid.size, width))
@@ -261,10 +382,17 @@ def _uniformized(net: Network, t_grid, observe, width: int) -> np.ndarray:
         W = _poisson_weights(means, lo, lo + len(rows))
         out += W @ np.array(rows)
         mass += W @ np.array(sums)
+        if n + 1 < n_terms and v[moving].sum() < POISSON_TAIL:
+            from scipy.special import gammainc
+
+            tail = gammainc(n + 1, means)  # Prob(Pois(mean) > n), formed apart from W
+            out += tail[:, None] * rows[-1]
+            mass += tail * sums[-1]
+            break
     defect = float(np.max(np.abs(mass - 1.0)))
     _log.debug(
-        "master equation: %d states, Lambda %.6g, %d terms, conservation defect %.3e",
-        Q.shape[0], lam, n_terms, defect,
+        "master equation %s; Lambda %.6g, %d of %d terms, conservation defect %.3e",
+        route, lam, n + 1, n_terms, defect,
     )
     if defect > CONSERVATION_TOL:
         raise RuntimeError(f"probability conservation violated: defect {defect:.3e}")
@@ -297,13 +425,28 @@ def solve_master(net: Network, t_grid) -> MasterSolution:
     """Whole distribution over adopter sets on the grid, from the
     all-susceptible state."""
     t_grid = _check_grid(t_grid)
-    probs = _uniformized(net, t_grid, lambda v: v, 1 << net.n)
+    route = f"unlumped: whole distribution, {1 << net.n} states"
+    probs = _uniformized(build_generator(net), t_grid, lambda v: v, 1 << net.n, route)
     return MasterSolution(network=net, t=t_grid, probs=probs)
 
 
 def exact_marginals(net: Network, t_grid) -> np.ndarray:
-    """Per-node adoption probabilities, shape (M, T)."""
-    return _uniformized(net, t_grid, _marginals, net.n).T
+    """Per-node adoption probabilities, shape (M, T).
+
+    A network that a grid's translations map onto itself is solved on the
+    orbits of its adopter sets, where E|A|/M is the marginal of every node.
+    """
+    _check_size(net.n)
+    shape = _translation_shape(net)
+    if shape is None:
+        route = f"unlumped: no translation symmetry, {1 << net.n} states"
+        return _uniformized(build_generator(net), t_grid, _marginals, net.n, route).T
+    reps, label = _orbits(net.n, shape)
+    Q = _lumped_generator(net, reps, label)
+    size = (np.bitwise_count(reps) / net.n)[None, :]  # |A| / M on each orbit
+    route = f"lumped by translations of {shape}: {reps.size} orbits of {1 << net.n} states"
+    f = _uniformized(Q, t_grid, lambda v: size @ v, 1, route)
+    return np.repeat(f.T, net.n, axis=0)
 
 
 def exact_f(net: Network, t_grid) -> AdoptionCurve:
@@ -318,5 +461,5 @@ def exact_f(net: Network, t_grid) -> AdoptionCurve:
 def survival(net: Network, omega, t_grid) -> np.ndarray:
     """Prob(no node of omega has adopted by t) on the grid."""
     masks = _survival_masks(net, [omega])
-    return _uniformized(net, t_grid, lambda v: masks @ v, 1)[:, 0]
-
+    route = f"unlumped: set survival, {1 << net.n} states"
+    return _uniformized(build_generator(net), t_grid, lambda v: masks @ v, 1, route)[:, 0]

@@ -198,6 +198,15 @@ class TestBadInput:
         assert message in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    def test_coarse_dt_warns_in_one_line(self, tmp_path, capsys):
+        args = ["simulate", "--scheme", "discrete", "--dt", "0.5", "-q", "1", "--trials", "10",
+                "--out", str(tmp_path / "out.csv")]
+        assert run(args) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "basslab: warning: dt=0.5 gives per-step probability 0.505; "
+            "discretization bias is O(dt)"
+        ]
+
 
 class TestConfigFiles:
     def test_config_supplies_flags(self, tmp_path):

@@ -1,6 +1,8 @@
 import logging
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +22,7 @@ from basslab.network import (
     build_grid,
     build_hybrid_circle_ray,
     build_line,
+    remove_edges,
 )
 from basslab.oracle import (
     HARD_CAP,
@@ -28,6 +31,8 @@ from basslab.oracle import (
     _marginals,
     _poisson_terms,
     _poisson_weights,
+    _translation_shape,
+    _uniformized,
     build_generator,
     exact_f,
     exact_marginals,
@@ -334,6 +339,19 @@ class TestUniformization:
             tracemalloc.stop()
         assert peak < t.size * 2**M * 8 / 4
 
+    def test_sweep_stops_once_the_chain_has_absorbed(self, caplog):
+        # Lambda t_max = 22 * 2000 asks for 45,755 terms; the chain is
+        # absorbed in the all-adopted set after a couple of hundred
+        t = np.linspace(0.0, 2000.0, 200)
+        with caplog.at_level(logging.DEBUG, logger="basslab.oracle"):
+            curve = exact_f(build_circle(4, 1.0, 10.0), t)
+        ref, _ = f_circle(t, 1.0, 10.0, 4)
+        assert np.max(np.abs(curve.f - ref)) <= 1e-12
+        terms = re.search(r"(\d+) of (\d+) terms", caplog.records[-1].getMessage())
+        used, planned = int(terms[1]), int(terms[2])
+        assert planned == 45755
+        assert used < 500
+
     def test_full_distribution_memory_follows_the_grid_not_the_terms(self):
         # a long horizon needs hundreds of terms; only two times are kept
         M, t = 10, np.array([0.0, 300.0])
@@ -347,6 +365,90 @@ class TestUniformization:
             tracemalloc.stop()
         assert sol.conservation_defect() < 1e-12
         assert peak < 100 * 2**M * 8
+
+
+def _unlumped_marginals(net, t):
+    """The sweep over all 2^M adopter sets, whatever the network's symmetry."""
+    return _uniformized(build_generator(net), t, _marginals, net.n, "unlumped").T
+
+
+class TestLumping:
+    T60 = np.linspace(0.0, 60.0, 61)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            build_grid(2, 3, 0.01, 0.1, sided="one"),
+            build_grid(2, 3, 0.01, 0.1, sided="two"),
+            build_grid(2, 4, 0.01, 0.1, sided="one"),
+            build_grid(2, 4, 0.01, 0.1, sided="two"),
+            build_circle(5, 0.01, 0.1),
+            build_circle(12, 0.01, 0.1),
+            build_circle(18, 0.01, 0.1),
+        ],
+        ids=["torus3_one", "torus3_two", "torus4_one", "torus4_two",
+             "circle5", "circle12", "circle18"],
+    )
+    def test_lumped_route_matches_the_full_sweep(self, net):
+        assert _translation_shape(net) is not None
+        lumped = exact_marginals(net, self.T60)
+        assert np.max(np.abs(lumped - _unlumped_marginals(net, self.T60))) <= 1e-13
+
+    def _not_invariant(self):
+        torus = build_grid(2, 4, 0.01, 0.1, sided="two")
+        circle = build_circle(12, 0.01, 0.1)
+        p = circle.p.copy()
+        p[5] = 0.02
+        box = build_grid(2, 3, 0.01, 0.1, periodic=False)
+        heavier = tuple((i, j, 0.2 if (i, j) == (0, 1) else w) for i, j, w in circle.edges)
+        return [
+            remove_edges(torus, [torus.edges[0][:2]]),
+            replace(circle, p=p),
+            replace(circle, edges=heavier),
+            Network(n=box.n, p=box.p, edges=box.edges, tag="torus",
+                    meta={**box.meta, "periodic": True}),
+        ]
+
+    def test_networks_without_the_symmetry_take_the_full_sweep(self):
+        for net in self._not_invariant():
+            assert _translation_shape(net) is None
+            got = exact_marginals(net, self.T60)
+            assert np.max(np.abs(got - _unlumped_marginals(net, self.T60))) <= 1e-13
+
+    def test_shape_is_read_from_the_rates(self):
+        assert _translation_shape(build_circle(16, 0.01, 0.1)) == (16,)
+        assert _translation_shape(build_grid(2, 4, 0.01, 0.1)) == (4, 4)
+        assert _translation_shape(build_grid(3, 2, 0.01, 0.1, sided="two")) == (2, 2, 2)
+        assert _translation_shape(Network(n=1, p=np.array([0.1]), edges=())) is None
+
+    def test_each_solve_names_its_route(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="basslab.oracle"):
+            exact_f(build_grid(2, 4, 0.01, 0.1), self.T60)
+            exact_f(build_line(5, 0.01, 0.1), self.T60)
+            survival(build_circle(4, 0.01, 0.1), [0], self.T60)
+        lumped, line, surv = (r.getMessage() for r in caplog.records)
+        assert "lumped by translations of (4, 4): 4156 orbits of 65536 states" in lumped
+        assert "unlumped: no translation symmetry, 32 states" in line
+        assert "unlumped: set survival, 16 states" in surv
+
+    def test_size_cap_holds_for_the_lumped_route(self):
+        net = build_circle(HARD_CAP + 1, 0.01, 0.1)
+        with pytest.raises(ValueError, match="capped"):
+            exact_f(net, self.T60)
+
+    def test_orbit_labelling_streams(self):
+        # the images of every state under all |G| = M translations, held at
+        # once, would take M * 2^M * 4 bytes as int32
+        M = 18
+        net = build_circle(M, 0.01, 0.1)
+        exact_f(net, self.T60[:2])
+        tracemalloc.start()
+        try:
+            exact_f(net, self.T60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < M * 2**M * 4
 
 
 # q/p at which the exponent sum cancels badly (45), just off the q = 2p

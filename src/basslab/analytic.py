@@ -21,30 +21,29 @@ sums to cancel. It feeds the circle (where the closed form is not trusted),
 the one-sided line (node j is a j-circle) and the hybrid (circle nodes are
 C-circles, ray node k a (C+k)-circle). The two-sided line adds its M-2
 interior non-adoption probabilities to the M half-rate survivals: 2M-2
-states. The full hierarchy (S_k for k >= 2) stays a separate solve for the
-diagnostics and the shift-identity checks.
+states. The rows k >= 2 of the hierarchy are read off the same table by
+the general shift S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1), so the diagnostics
+beta, gamma and psi are algebra on the tables at q and q/2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 # Degeneracy detection: the closed form excludes q = jp, j = 1..M-1.
 DEGENERACY_TOL = 1e-9
 # Coefficient recursion cancels catastrophically for large M; beyond this the
-# ODE hierarchy (exactly equivalent) is used.
+# S_1 recursion (exactly equivalent) is used.
 CLOSED_FORM_MAX_M = 30
 # Automatic routing takes the exponent sum only when its rounding bound
-# eps * (sum_k |A_k| + |B|) is at most this; otherwise the ODE hierarchy.
+# eps * (sum_k |A_k| + |B|) is at most this; otherwise the S_1 recursion.
 CLOSED_FORM_ROUNDING = 1e-12
-# Adaptive Runge-Kutta tolerances of the S_k hierarchy and the difference
-# system. The global error runs several times rtol.
+# Adaptive Runge-Kutta relative tolerance of alpha's difference system. The
+# global error runs several times rtol.
 ODE_RTOL = 1e-11
-ODE_ATOL = 1e-12
 # Tolerances of the S_1 recursion over circle sizes. Its M sizes are chained
 # and DOP853's error norm is an RMS over all of them, so one size can drift
 # well past rtol: at ODE_RTOL the one-sided line at q/p = 45 ran 2.6e-10 off
@@ -55,7 +54,7 @@ RECURSION_ATOL = 1e-13
 
 class DegenerateParameters(ValueError):
     """q is within tolerance of jp for some j < M, so the closed-form
-    coefficients are singular; use the ODE hierarchy instead."""
+    coefficients are singular; use the S_1 recursion instead."""
 
 
 def _check_pq(p: float, q: float) -> None:
@@ -98,7 +97,7 @@ def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
         raise ValueError(f"M must be >= 1, got {M}")
     if M > CLOSED_FORM_MAX_M:
         raise ValueError(
-            f"closed form capped at M <= {CLOSED_FORM_MAX_M} (got {M}); use the ODE hierarchy"
+            f"closed form capped at M <= {CLOSED_FORM_MAX_M} (got {M}); use the S_1 recursion"
         )
     if is_degenerate(p, q, M):
         raise DegenerateParameters(f"q={q} is within tolerance of a multiple of p={p} below M={M}")
@@ -153,29 +152,8 @@ def survival_circle_closed_form(t, p: float, q: float, M: int) -> np.ndarray:
     return _exponent_sum(t, circle_coefficients(p, q, M))
 
 
-@dataclass(frozen=True)
-class SurvivalSeries:
-    """Block survival probabilities S_k(t;M), k = 1..M, on a time grid.
-
-    values[k-1] is the S_k row. The sided tag records which edge-weight
-    convention the coefficients were assembled from (the resulting system is
-    the same either way: the two q/2 boundary contributions of a two-sided
-    block sum to q).
-    """
-
-    M: int
-    sided: str
-    t: np.ndarray
-    values: np.ndarray
-
-    def s(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.M:
-            raise ValueError(f"k must be in 1..{self.M}, got {k}")
-        return self.values[k - 1]
-
-
 def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str,
-               rtol: float = ODE_RTOL, atol: float = ODE_ATOL) -> np.ndarray:
+               rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
     (len(y0), T)."""
     sol = solve_ivp(
@@ -207,67 +185,7 @@ def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndar
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return _integrate(lambda t, u: _survival_rates(t, u, p, q), t_grid, np.ones(M),
-                      "circle recursion", RECURSION_RTOL, RECURSION_ATOL)
-
-
-def _hierarchy_matrix(p: float, q: float, M: int, sided: str = "one") -> np.ndarray:
-    """Coefficient matrix of the S_k hierarchy, assembled from the sided
-    edge weights: a block of k adjacent nodes is fed by 1 outside neighbor
-    at weight q (one-sided) or 2 at q/2 (two-sided)."""
-    if sided not in ("one", "two"):
-        raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
-    boundary_feeds = 1 if sided == "one" else 2
-    w_edge = q if sided == "one" else q / 2
-    total = boundary_feeds * w_edge
-    L = np.zeros((M, M))
-    for k in range(1, M + 1):
-        if k < M:
-            L[k - 1, k - 1] = -(k * p + total)
-            L[k - 1, k] = total
-        else:
-            L[k - 1, k - 1] = -M * p
-    return L
-
-
-def survival_circle_ode(
-    t_grid,
-    p: float,
-    q: float,
-    M: int,
-    sided: str = "one",
-) -> SurvivalSeries:
-    """Integrate the S_k hierarchy on a grid; valid for all (p, q)."""
-    _check_pq(p, q)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    L = _hierarchy_matrix(p, q, M, sided)
-    values = _integrate(lambda _t, y: L @ y, t_grid, np.ones(M), "hierarchy")
-    return SurvivalSeries(M=M, sided=sided, t=t_grid, values=values)
-
-
-def survival_interpolant(
-    p: float, q: float, M: int, t_max: float, k: int = 1
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator for S_k(tau;M) at arbitrary tau in [0, t_max]: closed form
-    for k=1 when _trusted_coefficients passes, dense ODE interpolant
-    otherwise."""
-    coef = _trusted_coefficients(p, q, M) if k == 1 else None
-    if coef is not None:
-        return lambda tau: _exponent_sum(tau, coef)
-    L = _hierarchy_matrix(p, q, M)
-    sol = solve_ivp(
-        lambda _t, y: L @ y,
-        (0.0, float(t_max)),
-        np.ones(M),
-        dense_output=True,
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise RuntimeError(f"hierarchy integration failed: {sol.message}")
-    return lambda tau: sol.sol(np.atleast_1d(np.asarray(tau, dtype=float)))[k - 1]
+                      "circle recursion")
 
 
 def survival_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
@@ -368,8 +286,7 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
         du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
         return np.concatenate([_survival_rates(t, S, p, h), du])
 
-    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line",
-                   RECURSION_RTOL, RECURSION_ATOL)
+    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line")
     per_node = 1.0 - np.vstack([y[M - 1], y[M:], y[M - 1]])
     return per_node, per_node.mean(axis=0), "ode"
 
@@ -383,53 +300,6 @@ def pair_survival_two_sided_line(t_grid, p: float, q: float, M: int, j: int) -> 
     left, _ = survival_circle(t_grid, p, q / 2, j - 1)
     right, _ = survival_circle(t_grid, p, q / 2, M - j + 1)
     return left * right
-
-
-def a_j_quadrature(
-    t_points, p: float, q: float, M: int, j: int, epsabs: float = 1e-12, epsrel: float = 1e-10
-) -> np.ndarray:
-    """A_j(t) for interior node j of the two-sided line by adaptive
-    quadrature of e^{(p+q)tau} times the pair survivals; cross-check for the
-    ODE route."""
-    if not 2 <= j <= M - 1:
-        raise ValueError(f"j must be an interior node in 2..{M - 1}, got {j}")
-    t_points = np.atleast_1d(np.asarray(t_points, dtype=float))
-    t_max = float(t_points[-1])
-    q2 = q / 2
-    sizes = {j, M - j, j - 1, M - j + 1}
-    S = {m: survival_interpolant(p, q2, m, t_max) for m in sizes}
-
-    def integrand(tau: float) -> float:
-        return float(
-            np.exp((p + q) * tau)
-            * (S[j](tau)[0] * S[M - j](tau)[0] + S[j - 1](tau)[0] * S[M - j + 1](tau)[0])
-        )
-
-    out = np.zeros(t_points.size)
-    acc = 0.0
-    prev = 0.0
-    for k, t in enumerate(t_points):
-        if t > prev:
-            seg, _err = quad(integrand, prev, float(t), epsabs=epsabs, epsrel=epsrel, limit=200)
-            acc += seg
-            prev = float(t)
-        out[k] = acc
-    return out
-
-
-def f_line_two_sided_quadrature(t_grid, p: float, q: float, M: int):
-    """Two-sided line curve via the quadrature representation
-    u_j = e^{-(p+q)t} (1 + (q/2) A_j(t)); boundary nodes as usual."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    per_node = np.empty((M, t_grid.size))
-    S_M, _ = survival_circle(t_grid, p, q / 2, M)
-    per_node[0] = 1.0 - S_M
-    per_node[M - 1] = 1.0 - S_M
-    for j in range(2, M):
-        A = a_j_quadrature(t_grid, p, q, M, j)
-        u = np.exp(-(p + q) * t_grid) * (1.0 + (q / 2) * A)
-        per_node[j - 1] = 1.0 - u
-    return per_node, per_node.mean(axis=0), "quadrature"
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +321,7 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
 
 
 # ---------------------------------------------------------------------------
-# Shift identities and diagnostic quantities
-
-
-def s_k_shift_identity(t_grid, p: float, q: float, k: int, M: int, sided: str = "one") -> np.ndarray:
-    """Residual |LHS - RHS| of the block-shift identity, from independent
-    ODE solves of the two hierarchy sizes.
-
-    one-sided: S_k(t;M) = S_1(t;M-k+1) e^{-(k-1)pt}, 2 <= k <= M.
-    two-sided: S_k(t;M) = S_2(t;M-k+2) e^{-(k-2)pt}, 3 <= k <= M.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    big = survival_circle_ode(t_grid, p, q, M, sided=sided)
-    if sided == "one":
-        if not 2 <= k <= M:
-            raise ValueError(f"one-sided shift needs 2 <= k <= M, got k={k}, M={M}")
-        small = survival_circle_ode(t_grid, p, q, M - k + 1, sided=sided)
-        rhs = small.s(1) * np.exp(-(k - 1) * p * t_grid)
-    elif sided == "two":
-        if not 3 <= k <= M:
-            raise ValueError(f"two-sided shift needs 3 <= k <= M, got k={k}, M={M}")
-        small = survival_circle_ode(t_grid, p, q, M - k + 2, sided=sided)
-        rhs = small.s(2) * np.exp(-(k - 2) * p * t_grid)
-    else:
-        raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
-    return np.abs(big.s(k) - rhs)
+# Diagnostic quantities
 
 
 def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
@@ -503,28 +349,40 @@ def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
         d[1:] += drive * a[:-1]
         return d
 
-    return _integrate(rhs, t_grid, np.zeros(k), "difference system", atol=1e-18)[k - 1]
+    return _integrate(rhs, t_grid, np.zeros(k), "difference system", ODE_RTOL, 1e-18)[k - 1]
 
 
-def beta_diag(t_grid, p: float, q: float, k: int, M: int) -> np.ndarray:
+def _block_survival(s1: np.ndarray, t_grid: np.ndarray, p: float, k: int, m: int) -> np.ndarray:
+    """S_k(t;m) read off a table of S_1 rows (s1[m-1] = S_1(t;m), as
+    _circle_survivals gives it) by the block-shift identity
+    S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1)."""
+    if m > s1.shape[0]:
+        raise ValueError(f"S_{k}(t;{m}) needs circle sizes up to {m}; the table has {s1.shape[0]}")
+    return np.exp(-(k - 1) * p * t_grid) * s1[m - k]
+
+
+def beta_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray, s1_half: np.ndarray) -> np.ndarray:
     """beta(t,k,M) = [S_k - S_{k+1}](q/2) - [S_k - S_{k+1}](q); positive for
-    t > 0, k = 1..M-1."""
+    t > 0, k = 1..M-1. s1 and s1_half are the S_1 tables at q and q/2 on
+    t_grid, with at least M sizes."""
     if not (M >= 2 and 1 <= k <= M - 1):
         raise ValueError(f"beta needs M >= 2 and 1 <= k <= M-1, got k={k}, M={M}")
     t_grid = np.asarray(t_grid, dtype=float)
-    half = survival_circle_ode(t_grid, p, q / 2, M)
-    full = survival_circle_ode(t_grid, p, q, M)
-    return (half.s(k) - half.s(k + 1)) - (full.s(k) - full.s(k + 1))
+
+    def drop(table: np.ndarray) -> np.ndarray:
+        return _block_survival(table, t_grid, p, k, M) - _block_survival(table, t_grid, p, k + 1, M)
+
+    return drop(s1_half) - drop(s1)
 
 
-def gamma_diag(t_grid, p: float, q: float, k: int, M: int) -> np.ndarray:
+def gamma_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray) -> np.ndarray:
     """gamma(t,k,M) = S_k - 2 S_{k+1} + S_{k+2}; positive for t > 0,
-    k = 1..M-2."""
+    k = 1..M-2. s1 is the S_1 table at q on t_grid, with at least M sizes."""
     if not (M >= 3 and 1 <= k <= M - 2):
         raise ValueError(f"gamma needs M >= 3 and 1 <= k <= M-2, got k={k}, M={M}")
     t_grid = np.asarray(t_grid, dtype=float)
-    h = survival_circle_ode(t_grid, p, q, M)
-    return h.s(k) - 2 * h.s(k + 1) + h.s(k + 2)
+    S = [_block_survival(s1, t_grid, p, j, M) for j in (k, k + 1, k + 2)]
+    return S[0] - 2 * S[1] + S[2]
 
 
 def nu_from_node_survivals(s_one: np.ndarray, s_two: np.ndarray, k: int) -> np.ndarray:
@@ -549,42 +407,34 @@ def nu_diag(t_grid, p: float, q: float, k: int, M: int) -> np.ndarray:
 def psi_diag(
     t_grid,
     p: float,
-    q: float,
     k: int,
     M: int,
+    s1: np.ndarray,
+    s1_half: np.ndarray,
     pair_left: np.ndarray | None = None,
     pair_right: np.ndarray | None = None,
 ) -> np.ndarray:
     """psi(t,k,M) = S_2(t;q,k) + S_2(t;q,M-k+1)
     - Prob(X_{k-1}=0, X_k=0) - Prob(X_k=0, X_{k+1}=0) on the two-sided line;
-    positive for t > 0, k >= 2, M >= 2k-1.
+    positive for t > 0, k >= 2, M >= 2k-1. s1 and s1_half are the S_1
+    tables at q and q/2 on t_grid, with at least M-k+1 sizes.
 
-    The pair probabilities default to the closed-form products; callers can
+    The pair probabilities default to products of half-rate survivals read
+    off s1_half, as pair_survival_two_sided_line forms them; callers can
     pass oracle-computed series instead.
     """
     if not (k >= 2 and M >= 2 * k - 1):
         raise ValueError(f"psi needs k >= 2 and M >= 2k-1, got k={k}, M={M}")
     t_grid = np.asarray(t_grid, dtype=float)
-    s2_left = survival_circle_ode(t_grid, p, q, k).s(2)
-    s2_right = survival_circle_ode(t_grid, p, q, M - k + 1).s(2)
+
+    def pair(j: int) -> np.ndarray:
+        left = _block_survival(s1_half, t_grid, p, 1, j - 1)
+        return left * _block_survival(s1_half, t_grid, p, 1, M - j + 1)
+
+    s2_left = _block_survival(s1, t_grid, p, 2, k)
+    s2_right = _block_survival(s1, t_grid, p, 2, M - k + 1)
     if pair_left is None:
-        pair_left = pair_survival_two_sided_line(t_grid, p, q, M, k)
+        pair_left = pair(k)
     if pair_right is None:
-        pair_right = pair_survival_two_sided_line(t_grid, p, q, M, k + 1)
+        pair_right = pair(k + 1)
     return s2_left + s2_right - pair_left - pair_right
-
-
-def diagnostics_alpha_beta_gamma_nu_psi(
-    t_grid, p: float, q: float, k: int, M: int
-) -> dict[str, np.ndarray]:
-    """All diagnostic series whose index preconditions hold at (k, M)."""
-    out: dict[str, np.ndarray] = {"alpha": alpha_diag(t_grid, p, q, k)}
-    if M >= 2 and 1 <= k <= M - 1:
-        out["beta"] = beta_diag(t_grid, p, q, k, M)
-    if M >= 3 and 1 <= k <= M - 2:
-        out["gamma"] = gamma_diag(t_grid, p, q, k, M)
-    if 1 <= k <= M:
-        out["nu"] = nu_diag(t_grid, p, q, k, M)
-    if k >= 2 and M >= 2 * k - 1:
-        out["psi"] = psi_diag(t_grid, p, q, k, M)
-    return out

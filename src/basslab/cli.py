@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    _circle_survivals,
     alpha_diag,
     beta_diag,
     default_time_grid,
@@ -304,50 +305,26 @@ def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
     return {"diagnostic": kind, "k": k, "M": M, "min_value": m, "passed": m > 0}
 
 
-def _appendix_entry(kind: str, k: int, M: int, p: float, q: float, t: np.ndarray) -> dict:
-    if kind == "alpha":
-        vals = alpha_diag(t, p, q, k)
-    elif kind == "beta":
-        vals = beta_diag(t, p, q, k, M)
-    elif kind == "gamma":
-        vals = gamma_diag(t, p, q, k, M)
-    else:
-        vals = psi_diag(t, p, q, k, M)
-    return _diag_entry(kind, k, M, vals)
-
-
-def _nu_entries(M: int, p: float, q: float, t: np.ndarray) -> list[dict]:
-    """nu(t, k, M) for k = 1..M, as nu_diag gives it, from one solve of
-    each line."""
-    per_one, _, _ = f_line_one_sided(t, p, q, M)
-    per_two, _, _ = f_line_two_sided(t, p, q, M)
-    return [
-        _diag_entry("nu", k, M, nu_from_node_survivals(1.0 - per_one, 1.0 - per_two, k))
-        for k in range(1, M + 1)
-    ]
-
-
 def _suite_appendix(spec: RunSpec) -> dict:
+    """Positivity of alpha..psi at M <= 9. beta, gamma, psi and the
+    one-sided line of nu read every S_k off two S_1 tables, at q and q/2;
+    alpha integrates its own difference system and nu's two-sided line is
+    one solve per M."""
     p, q = spec.p, spec.q
     t = np.linspace(1.5, 30.0, 20)
-    jobs: list[tuple[str, int, int]] = []
-    jobs += [("alpha", k, 0) for k in range(1, 10)]
-    jobs += [("beta", k, M) for M in range(2, 10) for k in range(1, M)]
-    jobs += [("gamma", k, M) for M in range(3, 10) for k in range(1, M - 1)]
-    jobs += [("nu", k, M) for M in range(2, 10) for k in range(1, M + 1)]
-    jobs += [("psi", k, M) for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)]
-    tasks = [
-        (f"{kind}:{k}:{M}", functools.partial(_appendix_entry, kind, k, M, p, q, t))
-        for kind, k, M in jobs
-        if kind != "nu"
-    ]
-    nu_sizes = sorted({M for kind, _, M in jobs if kind == "nu"})
-    tasks += [(f"nu:{M}", functools.partial(_nu_entries, M, p, q, t)) for M in nu_sizes]
-    results = _run_tasks(tasks)
-    entries = [
-        results[f"nu:{M}"][k - 1] if kind == "nu" else results[f"{kind}:{k}:{M}"]
-        for kind, k, M in jobs
-    ]
+    s1 = _circle_survivals(t, p, q, 9)
+    s1_half = _circle_survivals(t, p, q / 2, 9)
+    entries = [_diag_entry("alpha", k, 0, alpha_diag(t, p, q, k)) for k in range(1, 10)]
+    entries += [_diag_entry("beta", k, M, beta_diag(t, p, k, M, s1, s1_half))
+                for M in range(2, 10) for k in range(1, M)]
+    entries += [_diag_entry("gamma", k, M, gamma_diag(t, p, k, M, s1))
+                for M in range(3, 10) for k in range(1, M - 1)]
+    for M in range(2, 10):
+        s_two = 1.0 - f_line_two_sided(t, p, q, M)[0]
+        entries += [_diag_entry("nu", k, M, nu_from_node_survivals(s1[:M], s_two, k))
+                    for k in range(1, M + 1)]
+    entries += [_diag_entry("psi", k, M, psi_diag(t, p, k, M, s1, s1_half))
+                for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)]
     return {"suite": "appendix", "t_min": 1.5, "t_max": 30.0, "points": 20,
             "cases": entries, "passed": all(e["passed"] for e in entries)}
 

@@ -1,5 +1,12 @@
 """Shared hand-derived reference solutions used across test modules."""
 import numpy as np
+from scipy.integrate import quad, solve_ivp
+
+from basslab.analytic import _exponent_sum, _trusted_coefficients, survival_circle
+
+# DOP853 tolerances of the reference hierarchy solves
+HIERARCHY_RTOL = 1e-11
+HIERARCHY_ATOL = 1e-12
 
 
 def independent_survival(t, p_vec, nodes):
@@ -54,3 +61,94 @@ def discrete_chain_f(net, dt, n_steps):
                 nxt[B] += w
         probs = nxt
     return float((probs @ bits).mean())
+
+
+def _hierarchy_matrix(p, q, M, sided="one"):
+    """Coefficient matrix of the S_k hierarchy of the M-circle, assembled
+    from the sided edge weights: a block of k adjacent nodes is fed by 1
+    outside neighbour at weight q (one-sided) or 2 at q/2 (two-sided)."""
+    total = q if sided == "one" else 2 * (q / 2)
+    L = np.zeros((M, M))
+    for k in range(1, M):
+        L[k - 1, k - 1] = -(k * p + total)
+        L[k - 1, k] = total
+    L[M - 1, M - 1] = -M * p
+    return L
+
+
+def hierarchy_survivals(t_grid, p, q, M, sided="one"):
+    """S_k(t;M) for k = 1..M by DOP853 on the whole hierarchy, shape (M, T):
+    one M-state solve per circle size, sharing nothing with the library's
+    S_1 recursion."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    L = _hierarchy_matrix(p, q, M, sided)
+    sol = solve_ivp(lambda _t, y: L @ y, (0.0, float(t_grid[-1])), np.ones(M), t_eval=t_grid,
+                    method="DOP853", rtol=HIERARCHY_RTOL, atol=HIERARCHY_ATOL)
+    assert sol.success, sol.message
+    return sol.y
+
+
+def shift_identity_residual(t_grid, p, q, k, M, sided="one"):
+    """|LHS - RHS| of the block-shift identity, from independent hierarchy
+    solves of the two circle sizes.
+
+    one-sided: S_k(t;M) = S_1(t;M-k+1) e^{-(k-1)pt}, 2 <= k <= M.
+    two-sided: S_k(t;M) = S_2(t;M-k+2) e^{-(k-2)pt}, 3 <= k <= M.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    big = hierarchy_survivals(t_grid, p, q, M, sided)[k - 1]
+    if sided == "one":
+        small = hierarchy_survivals(t_grid, p, q, M - k + 1, sided)[0]
+        return np.abs(big - small * np.exp(-(k - 1) * p * t_grid))
+    small = hierarchy_survivals(t_grid, p, q, M - k + 2, sided)[1]
+    return np.abs(big - small * np.exp(-(k - 2) * p * t_grid))
+
+
+def survival_interpolant(p, q, M, t_max, k=1):
+    """Evaluator for S_k(tau;M) at any tau in [0, t_max]: the closed form for
+    k = 1 where the library trusts it, else the hierarchy's dense output."""
+    coef = _trusted_coefficients(p, q, M) if k == 1 else None
+    if coef is not None:
+        return lambda tau: _exponent_sum(tau, coef)
+    L = _hierarchy_matrix(p, q, M)
+    sol = solve_ivp(lambda _t, y: L @ y, (0.0, float(t_max)), np.ones(M), dense_output=True,
+                    method="DOP853", rtol=HIERARCHY_RTOL, atol=HIERARCHY_ATOL)
+    assert sol.success, sol.message
+    return lambda tau: sol.sol(np.atleast_1d(np.asarray(tau, dtype=float)))[k - 1]
+
+
+def a_j_quadrature(t_points, p, q, M, j, epsabs=1e-12, epsrel=1e-10):
+    """A_j(t) for interior node j of the two-sided line, by adaptive
+    quadrature of e^{(p+q)tau} times the pair survivals, so that
+    u_j = e^{-(p+q)t} (1 + (q/2) A_j(t)); independent of the library's
+    coupled 2M-2 state solve."""
+    t_points = np.atleast_1d(np.asarray(t_points, dtype=float))
+    t_max = float(t_points[-1])
+    S = {m: survival_interpolant(p, q / 2, m, t_max) for m in {j, M - j, j - 1, M - j + 1}}
+
+    def integrand(tau):
+        return float(np.exp((p + q) * tau)
+                     * (S[j](tau)[0] * S[M - j](tau)[0] + S[j - 1](tau)[0] * S[M - j + 1](tau)[0]))
+
+    out = np.zeros(t_points.size)
+    acc = prev = 0.0
+    for i, t in enumerate(t_points):
+        if t > prev:
+            seg, _err = quad(integrand, prev, float(t), epsabs=epsabs, epsrel=epsrel, limit=200)
+            acc += seg
+            prev = float(t)
+        out[i] = acc
+    return out
+
+
+def f_line_two_sided_quadrature(t_grid, p, q, M):
+    """Two-sided line (per_node, f, "quadrature"), with the interior nodes
+    from a_j_quadrature and the ends as half-rate M-circles."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    per_node = np.empty((M, t_grid.size))
+    S_M, _ = survival_circle(t_grid, p, q / 2, M)
+    per_node[0] = per_node[M - 1] = 1.0 - S_M
+    for j in range(2, M):
+        A = a_j_quadrature(t_grid, p, q, M, j)
+        per_node[j - 1] = 1.0 - np.exp(-(p + q) * t_grid) * (1.0 + (q / 2) * A)
+    return per_node, per_node.mean(axis=0), "quadrature"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from basslab.analytic import (
-    a_j_quadrature,
+    _circle_survivals,
     alpha_diag,
     beta_diag,
     f_circle,
@@ -20,8 +20,6 @@ from basslab.analytic import (
     gamma_diag,
     nu_from_node_survivals,
     psi_diag,
-    s_k_shift_identity,
-    survival_circle_ode,
 )
 from basslab.network import (
     build_circle,
@@ -32,6 +30,7 @@ from basslab.network import (
 from basslab.oracle import exact_f, solve_master
 from basslab.principles import dominance_pairs, figure_plan, verify_indifference
 from basslab.simulator import SimConfig, run_coupled, run_event_driven
+from conftest import a_j_quadrature, hierarchy_survivals, shift_identity_residual
 
 P, Q = 0.01, 0.1
 GRID_200 = np.linspace(0.0, 30.0, 200)
@@ -52,9 +51,9 @@ def test_circle_distribution_ignores_sidedness():
         one = exact_f(build_circle(M, P, Q, sided="one"), GRID_200)
         two = exact_f(build_circle(M, P, Q, sided="two"), GRID_200)
         assert np.max(np.abs(one.f - two.f)) <= 1e-10, M
-        h_one = survival_circle_ode(GRID_200, P, Q, M, sided="one")
-        h_two = survival_circle_ode(GRID_200, P, Q, M, sided="two")
-        assert np.max(np.abs(h_one.values - h_two.values)) <= 1e-10, M
+        h_one = hierarchy_survivals(GRID_200, P, Q, M, sided="one")
+        h_two = hierarchy_survivals(GRID_200, P, Q, M, sided="two")
+        assert np.max(np.abs(h_one - h_two)) <= 1e-10, M
 
 
 def test_line_curves_match_oracle():
@@ -118,19 +117,20 @@ def test_large_line_end_effects_and_center_ordering():
 
 def test_diagnostic_series_positive_with_oracle_pairs():
     t = np.linspace(1.5, 30.0, 20)
+    s1, s1_half = _circle_survivals(t, P, Q, 9), _circle_survivals(t, P, Q / 2, 9)
     for k in range(1, 10):
         assert np.all(alpha_diag(t, P, Q, k) > 0), ("alpha", k)
     for M in range(2, 10):
         for k in range(1, M):
-            assert np.all(beta_diag(t, P, Q, k, M) > 0), ("beta", k, M)
+            assert np.all(beta_diag(t, P, k, M, s1, s1_half) > 0), ("beta", k, M)
     for M in range(3, 10):
         for k in range(1, M - 1):
-            assert np.all(gamma_diag(t, P, Q, k, M) > 0), ("gamma", k, M)
+            assert np.all(gamma_diag(t, P, k, M, s1) > 0), ("gamma", k, M)
     for M in range(3, 10):
         sol = solve_master(build_line(M, P, Q, sided="two"), t)
         for k in range(2, (M + 1) // 2 + 1):
             psi = psi_diag(
-                t, P, Q, k, M,
+                t, P, k, M, s1, s1_half,
                 pair_left=sol.pair_survival(k - 2, k - 1),
                 pair_right=sol.pair_survival(k - 1, k),
             )
@@ -140,11 +140,11 @@ def test_diagnostic_series_positive_with_oracle_pairs():
 def test_block_shift_identities_hold():
     for M in range(2, 11):
         for k in range(2, M + 1):
-            resid = s_k_shift_identity(GRID_61, P, Q, k, M, sided="one")
+            resid = shift_identity_residual(GRID_61, P, Q, k, M, sided="one")
             assert np.max(resid) <= 1e-8, ("one", k, M)
     for M in range(3, 11):
         for k in range(3, M + 1):
-            resid = s_k_shift_identity(GRID_61, P, Q, k, M, sided="two")
+            resid = shift_identity_residual(GRID_61, P, Q, k, M, sided="two")
             assert np.max(resid) <= 1e-8, ("two", k, M)
 
 

@@ -7,17 +7,16 @@ import pytest
 from basslab.analytic import (
     CLOSED_FORM_MAX_M,
     DegenerateParameters,
-    a_j_quadrature,
+    _block_survival,
+    _circle_survivals,
     alpha_diag,
     beta_diag,
     circle_coefficients,
     default_time_grid,
-    diagnostics_alpha_beta_gamma_nu_psi,
     f_circle,
     f_hybrid,
     f_line_one_sided,
     f_line_two_sided,
-    f_line_two_sided_quadrature,
     f_one_dim_limit,
     gamma_diag,
     is_degenerate,
@@ -25,21 +24,26 @@ from basslab.analytic import (
     nu_from_node_survivals,
     pair_survival_two_sided_line,
     psi_diag,
-    s_k_shift_identity,
     survival_circle,
     survival_circle_closed_form,
-    survival_circle_ode,
-    survival_interpolant,
 )
 from basslab.network import build_hybrid_circle_ray, build_line
 from basslab.oracle import exact_f, solve_master
+from conftest import (
+    f_line_two_sided_quadrature,
+    hierarchy_survivals,
+    shift_identity_residual,
+    survival_interpolant,
+)
 
 T_GRID = np.linspace(0.0, 30.0, 61)
 
 
-def hierarchy_expm_survival(t, p, q, M, k=1, dps=60):
-    """S_k(t;M) by 60-digit matrix exponential of the hierarchy; written
-    independently of the library's recursion and ODE routes."""
+def hierarchy_expm_rows(times, p, q, M, step, dps=60):
+    """[S_1(t;M), ..., S_M(t;M)] for each t in times, a multiple of step,
+    from one 60-digit matrix exponential E = exp(L step) of the hierarchy
+    and its powers E^(t/step); written independently of the library's
+    recursion and ODE routes."""
     with mp.workdps(dps):
         L = mp.zeros(M, M)
         for m in range(1, M + 1):
@@ -48,8 +52,19 @@ def hierarchy_expm_survival(t, p, q, M, k=1, dps=60):
                 L[m - 1, m] = q
             else:
                 L[m - 1, m - 1] = -M * p
-        E = mp.expm(L * mp.mpf(t))
-        return float(sum(E[k - 1, j] for j in range(M)))
+        E = mp.expm(L * mp.mpf(step))
+        out = []
+        for t in times:
+            n = round(t / step)
+            assert n >= 1 and abs(n * step - t) < 1e-12, (t, step)
+            P = E**n
+            out.append([float(sum(P[k, j] for j in range(M))) for k in range(M)])
+        return out
+
+
+def hierarchy_expm_survival(t, p, q, M, k=1, dps=60):
+    """S_k(t;M) by 60-digit matrix exponential of the hierarchy."""
+    return hierarchy_expm_rows([t], p, q, M, t, dps)[0][k - 1]
 
 
 class TestClosedForm:
@@ -77,7 +92,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("p,q,M", [(0.01, 0.1, 4), (0.1, 0.45, 8), (0.05, 0.3, 5)])
     def test_matches_ode_hierarchy(self, p, q, M):
         closed = survival_circle_closed_form(T_GRID, p, q, M)
-        ode = survival_circle_ode(T_GRID, p, q, M).s(1)
+        ode = hierarchy_survivals(T_GRID, p, q, M)[0]
         assert np.max(np.abs(closed - ode)) < 1e-9
 
     @pytest.mark.parametrize("M", [1, 3, 6])
@@ -148,41 +163,52 @@ class TestDegeneracyRouting:
         with pytest.raises(ValueError, match="non-negative"):
             survival_circle_closed_form(T_GRID, 0.1, -0.1, 3)
         with pytest.raises(ValueError, match="M"):
-            survival_circle_ode(T_GRID, 0.1, 0.1, 0)
+            _circle_survivals(T_GRID, 0.1, 0.1, 0)
 
 
 class TestHierarchyOde:
     def test_sided_assemblies_are_bitwise_identical(self):
         # 2 boundary feeds at q/2 produce the same matrix as 1 at q, so the
         # integrations agree exactly, not just to tolerance
-        one = survival_circle_ode(T_GRID, 0.03, 0.26, 6, sided="one")
-        two = survival_circle_ode(T_GRID, 0.03, 0.26, 6, sided="two")
-        assert np.array_equal(one.values, two.values)
+        one = hierarchy_survivals(T_GRID, 0.03, 0.26, 6, sided="one")
+        two = hierarchy_survivals(T_GRID, 0.03, 0.26, 6, sided="two")
+        assert np.array_equal(one, two)
 
     def test_block_rows_are_ordered(self):
         # a larger block is harder to keep entirely susceptible
-        h = survival_circle_ode(T_GRID, 0.02, 0.2, 5)
+        h = hierarchy_survivals(T_GRID, 0.02, 0.2, 5)
         for k in range(1, 5):
-            assert np.all(h.s(k + 1)[1:] < h.s(k)[1:])
-
-    def test_row_accessor_bounds(self):
-        h = survival_circle_ode(T_GRID, 0.02, 0.2, 4)
-        with pytest.raises(ValueError):
-            h.s(0)
-        with pytest.raises(ValueError):
-            h.s(5)
-
-    def test_bad_sided_tag(self):
-        with pytest.raises(ValueError, match="sided"):
-            survival_circle_ode(T_GRID, 0.02, 0.2, 4, sided="three")
+            assert np.all(h[k][1:] < h[k - 1][1:])
 
     def test_interpolant_agrees_with_grid_solve(self):
         p, q, M = 0.04, 0.31, 6
         f1 = survival_interpolant(p, q, M, 30.0)
         f2 = survival_interpolant(p, q, M, 30.0, k=3)
-        h = survival_circle_ode(T_GRID, p, q, M)
-        assert np.max(np.abs(f1(T_GRID) - h.s(1))) < 1e-9
-        assert np.max(np.abs(f2(T_GRID) - h.s(3))) < 1e-9
+        h = hierarchy_survivals(T_GRID, p, q, M)
+        assert np.max(np.abs(f1(T_GRID) - h[0])) < 1e-9
+        assert np.max(np.abs(f2(T_GRID) - h[2])) < 1e-9
+
+    def test_tables_match_high_precision_hierarchy(self):
+        # every S_k(t;m), k <= m <= 9, that the appendix suite reads off the
+        # S_1 tables at q and q/2, and its worst-conditioned entry: psi(5,9)
+        # at the suite's first grid point, where psi is ~1e-7 of terms ~1
+        p, q = 0.01, 0.1
+        t = np.array([1.5, 10.0, 30.0])
+        tables = {rate: _circle_survivals(t, p, rate, 9) for rate in (q, q / 2)}
+        rows = {}
+        for rate, s1 in tables.items():
+            for m in range(1, 10):
+                rows[rate, m] = hierarchy_expm_rows(t, p, rate, m, step=0.5)
+                for k in range(1, m + 1):
+                    got = _block_survival(s1, t, p, k, m)
+                    for i, ti in enumerate(t):
+                        assert got[i] == pytest.approx(rows[rate, m][i][k - 1], rel=1e-10), (rate, k, m, ti)
+        k, M = 5, 9
+        ref = (rows[q, k][0][1] + rows[q, M - k + 1][0][1]
+               - rows[q / 2, k - 1][0][0] * rows[q / 2, M - k + 1][0][0]
+               - rows[q / 2, k][0][0] * rows[q / 2, M - k][0][0])
+        got = psi_diag(t, p, k, M, tables[q], tables[q / 2])[0]
+        assert got == pytest.approx(ref, rel=1e-5)
 
 
 class TestOneDimLimit:
@@ -288,12 +314,6 @@ class TestLines:
         assert np.max(np.abs(pn_ode - pn_quad)) < 1e-8
         assert np.max(np.abs(f_ode - f_quad)) < 1e-8
 
-    def test_quadrature_interior_bounds(self):
-        with pytest.raises(ValueError):
-            a_j_quadrature(T_GRID, 0.04, 0.22, 5, 1)
-        with pytest.raises(ValueError):
-            a_j_quadrature(T_GRID, 0.04, 0.22, 5, 5)
-
     def test_two_sided_beats_one_sided_in_aggregate(self):
         _, f_one, _ = f_line_one_sided(T_GRID, 0.01, 0.1, 6)
         _, f_two, _ = f_line_two_sided(T_GRID, 0.01, 0.1, 6)
@@ -336,21 +356,13 @@ class TestHybrid:
 class TestShiftIdentities:
     def test_one_sided_small_cases(self):
         for k, M in ((2, 4), (3, 5), (5, 5)):
-            resid = s_k_shift_identity(T_GRID, 0.03, 0.24, k, M, sided="one")
+            resid = shift_identity_residual(T_GRID, 0.03, 0.24, k, M, sided="one")
             assert np.max(resid) < 1e-9
 
     def test_two_sided_small_cases(self):
         for k, M in ((3, 5), (4, 6), (6, 6)):
-            resid = s_k_shift_identity(T_GRID, 0.03, 0.24, k, M, sided="two")
+            resid = shift_identity_residual(T_GRID, 0.03, 0.24, k, M, sided="two")
             assert np.max(resid) < 1e-9
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            s_k_shift_identity(T_GRID, 0.03, 0.24, 1, 4, sided="one")
-        with pytest.raises(ValueError):
-            s_k_shift_identity(T_GRID, 0.03, 0.24, 2, 4, sided="two")
-        with pytest.raises(ValueError):
-            s_k_shift_identity(T_GRID, 0.03, 0.24, 5, 4, sided="one")
 
 
 class TestDiagnostics:
@@ -381,21 +393,30 @@ class TestDiagnostics:
 
     def test_beta_positive(self):
         t = T_GRID[1:]
+        s1, s1_half = _circle_survivals(t, 0.01, 0.1, 5), _circle_survivals(t, 0.01, 0.05, 5)
         for k, M in ((1, 2), (1, 5), (3, 5), (4, 5)):
-            assert np.all(beta_diag(t, 0.01, 0.1, k, M) > 0)
+            assert np.all(beta_diag(t, 0.01, k, M, s1, s1_half) > 0)
 
     def test_beta_bounds(self):
+        s1 = _circle_survivals(T_GRID, 0.01, 0.1, 5)
         with pytest.raises(ValueError):
-            beta_diag(T_GRID, 0.01, 0.1, 5, 5)
+            beta_diag(T_GRID, 0.01, 5, 5, s1, s1)
 
     def test_gamma_positive(self):
         t = T_GRID[1:]
+        s1 = _circle_survivals(t, 0.01, 0.1, 5)
         for k, M in ((1, 3), (2, 5), (3, 5)):
-            assert np.all(gamma_diag(t, 0.01, 0.1, k, M) > 0)
+            assert np.all(gamma_diag(t, 0.01, k, M, s1) > 0)
 
     def test_gamma_bounds(self):
+        s1 = _circle_survivals(T_GRID, 0.01, 0.1, 5)
         with pytest.raises(ValueError):
-            gamma_diag(T_GRID, 0.01, 0.1, 4, 5)
+            gamma_diag(T_GRID, 0.01, 4, 5, s1)
+
+    def test_table_must_cover_the_circle_size(self):
+        s1 = _circle_survivals(T_GRID, 0.01, 0.1, 4)
+        with pytest.raises(ValueError, match="sizes up to 5"):
+            gamma_diag(T_GRID, 0.01, 1, 5, s1)
 
     def test_nu_outermost_identity(self):
         # for the outermost node pair the definition collapses to
@@ -420,29 +441,30 @@ class TestDiagnostics:
 
     def test_psi_positive(self):
         t = T_GRID[1:]
+        s1, s1_half = _circle_survivals(t, 0.01, 0.1, 8), _circle_survivals(t, 0.01, 0.05, 8)
         for k, M in ((2, 3), (2, 6), (3, 5), (4, 8)):
-            assert np.all(psi_diag(t, 0.01, 0.1, k, M) > 0)
+            assert np.all(psi_diag(t, 0.01, k, M, s1, s1_half) > 0)
 
     def test_psi_accepts_injected_pair_series(self):
         p, q, k, M = 0.05, 0.3, 2, 6
-        left = pair_survival_two_sided_line(T_GRID, p, q, M, k)
-        right = pair_survival_two_sided_line(T_GRID, p, q, M, k + 1)
-        a = psi_diag(T_GRID, p, q, k, M)
-        b = psi_diag(T_GRID, p, q, k, M, pair_left=left, pair_right=right)
+        s1, s1_half = _circle_survivals(T_GRID, p, q, M), _circle_survivals(T_GRID, p, q / 2, M)
+        # the default pairs are these products of the half-rate table's rows
+        left = s1_half[k - 2] * s1_half[M - k]
+        right = s1_half[k - 1] * s1_half[M - k - 1]
+        a = psi_diag(T_GRID, p, k, M, s1, s1_half)
+        b = psi_diag(T_GRID, p, k, M, s1, s1_half, pair_left=left, pair_right=right)
         assert np.array_equal(a, b)
+        assert np.max(np.abs(left - pair_survival_two_sided_line(T_GRID, p, q, M, k))) < 1e-10
+        assert np.max(np.abs(right - pair_survival_two_sided_line(T_GRID, p, q, M, k + 1))) < 1e-10
+        c = psi_diag(T_GRID, p, k, M, s1, s1_half, pair_left=0 * left, pair_right=0 * right)
+        assert np.max(np.abs((c - b) - (left + right))) < 1e-15
 
     def test_psi_bounds(self):
+        s1 = _circle_survivals(T_GRID, 0.01, 0.1, 6)
         with pytest.raises(ValueError):
-            psi_diag(T_GRID, 0.01, 0.1, 1, 6)
+            psi_diag(T_GRID, 0.01, 1, 6, s1, s1)
         with pytest.raises(ValueError):
-            psi_diag(T_GRID, 0.01, 0.1, 4, 6)
-
-    def test_bundle_keys_follow_preconditions(self):
-        t = T_GRID[:11]
-        full = diagnostics_alpha_beta_gamma_nu_psi(t, 0.05, 0.3, 2, 5)
-        assert set(full) == {"alpha", "beta", "gamma", "nu", "psi"}
-        corner = diagnostics_alpha_beta_gamma_nu_psi(t, 0.05, 0.3, 5, 5)
-        assert set(corner) == {"alpha", "nu"}
+            psi_diag(T_GRID, 0.01, 4, 6, s1, s1)
 
 
 class TestTimeGrid:

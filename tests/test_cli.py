@@ -176,6 +176,28 @@ class TestVerify:
         with pytest.raises(SystemExit, match="unknown suite"):
             run(["verify", "--config", str(cfg)])
 
+    def test_appendix_suite_entries_and_reruns(self, tmp_path, capsys, monkeypatch):
+        # the 133 entries of 0.6.0, in its order: the hierarchy-free suite
+        # must not drop, add or reorder a check
+        expected = ([("alpha", k, 0) for k in range(1, 10)]
+                    + [("beta", k, M) for M in range(2, 10) for k in range(1, M)]
+                    + [("gamma", k, M) for M in range(3, 10) for k in range(1, M - 1)]
+                    + [("nu", k, M) for M in range(2, 10) for k in range(1, M + 1)]
+                    + [("psi", k, M) for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)])
+        counts = {kind: sum(e[0] == kind for e in expected) for kind in ("alpha", "beta", "gamma", "nu", "psi")}
+        assert counts == {"alpha": 9, "beta": 36, "gamma": 28, "nu": 44, "psi": 16}
+        monkeypatch.delenv("BASSLAB_THREADS", raising=False)
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        assert run(["verify", "--suite", "appendix", "--out", str(a)]) == 0
+        assert capsys.readouterr().err == "appendix: 133/133 checks passed\n"
+        cases = json.loads(a.read_text())["suites"][0]["cases"]
+        assert [(e["diagnostic"], e["k"], e["M"]) for e in cases] == expected
+        assert all(e["passed"] and e["min_value"] > 0 for e in cases)
+        assert run(["verify", "--suite", "appendix", "--out", str(b)]) == 0
+        monkeypatch.setenv("BASSLAB_THREADS", "2")
+        assert run(["verify", "--suite", "appendix", "--out", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
 
 class TestBadInput:
     @pytest.mark.filterwarnings("ignore:dt=5.0")

@@ -28,13 +28,13 @@ def main():
 
     t = default_time_grid(args.p, args.q, points=201)
 
-    per_one, f_one, _ = f_line_one_sided(t, args.p, args.q, args.M)
-    per_two, f_two, _ = f_line_two_sided(t, args.p, args.q, args.M)
-    f_circ, _ = f_circle(t, args.p, args.q, args.M)
+    per_one, f_one, source_one = f_line_one_sided(t, args.p, args.q, args.M)
+    per_two, f_two, source_two = f_line_two_sided(t, args.p, args.q, args.M)
+    f_circ, source_circ = f_circle(t, args.p, args.q, args.M)
     analytic = {
-        "line_one_sided": AdoptionCurve(t=t, f=f_one, source="ode", per_node=per_one),
-        "line_two_sided": AdoptionCurve(t=t, f=f_two, source="ode", per_node=per_two),
-        "circle": AdoptionCurve(t=t, f=f_circ, source="closed_form"),
+        "line_one_sided": AdoptionCurve(t=t, f=f_one, source=source_one, per_node=per_one),
+        "line_two_sided": AdoptionCurve(t=t, f=f_two, source=source_two, per_node=per_two),
+        "circle": AdoptionCurve(t=t, f=f_circ, source=source_circ),
     }
 
     cfg = SimConfig(trials=args.trials, base_seed=args.seed)

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import typing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -59,6 +60,7 @@ from .simulator import (
     run_coupled,
     run_discrete,
     run_event_driven,
+    validate_dt,
 )
 
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
@@ -391,6 +393,12 @@ def cmd_verify(spec: RunSpec) -> int:
                   "passed": all(r["passed"] for r in reports)}
     else:
         suite_names = ("indifference", "appendix", "dominance") if spec.suite == "all" else (spec.suite,)
+        if "dominance" in suite_names and spec.dt is not None:
+            # fail before any suite runs; each coupled run still warns itself
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for _name, _lo, hi in dominance_pairs(spec.p, spec.q):
+                    validate_dt(hi, spec.dt)
         suites = []
         for name in suite_names:
             if name == "indifference":
@@ -516,8 +524,6 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    import warnings
-
     ns = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # library warnings print as one line, as errors do
         warnings.showwarning = _warning_line

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,17 +33,36 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+class _EdgeTriples:
+    """`Network.edges`: (int, int, float) triples sorted by (source, target),
+    built from the arrays on first read. The constructor's value is held as
+    given until `__post_init__` turns it into the arrays."""
+
+    def __get__(self, net, owner=None):
+        if net is None:
+            raise AttributeError("edges")  # the field has no default
+        if "edges" not in net.__dict__:
+            net.__dict__["edges"] = tuple(zip(net.src.tolist(), net.dst.tolist(), net.w.tolist()))
+        return net.__dict__["edges"]
+
+    def __set__(self, net, value) -> None:
+        net.__dict__["edges"] = value
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable directed weighted network.
 
-    edges are kept as a tuple sorted by (source, target); at most one edge
-    per ordered pair, weights strictly positive, no self-edges.
+    `edges` is given as (i, j, w) triples or an (E, 3) array and stored as
+    arrays sorted by (source, target): int32 `src` and `dst`, float `w`,
+    and the CSR row pointer `indptr` over sources, so node i's out-edges
+    are the slots indptr[i]:indptr[i + 1]. At most one edge per ordered
+    pair, weights strictly positive, no self-edges.
     """
 
     n: int
     p: np.ndarray
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...] = _EdgeTriples()
     tag: str = "general"
     meta: dict = field(default_factory=dict)
 
@@ -57,40 +75,36 @@ class Network:
         if np.any(p < 0):
             raise ValueError("external rates must be non-negative")
         object.__setattr__(self, "p", p)
-        edges = tuple(sorted((int(i), int(j), float(w)) for i, j, w in self.edges))
-        seen: set[tuple[int, int]] = set()
-        for i, j, w in edges:
-            if i == j:
-                raise ValueError(f"self-edge {i}->{j} is not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {i}->{j} is out of range for n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge {i}->{j}")
-            if not w > 0:
-                raise ValueError(f"edge {i}->{j} has non-positive weight {w}")
-            seen.add((i, j))
-        object.__setattr__(self, "edges", edges)
+        edges = np.asarray(self.__dict__.pop("edges"), dtype=float)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
+            raise ValueError(f"edges must be (i, j, w) triples, got shape {edges.shape}")
+        edges = edges.reshape(-1, 3)
+        src, dst, w = edges[np.lexsort((edges[:, 1], edges[:, 0]))].T
+        src, dst = src.astype(np.int64), dst.astype(np.int64)  # truncated, as int() does
 
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense (n, n) matrix W with W[i, j] = weight of edge i->j (0 if absent)."""
-        W = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            W[i, j] = w
-        return W
+        def reject(bad: np.ndarray, message: str) -> None:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(message.format(i=src[k], j=dst[k], w=float(w[k]), n=self.n))
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            out[i].append(j)
-        return tuple(tuple(v) for v in out)
+        reject(src == dst, "self-edge {i}->{j} is not allowed")
+        reject((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= self.n),
+               "edge {i}->{j} is out of range for n={n}")
+        reject(np.diff(src * self.n + dst) == 0, "duplicate edge {i}->{j}")
+        reject(~(w > 0), "edge {i}->{j} has non-positive weight {w}")
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        object.__setattr__(self, "src", src.astype(np.int32))
+        object.__setattr__(self, "dst", dst.astype(np.int32))
+        object.__setattr__(self, "w", w.copy())  # a column of the sorted edges
+        object.__setattr__(self, "indptr", indptr)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return any((a, b) == (i, j) for a, b, _ in self.edges)
-
-    def in_degree(self, j: int) -> int:
-        return sum(1 for _, b, _ in self.edges if b == j)
+        if not 0 <= i < self.n:
+            return False
+        row = self.dst[self.indptr[i] : self.indptr[i + 1]]
+        k = int(np.searchsorted(row, j))
+        return bool(k < row.size and row[k] == j)
 
     def to_json(self) -> str:
         doc = {
@@ -109,21 +123,30 @@ class Network:
         return Network(
             n=int(doc["nodes"]),
             p=np.asarray(doc["p"], dtype=float),
-            edges=tuple((int(i), int(j), float(w)) for i, j, w in doc["edges"]),
+            edges=doc["edges"],
             tag=doc.get("tag", "general"),
             meta=doc.get("meta", {}),
         )
 
 
-def _merge_edges(raw: Iterable[tuple[int, int, float]]) -> tuple[Edge, ...]:
-    # Coincident directed pairs accumulate weight (e.g. the two q/2
-    # influences between the two nodes of a two-sided circle with M=2).
-    acc: dict[tuple[int, int], float] = {}
-    for i, j, w in raw:
-        if i == j:
-            continue  # wraparound onto itself: no self-influence
-        acc[(i, j)] = acc.get((i, j), 0.0) + w
-    return tuple((i, j, w) for (i, j), w in sorted(acc.items()))
+def _keys(net: Network) -> np.ndarray:
+    """src * n + dst of every edge, ascending."""
+    return net.src.astype(np.int64) * net.n + net.dst
+
+
+def _edge_array(net: Network) -> np.ndarray:
+    return np.column_stack((net.src, net.dst, net.w))
+
+
+def _merge_edges(n: int, src: np.ndarray, dst: np.ndarray, w: float) -> np.ndarray:
+    """(E, 3) edges of weight w from (src, dst) pairs. Coincident pairs
+    accumulate weight (e.g. the two q/2 influences between the two nodes of
+    a two-sided circle with M=2); self-pairs (wraparound onto itself) and
+    zero weights are dropped."""
+    keep = (src != dst) & (w > 0)
+    keys, slot = np.unique(src[keep].astype(np.int64) * n + dst[keep], return_inverse=True)
+    total = np.bincount(slot, weights=np.full(slot.size, w), minlength=keys.size)
+    return np.column_stack((keys // n, keys % n, total))
 
 
 def _check_rates(M: int, p: float, q: float) -> None:
@@ -141,21 +164,34 @@ def _sided_ok(sided: str) -> str:
     return sided
 
 
+def _lattice_edges(D: int, side: int, q: float, sided: str, periodic: bool) -> np.ndarray:
+    """Edges of the D-dimensional grid of side^D nodes in C order: one
+    in-edge per coordinate from the left neighbor at q/D (one-sided), or
+    both neighbors at q/(2D) (two-sided). periodic wraps coordinates;
+    otherwise out-of-box neighbors are omitted with weights unchanged."""
+    M = side**D
+    shape = (side,) * D
+    coords = np.indices(shape).reshape(D, M)
+    src, dst = [], []
+    for d in range(D):
+        for delta in (-1, +1) if sided == "two" else (-1,):
+            nb = coords.copy()
+            nb[d] += delta
+            valid = np.full(M, True) if periodic else (nb[d] >= 0) & (nb[d] < side)
+            src.append(np.ravel_multi_index(nb[:, valid], shape, mode="wrap"))
+            dst.append(np.flatnonzero(valid))
+    w = q / D if sided == "one" else q / (2 * D)
+    return _merge_edges(M, np.concatenate(src), np.concatenate(dst), w)
+
+
 def build_circle(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Circle of M nodes; one-sided: edge (j-1)->j weight q; two-sided adds
     both neighbors at q/2 each."""
     _check_rates(M, p, q)
-    _sided_ok(sided)
-    raw: list[tuple[int, int, float]] = []
-    if q > 0 and M >= 2:
-        for j in range(M):
-            raw.append(((j - 1) % M, j, q if sided == "one" else q / 2))
-            if sided == "two":
-                raw.append(((j + 1) % M, j, q / 2))
     return Network(
         n=M,
         p=np.full(M, float(p)),
-        edges=_merge_edges(raw),
+        edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=True),
         tag=f"circle_{sided}_sided",
         meta={"p": p, "q": q, "sided": sided},
     )
@@ -164,18 +200,10 @@ def build_circle(M: int, p: float, q: float, sided: str = "one") -> Network:
 def build_line(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Line of M nodes (missing neighbors act as permanent non-adopters)."""
     _check_rates(M, p, q)
-    _sided_ok(sided)
-    raw: list[tuple[int, int, float]] = []
-    if q > 0:
-        for j in range(M):
-            if j - 1 >= 0:
-                raw.append((j - 1, j, q if sided == "one" else q / 2))
-            if sided == "two" and j + 1 < M:
-                raw.append((j + 1, j, q / 2))
     return Network(
         n=M,
         p=np.full(M, float(p)),
-        edges=_merge_edges(raw),
+        edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=False),
         tag=f"line_{sided}_sided",
         meta={"p": p, "q": q, "sided": sided},
     )
@@ -199,32 +227,11 @@ def build_grid(
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     _check_rates(side, p, q)
-    _sided_ok(sided)
     M = side**D
-    shape = (side,) * D
-    w = q / D if sided == "one" else q / (2 * D)
-    raw: list[tuple[int, int, float]] = []
-    if q > 0:
-        coords = np.indices(shape).reshape(D, M)
-        for d in range(D):
-            deltas = (-1, +1) if sided == "two" else (-1,)
-            for delta in deltas:
-                nb = coords.copy()
-                nb[d] = nb[d] + delta
-                if periodic:
-                    nb[d] %= side
-                    valid = np.ones(M, dtype=bool)
-                else:
-                    valid = (nb[d] >= 0) & (nb[d] < side)
-                    nb[d] = np.clip(nb[d], 0, side - 1)
-                src = np.ravel_multi_index(nb, shape)
-                dst = np.arange(M)
-                for s, t in zip(src[valid], dst[valid]):
-                    raw.append((int(s), int(t), w))
     return Network(
         n=M,
         p=np.full(M, float(p)),
-        edges=_merge_edges(raw),
+        edges=_lattice_edges(D, side, q, _sided_ok(sided), periodic),
         tag="torus" if periodic else "box",
         meta={"D": D, "side": side, "p": p, "q": q, "sided": sided, "periodic": periodic},
     )
@@ -238,28 +245,28 @@ def build_hybrid_circle_ray(circle_size: int, ray_size: int, p: float, q: float)
         raise ValueError("circle_size and ray_size must be >= 1")
     _check_rates(circle_size + ray_size, p, q)
     C, K = circle_size, ray_size
-    raw: list[tuple[int, int, float]] = []
-    if q > 0:
-        for j in range(C):
-            raw.append(((j - 1) % C, j, q))
-        raw.append((C - 1, C, q))
-        for k in range(1, K):
-            raw.append((C + k - 1, C + k, q))
+    circle, ray = np.arange(C), np.arange(K)
     return Network(
         n=C + K,
         p=np.full(C + K, float(p)),
-        edges=_merge_edges(raw),
+        edges=_merge_edges(C + K, np.concatenate(((circle - 1) % C, C - 1 + ray)),
+                           np.concatenate((circle, C + ray)), q),
         tag="hybrid_circle_ray",
         meta={"circle_size": C, "ray_size": K, "p": p, "q": q},
     )
 
 
 def dominates(A: Network, B: Network) -> Dominance:
-    """Componentwise comparison of all p_j and q_{i,j} (absent edge = 0)."""
+    """Componentwise comparison of all p_j and q_{i,j} (absent edge = 0),
+    over the union of the two edge sets."""
     if A.n != B.n:
         raise ValueError(f"node counts differ: {A.n} vs {B.n}")
-    a = np.concatenate([A.p, A.weight_matrix.ravel()])
-    b = np.concatenate([B.p, B.weight_matrix.ravel()])
+    key_a, key_b = _keys(A), _keys(B)
+    keys = np.union1d(key_a, key_b)
+    a = np.concatenate([A.p, np.zeros(keys.size)])
+    b = np.concatenate([B.p, np.zeros(keys.size)])
+    a[A.n + np.searchsorted(keys, key_a)] = A.w
+    b[B.n + np.searchsorted(keys, key_b)] = B.w
     le_ab = bool(np.all(a <= b))
     le_ba = bool(np.all(b <= a))
     if le_ab and le_ba:
@@ -291,8 +298,9 @@ def remove_edges(net: Network, pairs: Sequence[tuple[int, int]]) -> Network:
     for i, j in gone:
         if not net.has_edge(i, j):
             raise ValueError(f"edge {i}->{j} not present")
-    kept = tuple(e for e in net.edges if (e[0], e[1]) not in gone)
-    return Network(n=net.n, p=net.p, edges=kept, tag="general", meta=dict(net.meta))
+    kept = ~np.isin(_keys(net), [i * net.n + j for i, j in gone])
+    return Network(n=net.n, p=net.p, edges=_edge_array(net)[kept], tag="general",
+                   meta=dict(net.meta))
 
 
 def add_edges(net: Network, new: Sequence[Edge]) -> Network:
@@ -302,7 +310,7 @@ def add_edges(net: Network, new: Sequence[Edge]) -> Network:
     return Network(
         n=net.n,
         p=net.p,
-        edges=net.edges + tuple((int(i), int(j), float(w)) for i, j, w in new),
+        edges=np.concatenate([_edge_array(net), np.asarray(new, dtype=float).reshape(-1, 3)]),
         tag="general",
         meta=dict(net.meta),
     )

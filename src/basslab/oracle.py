@@ -143,18 +143,12 @@ def _check_size(M: int) -> None:
         raise ValueError(f"exact oracle capped at {HARD_CAP} nodes, got {M}")
 
 
-def _in_edges(net: Network) -> list[list[tuple[int, float]]]:
-    """feeds[j] lists (i, w) for every edge i -> j."""
-    feeds: list[list[tuple[int, float]]] = [[] for _ in range(net.n)]
-    for i, j, w in net.edges:
-        feeds[j].append((i, w))
-    return feeds
-
-
-def _rates(p_j: float, feeds_j, src: np.ndarray) -> np.ndarray:
-    """Adoption rate of node j from each adopter set in src (j not in it)."""
-    rate = np.full(src.size, float(p_j))
-    for i, w in feeds_j:
+def _rates(net: Network, j: int, src: np.ndarray) -> np.ndarray:
+    """Adoption rate of node j from each adopter set in src (j not in it),
+    summing j's in-edges in ascending source order."""
+    into = net.dst == j
+    rate = np.full(src.size, float(net.p[j]))
+    for i, w in zip(net.src[into].tolist(), net.w[into].tolist()):
         rate += w * ((src >> i) & 1)
     return rate
 
@@ -180,12 +174,11 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     data = np.empty(indptr[-1])
     fill = indptr[:-1].copy()  # next free slot of each row
     outflow = np.zeros(n_states)
-    feeds = _in_edges(net)
     # in a (-1, 2, 2^j) view of the states, bit j is the middle index
     without = (slice(None), 0, slice(None))
     for j in reversed(range(M)):
         src = states.reshape(-1, 2, 1 << j)[without].ravel()
-        rate = _rates(net.p[j], feeds[j], src)
+        rate = _rates(net, j, src)
         outflow.reshape(-1, 2, 1 << j)[without] += rate.reshape(-1, 1 << j)
         dst = src | (1 << j)
         slot = fill[dst]
@@ -202,15 +195,13 @@ def _translation_shape(net: Network) -> tuple[int, ...] | None:
     one-step shift along every axis maps p and every weighted edge onto
     themselves, or None. Nodes are laid out in C order, as build_grid
     numbers them. Only p and the edges are read, never tag or meta."""
-    n = net.n
-    edges = np.array(net.edges, dtype=float).reshape(-1, 3)
-    src, dst, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
+    n, src, dst, w = net.n, net.src, net.dst, net.w
 
     def invariant(image: np.ndarray) -> bool:
         if not np.array_equal(net.p[image], net.p):
             return False
         s, t = image[src], image[dst]
-        order = np.lexsort((t, s))  # net.edges is sorted by (source, target)
+        order = np.lexsort((t, s))  # the edge arrays are sorted by (source, target)
         return (np.array_equal(s[order], src) and np.array_equal(t[order], dst)
                 and np.array_equal(w[order], w))
 
@@ -273,11 +264,10 @@ def _lumped_generator(net: Network, reps: np.ndarray, label: np.ndarray) -> spar
     orbit = np.arange(reps.size, dtype=np.int32)
     diagonal = np.zeros(reps.size)
     rows, cols, rates = [orbit], [orbit], [diagonal]
-    feeds = _in_edges(net)
     for j in range(net.n):
         free = np.flatnonzero(((reps >> j) & 1) == 0).astype(np.int32)
         src = reps[free]
-        rate = _rates(net.p[j], feeds[j], src)
+        rate = _rates(net, j, src)
         diagonal[free] -= rate
         rows.append(label[src | (1 << j)])
         cols.append(free)

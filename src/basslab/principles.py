@@ -57,7 +57,7 @@ def _reaches(net: Network, start: int, targets: frozenset[int], blocked: int | N
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in net.out_neighbors[u]:
+        for v in net.dst[net.indptr[u] : net.indptr[u + 1]].tolist():
             if v == blocked or v in seen:
                 continue
             if v in targets:
@@ -88,7 +88,7 @@ def non_influential_edges(net: Network, omega) -> list[EdgeClassification]:
     """All edges of the network that are non-influential for omega."""
     return [
         cls
-        for (i, j, _w) in net.edges
+        for i, j in zip(net.src.tolist(), net.dst.tolist())
         if not (cls := classify_edge(net, omega, (i, j))).influential
     ]
 

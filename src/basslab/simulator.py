@@ -11,12 +11,13 @@ Monte Carlo curve. Two schemes:
   block-diagonal graph solves a whole block of trials, at
   O(trials * E * log(trials * E)) cost for E = nodes + edges per trial;
 * discrete: synchronous updates with step dt, node j adopting in a step
-  iff its uniform draw is <= lambda_j * dt. One kernel steps any number of
-  networks against the same counter-based tape and records the step in
-  which each node adopted. `run_discrete` runs it on one network and
-  `run_coupled` on a pair: the pair is coupled draw-for-draw, which is
-  what makes pathwise dominance checks exact, and the coupling report is
-  read off the two step arrays.
+  iff its uniform draw is <= lambda_j * dt, with the hazards one sparse
+  product over the in-edges: O(trials * (M + E)) per step, no M x M
+  matrix. One kernel steps any number of networks against the same
+  counter-based tape and records the step in which each node adopted.
+  `run_discrete` runs it on one network and `run_coupled` on a pair: the
+  pair is coupled draw-for-draw, which is what makes pathwise dominance
+  checks exact, and the coupling report is read off the two step arrays.
 
 Event-driven trials are partitioned into fixed-size blocks, each with its
 own child stream of the base seed, and trial r of a block uses row r of the
@@ -100,7 +101,7 @@ class ConstantTape:
 def max_total_rate(net: Network) -> float:
     """Largest possible adoption rate of any node: p_j plus its full
     in-weight."""
-    return float(np.max(net.p + net.weight_matrix.sum(axis=0)))
+    return float(np.max(net.p + np.bincount(net.dst, weights=net.w, minlength=net.n)))
 
 
 def validate_dt(net: Network, dt: float) -> None:
@@ -138,19 +139,6 @@ def _block_seeds(seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
     return [np.random.SeedSequence((int(seed), b)) for b in range(n_blocks)]
 
 
-def _trial_graph(net: Network):
-    """One trial's clock layout: nodes with p_j > 0, their rates and the
-    edges' rates, plus the CSR row pointer and targets of the edge rows."""
-    seeded = np.flatnonzero(net.p > 0).astype(np.int32)
-    src = np.fromiter((i for i, _, _ in net.edges), dtype=np.int32, count=len(net.edges))
-    dst = np.fromiter((j for _, j, _ in net.edges), dtype=np.int32, count=len(net.edges))
-    w = np.fromiter((x for _, _, x in net.edges), dtype=float, count=len(net.edges))
-    # edges are sorted by source, so counting sources gives the row pointer
-    indptr = np.zeros(net.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=net.n), out=indptr[1:])
-    return seeded, np.concatenate([net.p[seeded], w]), indptr, dst
-
-
 def _event_times(net: Network, config: SimConfig) -> np.ndarray:
     """Exact continuous-time adoption times, shape (trials, M), as
     first-passage distances (see the module docstring). A trial block is one
@@ -161,8 +149,9 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
     from scipy.sparse.csgraph import dijkstra
 
     M = net.n
-    seeded, rates, trial_indptr, dst = _trial_graph(net)
-    n_p, n_edges = seeded.size, dst.size
+    seeded = np.flatnonzero(net.p > 0).astype(np.int32)  # nodes with a clock of their own
+    rates = np.concatenate([net.p[seeded], net.w])
+    n_p, n_edges = seeded.size, net.dst.size
     n_clocks = n_p + n_edges
     R_max = min(config.block_size, config.trials)
     if R_max * max(n_clocks, M + 1) >= np.iinfo(np.int32).max:
@@ -186,12 +175,12 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
         indptr = np.empty(R * M + 2, dtype=np.int32)
         indptr[0] = 0
         rows = indptr[1:-1].reshape(R, M)
-        rows[:] = trial_indptr[:M]
+        rows[:] = net.indptr[:M]
         rows += (nnz_src + n_edges * np.arange(R, dtype=np.int32))[:, None]
         indptr[-1] = R * n_clocks
         indices = np.empty(R * n_clocks, dtype=np.int32)
         np.add(first[:, None], seeded, out=indices[:nnz_src].reshape(R, n_p))
-        np.add(first[:, None], dst, out=indices[nnz_src:].reshape(R, n_edges))
+        np.add(first[:, None], net.dst, out=indices[nnz_src:].reshape(R, n_edges))
         data = np.empty(R * n_clocks)
         data[:nnz_src].reshape(R, n_p)[:] = clocks[:, :n_p]
         data[nnz_src:].reshape(R, n_edges)[:] = clocks[:, n_p:]
@@ -266,16 +255,21 @@ def _discrete_steps(
     adopted, shape (trials, M), n_steps for never. Step k ends at time
     (k + 1) * dt."""
     R, M = config.trials, nets[0].n
-    weights = [net.weight_matrix for net in nets]
-    adopted = [np.zeros((R, M), dtype=bool) for _ in nets]
-    steps = [np.full((R, M), n_steps) for _ in nets]
+    # row j of W_in holds node j's in-edges, so W_in @ X is every node's
+    # influence hazard with one column per trial; X is 1.0 for adopters
+    w_in = [csr_matrix((net.w, (net.dst, net.src)), shape=(M, M)) for net in nets]
+    adopted = [np.zeros((M, R)) for _ in nets]
+    steps = [np.full((M, R), n_steps) for _ in nets]
     for step in range(n_steps):
-        u = tape.uniforms(step, (R, M))
-        for net, W, X, k in zip(nets, weights, adopted, steps):
-            newly = (~X) & (u <= (net.p[None, :] + X @ W) * dt)
+        u = tape.uniforms(step, (R, M)).T
+        for net, W, X, k in zip(nets, w_in, adopted, steps):
+            rate = W @ X  # in place below: (p + W @ X) * dt, no temporaries
+            rate += net.p[:, None]
+            rate *= dt
+            newly = (X == 0) & (u <= rate)
             k[newly] = step
-            X |= newly
-    return steps
+            X[newly] = 1.0
+    return [k.T for k in steps]
 
 
 def _times(steps: np.ndarray, n_steps: int, dt: float) -> np.ndarray:

@@ -30,6 +30,15 @@ def two_node_chain_survival(t, p1, p2, w):
     return np.exp(-p2 * t) * (waited + fired)
 
 
+def dense_weights(net):
+    """Dense (n, n) matrix W[i, j] = weight of edge i -> j, 0 if absent,
+    read off the edge triples: the reference for the sparse readers."""
+    W = np.zeros((net.n, net.n))
+    for i, j, w in net.edges:
+        W[i, j] = w
+    return W
+
+
 def discrete_chain_f(net, dt, n_steps):
     """Exact mean adopter fraction of the synchronous discrete-time chain
     (each non-adopter flips with probability lambda_j*dt per step), by
@@ -38,7 +47,7 @@ def discrete_chain_f(net, dt, n_steps):
     M = net.n
     n_states = 1 << M
     bits = ((np.arange(n_states)[:, None] >> np.arange(M)) & 1).astype(float)
-    pr = np.clip((net.p[None, :] + bits @ net.weight_matrix) * dt, 0.0, 1.0)
+    pr = np.clip((net.p[None, :] + bits @ dense_weights(net)) * dt, 0.0, 1.0)
     probs = np.zeros(n_states)
     probs[0] = 1.0
     for _ in range(n_steps):

@@ -220,6 +220,22 @@ class TestBadInput:
         assert message in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("suite", ["dominance", "all"])
+    def test_too_coarse_verify_dt_is_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, suite
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran before the dt check")
+
+        monkeypatch.setattr(cli, "oracle_dominance_report", never)
+        monkeypatch.setattr(cli, "verify_indifference", never)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", suite, "--dt", "5", "--out", str(tmp_path / "out")])
+        assert str(exc.value) == (
+            "basslab: error: dt=5.0 gives per-step probability 1.05 > 1 for the fastest node"
+        )
+        assert capsys.readouterr().err == ""
+
     def test_coarse_dt_warns_in_one_line(self, tmp_path, capsys):
         args = ["simulate", "--scheme", "discrete", "--dt", "0.5", "-q", "1", "--trials", "10",
                 "--out", str(tmp_path / "out.csv")]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -18,10 +19,31 @@ from basslab.network import (
     validate_node_set,
     weakly_dominates,
 )
+from conftest import dense_weights
 
 
 def edge_set(net):
     return {(i, j): w for i, j, w in net.edges}
+
+
+def grid_reference(D, side, q, sided, periodic):
+    """Edge weights of the grid, one neighbor of one node at a time, with
+    coincident pairs summed in the order they are met."""
+    w = q / D if sided == "one" else q / (2 * D)
+    shape = (side,) * D
+    out = {}
+    for c in itertools.product(range(side), repeat=D):
+        for d in range(D):
+            for delta in (-1, +1) if sided == "two" else (-1,):
+                nb = list(c)
+                nb[d] += delta
+                if not periodic and not 0 <= nb[d] < side:
+                    continue
+                nb[d] %= side
+                pair = int(np.ravel_multi_index(nb, shape)), int(np.ravel_multi_index(c, shape))
+                if q > 0 and pair[0] != pair[1]:
+                    out[pair] = out.get(pair, 0.0) + w
+    return out
 
 
 class TestValidation:
@@ -52,6 +74,20 @@ class TestValidation:
     def test_edges_are_sorted(self):
         net = Network(n=3, p=np.full(3, 0.1), edges=((2, 0, 1.0), (0, 1, 1.0)))
         assert net.edges == ((0, 1, 1.0), (2, 0, 1.0))
+
+    def test_arrays_hold_the_sorted_edges(self):
+        triples = ((2, 0, 0.5), (0, 2, 1.5), (0, 1, 1.0), (3, 1, 2.0))
+        net = Network(n=4, p=np.full(4, 0.1), edges=triples)
+        assert net.src.dtype == net.dst.dtype == np.int32
+        assert net.src.tolist() == [0, 0, 2, 3]
+        assert net.dst.tolist() == [1, 2, 0, 1]
+        assert net.w.tolist() == [1.0, 1.5, 0.5, 2.0]
+        assert net.indptr.tolist() == [0, 2, 2, 3, 4]
+        assert [tuple(map(type, e)) for e in net.edges] == [(int, int, float)] * 4
+        from_array = Network(n=4, p=np.full(4, 0.1), edges=np.array(triples))
+        assert from_array.edges == net.edges
+        with pytest.raises(ValueError, match="triples"):
+            Network(n=4, p=np.full(4, 0.1), edges=((0, 1), (1, 2), (2, 3)))
 
 
 class TestBuilders:
@@ -106,17 +142,17 @@ class TestBuilders:
         # every node's total incoming weight is exactly q on the torus
         for D, sided in ((2, "one"), (2, "two"), (3, "two")):
             net = build_grid(D, 4, 0.01, 0.12, sided=sided, periodic=True)
-            in_w = net.weight_matrix.sum(axis=0)
+            in_w = dense_weights(net).sum(axis=0)
             assert np.allclose(in_w, 0.12, atol=1e-15)
 
     def test_box_corner_in_weight(self):
         # box corner keeps per-edge weights; missing neighbors just drop out
         net = build_grid(2, 3, 0.01, 0.1, sided="two", periodic=False)
-        w = net.weight_matrix
+        w = dense_weights(net)
         # corner (0,0) = node 0 has in-edges from nodes 1 and 3 at q/(2D)
         assert w[1, 0] == pytest.approx(0.025)
         assert w[3, 0] == pytest.approx(0.025)
-        assert net.in_degree(0) == 2
+        assert np.count_nonzero(net.dst == 0) == 2
 
     def test_hybrid_edges(self):
         net = build_hybrid_circle_ray(4, 3, 0.01, 0.1)
@@ -129,6 +165,12 @@ class TestBuilders:
         net = build_hybrid_circle_ray(1, 1, 0.01, 0.1)
         assert net.n == 2
         assert net.edges == ((0, 1, 0.1),)
+
+    def test_grid_matches_neighbor_by_neighbor_reference(self):
+        for D, side in ((1, 1), (1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+            for sided, periodic, q in itertools.product(("one", "two"), (True, False), (0.0, 0.3)):
+                net = build_grid(D, side, 0.01, q, sided=sided, periodic=periodic)
+                assert edge_set(net) == grid_reference(D, side, q, sided, periodic)
 
     def test_builders_are_deterministic(self):
         a = build_grid(2, 5, 0.02, 0.3, sided="two", periodic=False)
@@ -228,6 +270,24 @@ class TestDominanceIsPartialOrder:
         }
         assert backward is mirror[forward]
 
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_agrees_with_dense_comparison(self, data):
+        a = data.draw(networks())
+        b = data.draw(scaled_up(a))
+        if b.edges and data.draw(st.booleans()):  # an edge only in a: incomparable or reversed
+            b = remove_edges(b, [data.draw(st.sampled_from(b.edges))[:2]])
+        for x, y in ((a, b), (b, a), (a, a)):
+            u = np.concatenate([x.p, dense_weights(x).ravel()])
+            v = np.concatenate([y.p, dense_weights(y).ravel()])
+            verdict = {
+                (True, True): Dominance.EQUAL,
+                (True, False): Dominance.A_PRECEDES_B,
+                (False, True): Dominance.B_PRECEDES_A,
+                (False, False): Dominance.INCOMPARABLE,
+            }[bool(np.all(u <= v)), bool(np.all(v <= u))]
+            assert dominates(x, y) is verdict
+
 
 class TestSerialization:
     def test_json_fields(self):
@@ -256,6 +316,14 @@ class TestEdgeSurgery:
     def test_add_existing_edge_raises(self):
         with pytest.raises(ValueError, match="already present"):
             add_edges(build_circle(4, 0.01, 0.1), [(0, 1, 0.2)])
+
+    @given(networks())
+    @settings(max_examples=50, deadline=None)
+    def test_has_edge_matches_the_edge_set(self, net):
+        present = set(edge_set(net))
+        for i in range(-1, net.n + 1):
+            for j in range(-1, net.n + 1):
+                assert net.has_edge(i, j) is ((i, j) in present)
 
     def test_remove_then_add_round_trip(self):
         net = build_circle(4, 0.01, 0.1)

@@ -39,7 +39,7 @@ from basslab.oracle import (
     solve_master,
     survival,
 )
-from conftest import independent_survival, two_node_chain_survival
+from conftest import dense_weights, independent_survival, two_node_chain_survival
 
 T = np.linspace(0.0, 20.0, 21)
 
@@ -53,7 +53,7 @@ def _dense_rate_generator(net):
     """Generator assembled from rate[A, j] = p_j + sum_{i in A} W[i, j]."""
     M = net.n
     bits = _bits(M)
-    rate = (net.p[None, :] + bits @ net.weight_matrix) * (1 - bits)
+    rate = (net.p[None, :] + bits @ dense_weights(net)) * (1 - bits)
     states = np.arange(1 << M)
     Q = np.zeros((1 << M, 1 << M))
     for j in range(M):

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from basslab.network import Network, build_circle, build_grid, build_line, weakly_dominates
+from basslab.network import (
+    Network,
+    build_circle,
+    build_grid,
+    build_hybrid_circle_ray,
+    build_line,
+    dominates,
+    weakly_dominates,
+)
 from basslab.oracle import exact_f
+from basslab.principles import dominance_pairs
 from basslab.simulator import (
     ConstantTape,
     CouplingTape,
@@ -18,7 +29,7 @@ from basslab.simulator import (
     run_event_driven,
     validate_dt,
 )
-from conftest import discrete_chain_f, two_node_chain_survival
+from conftest import dense_weights, discrete_chain_f, two_node_chain_survival
 
 
 def _awkward_times(t, trials, M):
@@ -56,7 +67,7 @@ def _stepwise_coupled_report(net_a, net_b, config):
     dt = config.dt if config.dt is not None else default_dt(net_b)
     n_steps = int(np.ceil(config.t_max / dt - 1e-12))
     tape = CouplingTape(config.base_seed)
-    Wa, Wb = net_a.weight_matrix, net_b.weight_matrix
+    Wa, Wb = dense_weights(net_a), dense_weights(net_b)
     R = config.trials
     Xa = np.zeros((R, M), dtype=bool)
     Xb = np.zeros((R, M), dtype=bool)
@@ -156,6 +167,19 @@ class TestStepSize:
     def test_max_total_rate(self):
         net = build_circle(4, 0.05, 0.3, sided="two")
         assert max_total_rate(net) == pytest.approx(0.35)
+
+    def test_max_total_rate_equals_dense_column_sum(self):
+        nets = [net for _name, *pair in dominance_pairs() for net in pair]
+        nets += [build_hybrid_circle_ray(4, 3, 0.01, 0.1),
+                 Network(n=3, p=np.array([0.1, 0.2, 0.3]),
+                         edges=((0, 1, 0.5), (0, 2, 0.7), (1, 2, 0.05)))]
+        nets += [build_grid(D, side, 0.01, q, sided=sided, periodic=periodic)
+                 for D, side in ((1, 5), (2, 4), (3, 3), (4, 2))
+                 for q in (0.1, 0.3, 0.7)
+                 for sided in ("one", "two")
+                 for periodic in (True, False)]
+        for net in nets:
+            assert max_total_rate(net) == np.max(net.p + dense_weights(net).sum(axis=0))
 
     def test_default_dt_targets_step_probability(self):
         net = build_circle(4, 0.05, 0.3)
@@ -510,3 +534,25 @@ class TestCoupled:
             rep = run_coupled(net_a, net_b, cfg)
             assert np.array_equal(rep["times_a"], run_discrete(net_a, cfg))
             assert np.array_equal(rep["times_b"], run_discrete(net_b, cfg))
+
+
+def test_large_network_needs_no_dense_matrix():
+    """On the 60x60 torus one dense n x n matrix is 104 MB; the step-size
+    check, the dominance comparison and a short discrete run each stay
+    below a tenth of that."""
+    one = build_grid(2, 60, 0.01, 0.1, sided="one", periodic=True)
+    two = build_grid(2, 60, 0.01, 0.1, sided="two", periodic=True)
+    bound = one.n * one.n * 8 / 10
+    calls = {
+        "validate_dt": lambda: validate_dt(one, 0.05),
+        "dominates": lambda: dominates(one, two),
+        "run_discrete": lambda: run_discrete(one, SimConfig(trials=2, t_max=1.0)),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, name

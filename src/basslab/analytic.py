@@ -24,14 +24,20 @@ interior non-adoption probabilities to the M half-rate survivals: 2M-2
 states. The rows k >= 2 of the hierarchy are read off the same table by
 the general shift S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1), so the diagnostics
 beta, gamma and psi are algebra on the tables at q and q/2.
+
+scipy.integrate is imported at the first ODE solve, through this module's
+solve_ivp, so the closed form and default_time_grid run without it: the
+default grid's horizon is found by Newton's method on the closed-form
+infinite-line fraction, with no scipy root finder.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+
+from .network import _check_pq
 
 # Degeneracy detection: the closed form excludes q = jp, j = 1..M-1.
 DEGENERACY_TOL = 1e-9
@@ -55,13 +61,6 @@ RECURSION_ATOL = 1e-13
 class DegenerateParameters(ValueError):
     """q is within tolerance of jp for some j < M, so the closed-form
     coefficients are singular; use the S_1 recursion instead."""
-
-
-def _check_pq(p: float, q: float) -> None:
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if q < 0:
-        raise ValueError(f"q must be non-negative, got {q}")
 
 
 def is_degenerate(p: float, q: float, M: int) -> bool:
@@ -152,6 +151,15 @@ def survival_circle_closed_form(t, p: float, q: float, M: int) -> np.ndarray:
     return _exponent_sum(t, circle_coefficients(p, q, M))
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first solve: importing
+    scipy.integrate (which loads scipy.optimize) takes about 0.5 s, which
+    a command that never integrates need not pay."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str,
                rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
@@ -226,16 +234,29 @@ def f_one_dim_limit(t, p: float, q: float) -> np.ndarray:
 
 def default_time_grid(p: float, q: float, points: int = 200, coverage: float = 0.99) -> np.ndarray:
     """Uniform grid on [0, T] with T chosen so the infinite-line fraction
-    reaches `coverage` at T."""
+    reaches `coverage` at T.
+
+    With x = pT and r = q/p, f_one_dim_limit(T) = coverage is
+    g(x) = x + r (x + expm1(-x)) = L, L = -log1p(-coverage). g is
+    increasing and convex and g(L) >= L, so Newton's method from x = L
+    falls monotonically onto the root; it stops at the first iterate that
+    does not decrease. At q = 0 it returns L/p.
+    """
+    _check_pq(p, q)
     if not 0 < coverage < 1:
         raise ValueError("coverage must be in (0, 1)")
-    g = lambda T: float(f_one_dim_limit(T, p, q)[0]) - coverage
-    hi = 1.0
-    while g(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("could not bracket the grid horizon")
-    T = brentq(g, hi / 2 if g(hi / 2) < 0 else 1e-12, hi)
+    L = -math.log1p(-coverage)
+    r = q / p
+    x = L
+    while True:
+        em1 = math.expm1(-x)
+        step = ((x - L) + r * (x + em1)) / (1.0 - r * em1)
+        if not x - step < x:
+            break
+        x -= step
+    T = x / p
+    if T > 1e12:
+        raise RuntimeError(f"grid horizon T = {T:.3g} is past 1e12")
     return np.linspace(0.0, T, points)
 
 

@@ -23,7 +23,6 @@ import os
 import sys
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -146,6 +145,8 @@ def _run_tasks(tasks: list[tuple[str, functools.partial]]) -> dict:
     workers = _worker_count(len(tasks))
     if workers == 1:
         return {name: fn() for name, fn in tasks}
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [(name, pool.submit(fn)) for name, fn in tasks]
         return {name: fut.result() for name, fut in futures}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -72,8 +73,8 @@ class Network:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (self.n,):
             raise ValueError(f"p must have shape ({self.n},), got {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("external rates must be non-negative")
+        if not np.all((p >= 0) & np.isfinite(p)):
+            raise ValueError("external rates must be non-negative and finite")
         object.__setattr__(self, "p", p)
         edges = np.asarray(self.__dict__.pop("edges"), dtype=float)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
@@ -91,7 +92,8 @@ class Network:
         reject((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= self.n),
                "edge {i}->{j} is out of range for n={n}")
         reject(np.diff(src * self.n + dst) == 0, "duplicate edge {i}->{j}")
-        reject(~(w > 0), "edge {i}->{j} has non-positive weight {w}")
+        reject(~((w > 0) & np.isfinite(w)),
+               "edge {i}->{j} has weight {w}; weights must be positive and finite")
         indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
         object.__setattr__(self, "src", src.astype(np.int32))
@@ -149,13 +151,19 @@ def _merge_edges(n: int, src: np.ndarray, dst: np.ndarray, w: float) -> np.ndarr
     return np.column_stack((keys // n, keys % n, total))
 
 
+def _check_pq(p: float, q: float) -> None:
+    # NaN fails every comparison, so each check passes only finite values
+    # in range
+    if not (p > 0 and math.isfinite(p)):
+        raise ValueError(f"p must be positive and finite, got {p}")
+    if not (q >= 0 and math.isfinite(q)):
+        raise ValueError(f"q must be non-negative and finite, got {q}")
+
+
 def _check_rates(M: int, p: float, q: float) -> None:
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if q < 0:
-        raise ValueError(f"q must be non-negative, got {q}")
+    _check_pq(p, q)
 
 
 def _sided_ok(sided: str) -> str:

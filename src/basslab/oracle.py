@@ -43,12 +43,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .curves import AdoptionCurve
 from .network import Network, validate_node_set
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 HARD_CAP = 20
 
@@ -161,6 +164,8 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     the diagonal -outflow(B), stored even where it is zero. Nothing of
     size 2^M x M is formed.
     """
+    from scipy import sparse
+
     M = net.n
     _check_size(M)
     n_states = 1 << M
@@ -260,20 +265,38 @@ def _orbits(M: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _lumped_generator(net: Network, reps: np.ndarray, label: np.ndarray) -> sparse.csr_matrix:
     """Generator of the chain on orbits: the rates out of each orbit's
     representative, summed by destination orbit. The diagonal is stored
-    even where it is zero."""
-    orbit = np.arange(reps.size, dtype=np.int32)
-    diagonal = np.zeros(reps.size)
-    rows, cols, rates = [orbit], [orbit], [diagonal]
+    even where it is zero.
+
+    Filled as build_generator fills its rows, but by column: column o
+    holds the moves out of orbit o, j ascending, then the diagonal. Its
+    length, one more than the nodes free in reps[o], is known before any
+    rate is formed. scipy's transpose to CSR keeps that order within each
+    (destination, source) pair, so merged rates sum j ascending.
+    """
+    from scipy import sparse
+
+    n = reps.size
+    col_len = net.n + 1 - np.bitwise_count(reps).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(col_len, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()  # next free slot of each column
+    diagonal = np.zeros(n)
     for j in range(net.n):
-        free = np.flatnonzero(((reps >> j) & 1) == 0).astype(np.int32)
+        free = np.flatnonzero(((reps >> j) & 1) == 0)
         src = reps[free]
         rate = _rates(net, j, src)
         diagonal[free] -= rate
-        rows.append(label[src | (1 << j)])
-        cols.append(free)
-        rates.append(rate)
-    entries = (np.concatenate(rates), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.coo_matrix(entries, shape=(reps.size, reps.size)).tocsr()
+        slot = fill[free]
+        indices[slot] = label[src | (1 << j)]
+        data[slot] = rate
+        fill[free] += 1
+    indices[fill] = np.arange(n)
+    data[fill] = diagonal
+    Q = sparse.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+    Q.sum_duplicates()
+    return Q
 
 
 def _check_grid(t_grid) -> np.ndarray:

@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .curves import AdoptionCurve
 from .network import Network, weakly_dominates
@@ -144,8 +143,9 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
     first-passage distances (see the module docstring). A trial block is one
     block-diagonal graph: node 0 the virtual source and trial r's node j at
     1 + r*M + j."""
-    # imported here, not at module level: only this sampler needs csgraph,
-    # and importing it costs every other command about 1 MB and 4 ms
+    # imported here, not at module level, as every scipy import in the
+    # package is: a command pays only for the parts of scipy it runs
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     M = net.n
@@ -254,6 +254,8 @@ def _discrete_steps(
     the same tape; for each, the step index at which each (trial, node)
     adopted, shape (trials, M), n_steps for never. Step k ends at time
     (k + 1) * dt."""
+    from scipy.sparse import csr_matrix
+
     R, M = config.trials, nets[0].n
     # row j of W_in holds node j's in-edges, so W_in @ X is every node's
     # influence hazard with one column per trial; X is 1.0 for adopters

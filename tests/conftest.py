@@ -1,12 +1,28 @@
 """Shared hand-derived reference solutions used across test modules."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
-from basslab.analytic import _exponent_sum, _trusted_coefficients, survival_circle
+from basslab.analytic import _exponent_sum, _trusted_coefficients, f_one_dim_limit, survival_circle
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # DOP853 tolerances of the reference hierarchy solves
 HIERARCHY_RTOL = 1e-11
 HIERARCHY_ATOL = 1e-12
+
+
+def fresh_python(args, cwd, timeout=120):
+    """Run `python args` in a fresh interpreter that imports basslab from
+    this checkout, capturing its text output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def independent_survival(t, p_vec, nodes):
@@ -28,6 +44,17 @@ def two_node_chain_survival(t, p1, p2, w):
     waited = np.exp(-p1 * t)
     fired = p1 * np.exp(-w * t) * (1.0 - np.exp(-(p1 - w) * t)) / (p1 - w)
     return np.exp(-p2 * t) * (waited + fired)
+
+
+def brentq_horizon(p, q, coverage=0.99):
+    """T at which f_one_dim_limit reaches coverage, by brentq on a bracket
+    [T/2, T] found by doubling T from 1: the reference for the default
+    grid's horizon. brentq stops within 2e-12 + 4 eps T of the root."""
+    g = lambda T: float(f_one_dim_limit(T, p, q)[0]) - coverage
+    hi = 1.0
+    while g(hi) < 0:
+        hi *= 2.0
+    return brentq(g, hi / 2 if g(hi / 2) < 0 else 1e-12, hi)
 
 
 def dense_weights(net):

@@ -30,6 +30,7 @@ from basslab.analytic import (
 from basslab.network import build_hybrid_circle_ray, build_line
 from basslab.oracle import exact_f, solve_master
 from conftest import (
+    brentq_horizon,
     f_line_two_sided_quadrature,
     hierarchy_survivals,
     shift_identity_residual,
@@ -164,6 +165,18 @@ class TestDegeneracyRouting:
             survival_circle_closed_form(T_GRID, 0.1, -0.1, 3)
         with pytest.raises(ValueError, match="M"):
             _circle_survivals(T_GRID, 0.1, 0.1, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rates_are_rejected(self, bad):
+        # the grid first: unchecked, it returns at once, where an ODE solve
+        # on a non-finite rate may never end
+        for solve in (lambda p, q: default_time_grid(p, q),
+                      lambda p, q: survival_circle(T_GRID, p, q, 6),
+                      lambda p, q: f_line_two_sided(T_GRID, p, q, 4)):
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                solve(bad, 0.1)
+            with pytest.raises(ValueError, match="q must be non-negative and finite"):
+                solve(0.01, bad)
 
 
 class TestHierarchyOde:
@@ -476,3 +489,22 @@ class TestTimeGrid:
     def test_coverage_bounds(self):
         with pytest.raises(ValueError):
             default_time_grid(0.01, 0.1, coverage=1.0)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 1e-1, 1.0])
+    def test_horizon_matches_brentq(self, p):
+        eps = np.finfo(float).eps
+        qs = [0.0, *np.logspace(-3, 1, 9), 45 * p, 2 * p * (1 + 2e-9)]  # q/p = 45; resonant q
+        for q in qs:
+            for coverage in (0.5, 0.99):
+                T = default_time_grid(p, q, coverage=coverage)[-1]
+                ref = brentq_horizon(p, q, coverage)
+                assert abs(T - ref) <= 2e-12 + 4 * eps * ref, (q, coverage)
+
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.37, 1.0])
+    @pytest.mark.parametrize("coverage", [1e-6, 0.5, 0.99, 1 - 1e-9])
+    def test_zero_q_horizon_is_exact(self, p, coverage):
+        assert default_time_grid(p, 0.0, coverage=coverage)[-1] == -math.log1p(-coverage) / p
+
+    def test_horizon_past_cap_is_an_error(self):
+        with pytest.raises(RuntimeError, match="past 1e12"):
+            default_time_grid(1e-12, 0.0)

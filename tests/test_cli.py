@@ -7,6 +7,7 @@ import basslab.cli as cli
 from basslab.curves import read_curve_csv
 from basslab.network import build_line
 from basslab.principles import PlanCase, TransformPlan
+from conftest import fresh_python
 
 
 def run(args):
@@ -219,6 +220,22 @@ class TestBadInput:
         assert str(exc.value).startswith("basslab: error: ")
         assert message in str(exc.value)
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["analytic", "--topology", "circle", "-M", "6", "--t-max", "50"],
+        ["analytic", "--topology", "circle", "-M", "6"],
+        ["simulate", "--topology", "circle", "-M", "6", "--trials", "10", "--t-max", "50"],
+        ["verify", "--suite", "indifference"],
+    ], ids=["analytic", "analytic-default-grid", "simulate", "verify"])
+    def test_non_finite_rate_fails_in_one_line(self, tmp_path, args, value):
+        out = tmp_path / "out"
+        proc = fresh_python(["-m", "basslab.cli", *args, "-q", value, "--out", str(out)],
+                            cwd=tmp_path, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"basslab: error: q must be non-negative and finite, got {value}\n"
+        assert proc.stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("suite", ["dominance", "all"])
     def test_too_coarse_verify_dt_is_rejected_before_any_work(

@@ -59,6 +59,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="weight"):
             Network(n=2, p=np.array([0.1, 0.1]), edges=((0, 1, 0.0),))
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            Network(n=2, p=np.array([0.1, 0.1]), edges=((0, 1, w),))
+
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
             Network(n=2, p=np.array([0.1, 0.1]), edges=((0, 2, 1.0),))
@@ -66,6 +71,27 @@ class TestValidation:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="non-negative"):
             Network(n=1, p=np.array([-0.1]), edges=())
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, p):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            Network(n=1, p=np.array([p]), edges=())
+
+    @pytest.mark.parametrize("build", [
+        lambda p, q: build_circle(4, p, q),
+        lambda p, q: build_line(4, p, q),
+        lambda p, q: build_grid(2, 3, p, q),
+        lambda p, q: build_hybrid_circle_ray(3, 2, p, q),
+    ], ids=["circle", "line", "grid", "hybrid"])
+    @pytest.mark.parametrize("p, q, message", [
+        (np.nan, 0.1, "p must be positive and finite"),
+        (np.inf, 0.1, "p must be positive and finite"),
+        (0.01, np.nan, "q must be non-negative and finite"),
+        (0.01, np.inf, "q must be non-negative and finite"),
+    ])
+    def test_builders_reject_non_finite_rates(self, build, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            build(p, q)
 
     def test_rejects_bad_node_count(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,11 @@ ODE_RTOL = 1e-11
 # the master equation (M = 16). At these the lines stay within 1e-10.
 RECURSION_RTOL = 1e-12
 RECURSION_ATOL = 1e-13
+# Largest (p+q)*t_max an ODE solve takes. DOP853's steps are bounded by its
+# stability region, so the work grows with the decay rate times the
+# horizon: at 1e4 the two-sided line of 200 nodes takes about 1.4 s and
+# the 6-circle at q/p = 1e13 about 0.6 s, at 1e5 about 12 s and 5 s.
+MAX_DECAY_SPAN = 1e4
 
 
 class DegenerateParameters(ValueError):
@@ -160,10 +165,17 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str,
+def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str, rate: float,
                rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
-    (len(y0), T)."""
+    (len(y0), T). rate is the system's largest decay rate; a solve past
+    MAX_DECAY_SPAN decay times is refused before it starts."""
+    span = rate * float(t_grid[-1])
+    if not span <= MAX_DECAY_SPAN:  # NaN fails too
+        raise ValueError(
+            f"{what}: (p+q)*t_max = {span:.3g} is past the {MAX_DECAY_SPAN:.0e} "
+            "an ODE solve takes; use a shorter horizon"
+        )
     sol = solve_ivp(
         rhs,
         (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
@@ -193,35 +205,30 @@ def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndar
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return _integrate(lambda t, u: _survival_rates(t, u, p, q), t_grid, np.ones(M),
-                      "circle recursion")
+                      "circle recursion", p + q)
 
 
-def survival_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
+def survival_circle(t_grid, p: float, q: float, M: int):
     """S_1(t;M) with automatic routing: closed form where
     _trusted_coefficients vouches for it, the S_1 recursion otherwise (near
-    a resonance, at large q/p, or at large M). An explicit
-    method="closed_form" always evaluates the exponent sum.
+    a resonance, at large q/p, or at large M). survival_circle_closed_form
+    and _circle_survivals are the two routes without the router.
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if method not in ("auto", "closed_form", "ode"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form":
-        # surface the precondition failure rather than silently rerouting
-        return survival_circle_closed_form(t_grid, p, q, M), "closed_form"
-    coef = _trusted_coefficients(p, q, M) if method == "auto" else None
+    coef = _trusted_coefficients(p, q, M)
     if coef is not None:
         return _exponent_sum(t_grid, coef), "closed_form"
     return _circle_survivals(t_grid, p, q, M)[M - 1], "ode"
 
 
-def f_circle(t_grid, p: float, q: float, M: int, method: str = "auto"):
+def f_circle(t_grid, p: float, q: float, M: int):
     """Expected adopter fraction on the circle: 1 - S_1(t;M).
 
     Returns (values, source).
     """
-    S, source = survival_circle(t_grid, p, q, M, method=method)
+    S, source = survival_circle(t_grid, p, q, M)
     return 1.0 - S, source
 
 
@@ -256,7 +263,7 @@ def default_time_grid(p: float, q: float, points: int = 200, coverage: float = 0
         x -= step
     T = x / p
     if T > 1e12:
-        raise RuntimeError(f"grid horizon T = {T:.3g} is past 1e12")
+        raise ValueError(f"grid horizon T = {T:.3g} is past 1e12")
     return np.linspace(0.0, T, points)
 
 
@@ -307,7 +314,7 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
         du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
         return np.concatenate([_survival_rates(t, S, p, h), du])
 
-    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line")
+    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line", p + q)
     per_node = 1.0 - np.vstack([y[M - 1], y[M:], y[M - 1]])
     return per_node, per_node.mean(axis=0), "ode"
 
@@ -370,7 +377,8 @@ def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
         d[1:] += drive * a[:-1]
         return d
 
-    return _integrate(rhs, t_grid, np.zeros(k), "difference system", ODE_RTOL, 1e-18)[k - 1]
+    return _integrate(rhs, t_grid, np.zeros(k), "difference system", p + q, ODE_RTOL,
+                      1e-18)[k - 1]
 
 
 def _block_survival(s1: np.ndarray, t_grid: np.ndarray, p: float, k: int, m: int) -> np.ndarray:

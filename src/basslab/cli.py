@@ -42,7 +42,7 @@ from .analytic import (
     psi_diag,
 )
 from .curves import AdoptionCurve, write_curve_csv
-from .network import Network, build_circle, build_grid, build_hybrid_circle_ray, build_line
+from .network import Network, _check_t_max, build_circle, build_grid, build_hybrid_circle_ray, build_line
 from .principles import (
     FIGURE_PLAN_NAMES,
     PlanCase,
@@ -52,18 +52,17 @@ from .principles import (
     verify_indifference,
 )
 from .simulator import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_TRIALS,
     SimConfig,
     curve_from_times,
     run_coupled,
     run_discrete,
     run_event_driven,
-    validate_dt,
 )
 
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "all")
+DEFAULT_GRID_POINTS = 200
 
 @dataclass
 class RunSpec:
@@ -91,13 +90,14 @@ class RunSpec:
 
 # the RunSpec fields each command accepts, from the command line or --config
 _COMMON_KEYS = ("p", "q", "t_max", "out")
-_TOPOLOGY_KEYS = ("topology", "sided", "M", "D", "side", "periodic", "ray", "grid")
-_RUN_KEYS = ("trials", "seed", "dt", "preset")
+_TOPOLOGY_KEYS = ("topology", "sided", "M", "ray", "grid")
+_RUN_KEYS = ("trials", "seed", "preset")
 DEFAULTS = {
     command: {f.name: f.default for f in fields(RunSpec) if f.name in keys}
     for command, keys in (
         ("analytic", _COMMON_KEYS + _TOPOLOGY_KEYS),
-        ("simulate", _COMMON_KEYS + _TOPOLOGY_KEYS + _RUN_KEYS + ("scheme", "per_node")),
+        ("simulate", _COMMON_KEYS + _TOPOLOGY_KEYS + _RUN_KEYS
+         + ("D", "side", "periodic", "scheme", "dt", "per_node")),
         ("verify", _COMMON_KEYS + _RUN_KEYS + ("suite",)),
     )
 }
@@ -156,6 +156,7 @@ def _time_grid(spec: RunSpec) -> np.ndarray:
     if spec.grid < 2:
         raise SystemExit("--grid must be at least 2 points")
     if spec.t_max is not None:
+        _check_t_max(spec.t_max)
         return np.linspace(0.0, spec.t_max, spec.grid)
     return default_time_grid(spec.p, spec.q, points=spec.grid)
 
@@ -334,7 +335,7 @@ def _suite_appendix(spec: RunSpec) -> dict:
 
 def _dominance_entry(name: str, lo: Network, hi: Network, spec: RunSpec) -> dict:
     report = run_coupled(
-        lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed, dt=spec.dt,
+        lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed,
                           t_max=spec.t_max if spec.t_max is not None else 30.0)
     )
     report.pop("times_a")
@@ -394,12 +395,6 @@ def cmd_verify(spec: RunSpec) -> int:
                   "passed": all(r["passed"] for r in reports)}
     else:
         suite_names = ("indifference", "appendix", "dominance") if spec.suite == "all" else (spec.suite,)
-        if "dominance" in suite_names and spec.dt is not None:
-            # fail before any suite runs; each coupled run still warns itself
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for _name, _lo, hi in dominance_pairs(spec.p, spec.q):
-                    validate_dt(hi, spec.dt)
         suites = []
         for name in suite_names:
             if name == "indifference":
@@ -445,10 +440,6 @@ def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sided", choices=("one", "two"), default=argparse.SUPPRESS)
     sub.add_argument("-M", dest="M", type=int, default=argparse.SUPPRESS,
                      help="node count (circle/line) or total nodes (hybrid)")
-    sub.add_argument("-D", dest="D", type=int, default=argparse.SUPPRESS, help="grid dimension")
-    sub.add_argument("--side", type=int, default=argparse.SUPPRESS, help="grid side length")
-    sub.add_argument("--periodic", action="store_true", default=argparse.SUPPRESS,
-                     help="wrap the grid into a torus")
     sub.add_argument("--ray", type=int, default=argparse.SUPPRESS,
                      help="ray length of the hybrid topology (circle part is M-ray)")
     sub.add_argument("--grid", type=int, default=argparse.SUPPRESS,
@@ -469,6 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="Monte Carlo adoption curve to CSV")
     _add_common_flags(s)
     _add_topology_flags(s)
+    s.add_argument("-D", dest="D", type=int, default=argparse.SUPPRESS, help="grid dimension")
+    s.add_argument("--side", type=int, default=argparse.SUPPRESS, help="grid side length")
+    s.add_argument("--periodic", action="store_true", default=argparse.SUPPRESS,
+                   help="wrap the grid into a torus")
     s.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     s.add_argument("--scheme", choices=("event", "discrete"), default=argparse.SUPPRESS)
@@ -486,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify a single named transform plan")
     v.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    v.add_argument("--dt", type=float, default=argparse.SUPPRESS)
     return parser
 
 

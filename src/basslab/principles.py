@@ -26,6 +26,8 @@ from .network import Network, add_edges, build_circle, build_hybrid_circle_ray, 
 from .oracle import exact_marginals, survival
 
 VERIFY_TOL = 1e-10
+# node count of the circles and lines in dominance_pairs
+DOMINANCE_M = 6
 
 FIGURE_PLAN_NAMES = ("fig3", "fig4", "fig6", "fig7", "fig8", "fig13", "fig14", "fig15")
 
@@ -140,7 +142,7 @@ def apply_transform(net: Network, plan: TransformPlan) -> Network:
     return transformed
 
 
-def verify_indifference(net: Network, plan: TransformPlan, t_grid=None, tol: float = VERIFY_TOL) -> dict:
+def verify_indifference(net: Network, plan: TransformPlan, t_grid=None) -> dict:
     """Check that the plan leaves Prob(omega untouched) invariant, by exact
     master-equation solves of both networks."""
     if t_grid is None:
@@ -158,8 +160,8 @@ def verify_indifference(net: Network, plan: TransformPlan, t_grid=None, tol: flo
         "classifications": [r.to_dict() for r in records],
         "all_non_influential": all_safe,
         "max_gap": max_gap,
-        "tol": tol,
-        "passed": bool(all_safe and max_gap <= tol),
+        "tol": VERIFY_TOL,
+        "passed": bool(all_safe and max_gap <= VERIFY_TOL),
         "t": t_grid,
         "survival_before": before,
         "survival_after": after,
@@ -326,9 +328,10 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
 # Dominance corollaries
 
 
-def dominance_pairs(p: float = 0.01, q: float = 0.1, M: int = 6) -> list[tuple[str, Network, Network]]:
+def dominance_pairs(p: float = 0.01, q: float = 0.1) -> list[tuple[str, Network, Network]]:
     """Strictly ordered network pairs (A below B) used by the monotonicity
-    checks."""
+    checks, on DOMINANCE_M nodes."""
+    M = DOMINANCE_M
     circle = build_circle(M, p, q, sided="one")
     chord = add_edges(circle, [(0, M // 2, q)])
     heavier = add_edges(remove_edges(circle, [(0, 1)]), [(0, 1, 2 * q)])
@@ -345,16 +348,14 @@ def dominance_pairs(p: float = 0.01, q: float = 0.1, M: int = 6) -> list[tuple[s
     ]
 
 
-def oracle_dominance_report(
-    p: float = 0.01, q: float = 0.1, M: int = 6, t_grid=None, tol: float = 1e-10
-) -> list[dict]:
+def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=None) -> list[dict]:
     """Exact check that componentwise-larger parameters give pointwise
     larger per-node adoption probabilities (strictly, past t=0)."""
     if t_grid is None:
         t_grid = np.linspace(0.0, 30.0, 31)
     t_grid = np.asarray(t_grid, dtype=float)
     out = []
-    for name, lo, hi in dominance_pairs(p, q, M):
+    for name, lo, hi in dominance_pairs(p, q):
         relation = dominates(lo, hi)
         m_lo = exact_marginals(lo, t_grid)
         m_hi = exact_marginals(hi, t_grid)
@@ -366,8 +367,8 @@ def oracle_dominance_report(
                 "relation": relation.value,
                 "max_order_violation": worst,
                 "max_strict_gap": strict_gap,
-                "tol": tol,
-                "passed": bool(worst <= tol and strict_gap > tol),
+                "tol": VERIFY_TOL,
+                "passed": bool(worst <= VERIFY_TOL and strict_gap > VERIFY_TOL),
             }
         )
     return out

@@ -31,17 +31,17 @@ never depends on how many trials run alongside it.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import AdoptionCurve
-from .network import Network, weakly_dominates
+from .network import Network, _check_t_max, weakly_dominates
 
 TRIAL_BLOCK = 512
 DEFAULT_TRIALS = 4000
-DEFAULT_GRID_POINTS = 200
 # discrete-step targets: per-step adoption probability aimed at <= this
 DEFAULT_STEP_PROB = 0.01
 STEP_PROB_WARN = 0.1
@@ -56,18 +56,16 @@ class SimConfig:
     base_seed: int = 0
     dt: float | None = None
     t_max: float | None = None
-    grid_points: int = DEFAULT_GRID_POINTS
     block_size: int = TRIAL_BLOCK
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        # NaN fails every comparison, so this passes only finite values in range
+        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.t_max is not None:
+            _check_t_max(self.t_max)
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
 
@@ -116,22 +114,8 @@ def validate_dt(net: Network, dt: float) -> None:
         )
 
 
-def default_dt(net: Network, step_prob: float = DEFAULT_STEP_PROB) -> float:
-    return step_prob / max_total_rate(net)
-
-
-def _horizon(config: SimConfig, t_grid) -> float:
-    if t_grid is not None:
-        return float(np.asarray(t_grid, dtype=float)[-1])
-    if config.t_max is None:
-        raise ValueError("need a t_grid or config.t_max")
-    return float(config.t_max)
-
-
-def _grid(config: SimConfig, t_grid, horizon: float) -> np.ndarray:
-    if t_grid is not None:
-        return np.asarray(t_grid, dtype=float)
-    return np.linspace(0.0, horizon, config.grid_points)
+def default_dt(net: Network) -> float:
+    return DEFAULT_STEP_PROB / max_total_rate(net)
 
 
 def _block_seeds(seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
@@ -230,12 +214,9 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
     )
 
 
-def run_event_driven(net: Network, config: SimConfig = SimConfig(), t_grid=None) -> AdoptionCurve:
-    """Exact continuous-time simulation; Monte Carlo curve on the output
-    grid (linspace(0, t_max, grid_points) unless a grid is passed)."""
-    horizon = _horizon(config, t_grid)
-    grid = _grid(config, t_grid, horizon)
-    return curve_from_times(_event_times(net, config), grid, block=config.block_size)
+def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
+    """Exact continuous-time simulation; Monte Carlo curve on t_grid."""
+    return curve_from_times(_event_times(net, config), t_grid, block=config.block_size)
 
 
 def event_trajectories(net: Network, config: SimConfig = SimConfig()) -> np.ndarray:

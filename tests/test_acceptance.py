@@ -162,7 +162,7 @@ def test_transform_plans_preserve_survival():
     for name in ("fig3", "fig4", "fig6", "fig7", "fig8", "fig13", "fig14", "fig15"):
         for case in figure_plan(name, p=P, q=Q):
             assert case.network.n <= 10, case.name
-            report = verify_indifference(case.network, case.plan, tol=1e-10)
+            report = verify_indifference(case.network, case.plan)
             assert report["passed"], (case.name, case.label, report["max_gap"])
             assert report["max_gap"] <= 1e-10
             n_cases += 1

@@ -6,6 +6,7 @@ import pytest
 
 from basslab.analytic import (
     CLOSED_FORM_MAX_M,
+    MAX_DECAY_SPAN,
     DegenerateParameters,
     _block_survival,
     _circle_survivals,
@@ -139,10 +140,6 @@ class TestDegeneracyRouting:
         S8, _ = survival_circle(T_GRID, 0.05, 0.3, 8)
         assert np.all(S[1:] < S6[1:]) and np.all(S8[1:] < S[1:])
 
-    def test_explicit_closed_form_request_surfaces_the_failure(self):
-        with pytest.raises(DegenerateParameters):
-            survival_circle(T_GRID, 0.05, 0.3, 7, method="closed_form")
-
     def test_degenerate_ode_matches_expm(self):
         ref = hierarchy_expm_survival(5.0, 0.05, 0.3, 7)
         S, _ = survival_circle(np.array([5.0]), 0.05, 0.3, 7)
@@ -153,10 +150,6 @@ class TestDegeneracyRouting:
             survival_circle_closed_form(T_GRID, 0.01, 0.1, CLOSED_FORM_MAX_M + 1)
         S, source = survival_circle(T_GRID, 0.01, 0.1, CLOSED_FORM_MAX_M + 1)
         assert source == "ode"
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            survival_circle(T_GRID, 0.01, 0.1, 3, method="magic")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -480,6 +473,31 @@ class TestDiagnostics:
             psi_diag(T_GRID, 0.01, 4, 6, s1, s1)
 
 
+class TestDecaySpan:
+    @pytest.mark.parametrize("solve", [
+        lambda t, p, q: _circle_survivals(t, p, q, 6),
+        lambda t, p, q: f_line_two_sided(t, p, q, 6),
+        lambda t, p, q: alpha_diag(t, p, q, 3),
+    ], ids=["circle", "two-sided-line", "alpha"])
+    def test_solve_past_the_bound_is_refused(self, solve):
+        p, q = 1e-14, 0.1
+        t = np.linspace(0.0, 1.01 * MAX_DECAY_SPAN / (p + q), 3)
+        with pytest.raises(ValueError, match=r"\(p\+q\)\*t_max = 1\.01e\+04 is past"):
+            solve(t, p, q)
+
+    def test_solve_at_the_bound_runs(self):
+        p, q = 0.01, 0.1
+        t = np.linspace(0.0, MAX_DECAY_SPAN / (p + q), 50)
+        S = _circle_survivals(t, p, q, 6)[-1]
+        assert np.max(np.abs(S - survival_circle_closed_form(t, p, q, 6))) < 1e-10
+
+    def test_automatic_route_at_tiny_p_is_refused(self):
+        # q/p = 1e13 fails the closed form's rounding bound; the default
+        # grid's horizon is 9.6e7
+        with pytest.raises(ValueError, match="past"):
+            f_circle(default_time_grid(1e-14, 0.1), 1e-14, 0.1, 6)
+
+
 class TestTimeGrid:
     def test_reaches_requested_coverage(self):
         g = default_time_grid(0.01, 0.1, points=100)
@@ -506,5 +524,5 @@ class TestTimeGrid:
         assert default_time_grid(p, 0.0, coverage=coverage)[-1] == -math.log1p(-coverage) / p
 
     def test_horizon_past_cap_is_an_error(self):
-        with pytest.raises(RuntimeError, match="past 1e12"):
+        with pytest.raises(ValueError, match="past 1e12"):
             default_time_grid(1e-12, 0.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,10 @@ from basslab.curves import read_curve_csv
 from basslab.network import build_line
 from basslab.principles import PlanCase, TransformPlan
 from conftest import fresh_python
+
+
+Q_MESSAGE = "q must be non-negative and finite"
+T_MESSAGE = "t_max must be positive and finite"
 
 
 def run(args):
@@ -50,7 +55,7 @@ class TestAnalytic:
 
     def test_grid_topology_points_to_simulate(self):
         with pytest.raises(SystemExit, match="simulate"):
-            run(["analytic", "--topology", "grid", "-D", "2", "--side", "4"])
+            run(["analytic", "--topology", "grid"])
 
     def test_hybrid_ray_bounds(self):
         with pytest.raises(SystemExit, match="ray"):
@@ -201,7 +206,6 @@ class TestVerify:
 
 
 class TestBadInput:
-    @pytest.mark.filterwarnings("ignore:dt=5.0")
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -211,7 +215,8 @@ class TestBadInput:
             (["analytic", "-q", "-1"], "q must be non-negative"),
             (["simulate", "--topology", "grid", "-D", "0"], "D must be >= 1"),
             (["simulate", "--t-max", "-1"], "t_max must be positive"),
-            (["verify", "--suite", "dominance", "--dt", "5"], "per-step probability 1.05 > 1"),
+            (["simulate", "--scheme", "discrete", "--dt", "10"], "per-step probability 1.1 > 1"),
+            (["analytic", "-p", "1e-13", "-q", "0"], "grid horizon T = 4.61e+13 is past 1e12"),
         ],
     )
     def test_library_rejection_is_one_line(self, tmp_path, args, message):
@@ -222,36 +227,37 @@ class TestBadInput:
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("args", [
-        ["analytic", "--topology", "circle", "-M", "6", "--t-max", "50"],
-        ["analytic", "--topology", "circle", "-M", "6"],
-        ["simulate", "--topology", "circle", "-M", "6", "--trials", "10", "--t-max", "50"],
-        ["verify", "--suite", "indifference"],
-    ], ids=["analytic", "analytic-default-grid", "simulate", "verify"])
-    def test_non_finite_rate_fails_in_one_line(self, tmp_path, args, value):
+    @pytest.mark.parametrize("args, flag, message", [
+        (["analytic", "--topology", "circle", "-M", "6", "--t-max", "50"], "-q", Q_MESSAGE),
+        (["analytic", "--topology", "circle", "-M", "6"], "-q", Q_MESSAGE),
+        (["simulate", "--topology", "circle", "-M", "6", "--trials", "10", "--t-max", "50"],
+         "-q", Q_MESSAGE),
+        (["verify", "--suite", "indifference"], "-q", Q_MESSAGE),
+        (["analytic", "--topology", "circle", "-M", "3", "--grid", "3"], "--t-max", T_MESSAGE),
+        (["simulate", "--topology", "circle", "-M", "6", "--trials", "10"], "--t-max", T_MESSAGE),
+        (["verify", "--suite", "dominance", "--trials", "10"], "--t-max", T_MESSAGE),
+    ], ids=["analytic", "analytic-default-grid", "simulate", "verify",
+            "analytic-t-max", "simulate-t-max", "verify-t-max"])
+    def test_non_finite_value_fails_in_one_line(self, tmp_path, args, flag, message, value):
         out = tmp_path / "out"
-        proc = fresh_python(["-m", "basslab.cli", *args, "-q", value, "--out", str(out)],
+        proc = fresh_python(["-m", "basslab.cli", *args, flag, value, "--out", str(out)],
                             cwd=tmp_path, timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr == f"basslab: error: q must be non-negative and finite, got {value}\n"
+        assert proc.stderr == f"basslab: error: {message}, got {value}\n"
         assert proc.stdout == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("suite", ["dominance", "all"])
-    def test_too_coarse_verify_dt_is_rejected_before_any_work(
-        self, tmp_path, capsys, monkeypatch, suite
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError("a suite ran before the dt check")
-
-        monkeypatch.setattr(cli, "oracle_dominance_report", never)
-        monkeypatch.setattr(cli, "verify_indifference", never)
-        with pytest.raises(SystemExit) as exc:
-            run(["verify", "--suite", suite, "--dt", "5", "--out", str(tmp_path / "out")])
-        assert str(exc.value) == (
-            "basslab: error: dt=5.0 gives per-step probability 1.05 > 1 for the fastest node"
-        )
-        assert capsys.readouterr().err == ""
+    @pytest.mark.parametrize("topology", ["circle", "line"])
+    def test_stiff_default_horizon_is_refused_at_once(self, tmp_path, topology):
+        # q/p = 1e13: the default horizon is 9.6e7, past any ODE solve's bound
+        out = tmp_path / "out.csv"
+        proc = fresh_python(["-m", "basslab.cli", "analytic", "--topology", topology,
+                             "-p", "1e-14", "--out", str(out)], cwd=tmp_path, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("basslab: error: ")
+        assert "(p+q)*t_max = 9.6e+06 is past the 1e+04 an ODE solve takes" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_coarse_dt_warns_in_one_line(self, tmp_path, capsys):
         args = ["simulate", "--scheme", "discrete", "--dt", "0.5", "-q", "1", "--trials", "10",
@@ -263,7 +269,38 @@ class TestBadInput:
         ]
 
 
+def _command_parsers() -> dict:
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 class TestConfigFiles:
+    def test_config_keys_are_the_parser_flags(self):
+        commands = _command_parsers()
+        assert set(commands) == set(cli.DEFAULTS)
+        for command, sub in commands.items():
+            dests = {a.dest for a in sub._actions} - {"help", "config", "override"}
+            assert dests == set(cli.DEFAULTS[command]), command
+
+    @pytest.mark.parametrize("command, flag, key, value, message", [
+        ("analytic", ["-D", "2"], "D", 2, "unrecognized arguments: -D 2"),
+        # argparse reads --side as an abbreviation of --sided
+        ("analytic", ["--side", "4"], "side", 4, "argument --sided: invalid choice: '4'"),
+        ("analytic", ["--periodic"], "periodic", True, "unrecognized arguments: --periodic"),
+        ("verify", ["--dt", "0.1"], "dt", 0.1, "unrecognized arguments: --dt 0.1"),
+    ])
+    def test_removed_settings_are_refused(self, tmp_path, capsys, command, flag, key, value,
+                                          message):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *flag])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=f"--config keys not valid for `{command}`: {key}$"):
+            run([command, "--config", str(cfg)])
+
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 5, "q": 0.2, "t_max": 20.0, "grid": 11}))

@@ -123,7 +123,9 @@ class TestSimConfig:
             {"trials": 0},
             {"dt": 0.0},
             {"t_max": -1.0},
-            {"grid_points": 1},
+            {"t_max": float("nan")},
+            {"t_max": float("inf")},
+            {"dt": float("nan")},
             {"block_size": 0},
             {"t_max": 0.0},
         ],
@@ -282,11 +284,6 @@ class TestEventDriven:
         cfg = SimConfig(trials=2**30, block_size=2**30, t_max=1.0)
         with pytest.raises(ValueError, match="block_size"):
             event_trajectories(net, cfg)
-
-    def test_needs_some_horizon(self):
-        net = build_circle(3, 0.1, 0.4)
-        with pytest.raises(ValueError, match="t_max"):
-            run_event_driven(net, SimConfig(trials=10))
 
 
 class TestDiscrete:

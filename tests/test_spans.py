@@ -1,12 +1,20 @@
 """The benchmark's tracer (perfbench/spans.py) rebinds library functions by
-name; a refactor that renames or removes one breaks `--trace 1`. This
-checks every name it lists, without installing the tracer."""
+name and reads fields of their arguments and results; a refactor that
+renames or removes one, or changes what it takes or returns, breaks
+`--trace 1`. These check every name it lists and the fields its hooks
+read, installing the tracer only in a fresh interpreter."""
 import importlib
 import importlib.util
 import sys
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
+from basslab.analytic import survival_circle
+from basslab.network import build_circle, build_line
+from basslab.simulator import SimConfig, run_coupled, run_event_driven
 from conftest import fresh_python
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -27,6 +35,36 @@ def test_every_traced_name_resolves(monkeypatch):
     missing = [f"basslab.{m}.{a}" for m, a in listed
                if not callable(getattr(importlib.import_module(f"basslab.{m}"), a, None))]
     assert missing == []
+
+
+def test_hooks_read_fields_the_library_returns(monkeypatch):
+    """The tracer's hooks read run_coupled's report["trials"] and
+    ["steps"], the route survival_circle returns next to its values, and
+    run_event_driven's config as its second argument; a change to any of
+    them breaks `--trace 1` without breaking a call."""
+    spans = _load_spans(monkeypatch)
+    counts = defaultdict(float)
+    lo, hi = build_line(4, 0.01, 0.1), build_circle(4, 0.01, 0.1)
+    config = SimConfig(trials=5, base_seed=1, t_max=2.0)
+    report = run_coupled(lo, hi, config)
+    assert isinstance(report["trials"], int) and isinstance(report["steps"], int)
+    spans._count_coupled(counts, report, (lo, hi, config), {})
+    assert counts["simulator.coupled_cells"] == 5 * report["steps"] * 4 * 2
+
+    t = np.linspace(0.0, 10.0, 5)
+    routes = []
+    for p, q, M in ((0.01, 0.1, 6), (0.05, 0.3, 7)):  # trusted; q = 6p resonance
+        out = survival_circle(t, p, q, M)
+        values, route = out
+        assert values.shape == t.shape
+        routes.append(route)
+        spans._count_route(counts, out, (t, p, q, M), {})
+    assert routes == ["closed_form", "ode"]
+    assert counts["analytic.route.closed_form"] == counts["analytic.route.ode"] == 1
+
+    curve = run_event_driven(hi, config, t)
+    spans._count_event(counts, curve, (hi, config, t), {})
+    assert counts["simulator.trial_nodes"] == 5 * 4
 
 
 def test_ode_counter_counts_each_solve(tmp_path):

@@ -61,6 +61,8 @@ RECURSION_ATOL = 1e-13
 # horizon: at 1e4 the two-sided line of 200 nodes takes about 1.4 s and
 # the 6-circle at q/p = 1e13 about 0.6 s, at 1e5 about 12 s and 5 s.
 MAX_DECAY_SPAN = 1e4
+# Fraction of the infinite-line curve reached at the default grid's horizon.
+GRID_COVERAGE = 0.99
 
 
 class DegenerateParameters(ValueError):
@@ -239,20 +241,18 @@ def f_one_dim_limit(t, p: float, q: float) -> np.ndarray:
     return 1.0 - np.exp(-(p + q) * t + (q / p) * (1.0 - np.exp(-p * t)))
 
 
-def default_time_grid(p: float, q: float, points: int = 200, coverage: float = 0.99) -> np.ndarray:
+def default_time_grid(p: float, q: float, points: int = 200) -> np.ndarray:
     """Uniform grid on [0, T] with T chosen so the infinite-line fraction
-    reaches `coverage` at T.
+    reaches GRID_COVERAGE at T.
 
-    With x = pT and r = q/p, f_one_dim_limit(T) = coverage is
-    g(x) = x + r (x + expm1(-x)) = L, L = -log1p(-coverage). g is
+    With x = pT and r = q/p, f_one_dim_limit(T) = GRID_COVERAGE is
+    g(x) = x + r (x + expm1(-x)) = L, L = -log1p(-GRID_COVERAGE). g is
     increasing and convex and g(L) >= L, so Newton's method from x = L
     falls monotonically onto the root; it stops at the first iterate that
     does not decrease. At q = 0 it returns L/p.
     """
     _check_pq(p, q)
-    if not 0 < coverage < 1:
-        raise ValueError("coverage must be in (0, 1)")
-    L = -math.log1p(-coverage)
+    L = -math.log1p(-GRID_COVERAGE)
     r = q / p
     x = L
     while True:
@@ -440,17 +440,14 @@ def psi_diag(
     M: int,
     s1: np.ndarray,
     s1_half: np.ndarray,
-    pair_left: np.ndarray | None = None,
-    pair_right: np.ndarray | None = None,
 ) -> np.ndarray:
     """psi(t,k,M) = S_2(t;q,k) + S_2(t;q,M-k+1)
     - Prob(X_{k-1}=0, X_k=0) - Prob(X_k=0, X_{k+1}=0) on the two-sided line;
     positive for t > 0, k >= 2, M >= 2k-1. s1 and s1_half are the S_1
     tables at q and q/2 on t_grid, with at least M-k+1 sizes.
 
-    The pair probabilities default to products of half-rate survivals read
-    off s1_half, as pair_survival_two_sided_line forms them; callers can
-    pass oracle-computed series instead.
+    The pair probabilities are products of half-rate survivals read off
+    s1_half, as pair_survival_two_sided_line forms them.
     """
     if not (k >= 2 and M >= 2 * k - 1):
         raise ValueError(f"psi needs k >= 2 and M >= 2k-1, got k={k}, M={M}")
@@ -462,8 +459,4 @@ def psi_diag(
 
     s2_left = _block_survival(s1, t_grid, p, 2, k)
     s2_right = _block_survival(s1, t_grid, p, 2, M - k + 1)
-    if pair_left is None:
-        pair_left = pair(k)
-    if pair_right is None:
-        pair_right = pair(k + 1)
-    return s2_left + s2_right - pair_left - pair_right
+    return s2_left + s2_right - pair(k) - pair(k + 1)

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import typing
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,14 +50,7 @@ from .principles import (
     oracle_dominance_report,
     verify_indifference,
 )
-from .simulator import (
-    DEFAULT_TRIALS,
-    SimConfig,
-    curve_from_times,
-    run_coupled,
-    run_discrete,
-    run_event_driven,
-)
+from .simulator import DEFAULT_TRIALS, SimConfig, run_coupled, run_event_driven
 
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "all")
@@ -78,8 +70,6 @@ class RunSpec:
     ray: int = 3
     trials: int = DEFAULT_TRIALS
     seed: int = 0
-    scheme: str = "event"
-    dt: float | None = None
     t_max: float | None = None
     grid: int = DEFAULT_GRID_POINTS
     out: str | None = None
@@ -97,10 +87,21 @@ DEFAULTS = {
     for command, keys in (
         ("analytic", _COMMON_KEYS + _TOPOLOGY_KEYS),
         ("simulate", _COMMON_KEYS + _TOPOLOGY_KEYS + _RUN_KEYS
-         + ("D", "side", "periodic", "scheme", "dt", "per_node")),
+         + ("D", "side", "periodic", "per_node")),
         ("verify", _COMMON_KEYS + _RUN_KEYS + ("suite",)),
     )
 }
+# the keys each run reads; any other key given for it is refused, not ignored
+_SIMULATE_PRESET_KEYS = _COMMON_KEYS + _RUN_KEYS + ("grid", "per_node")
+_SINGLE_RUN_KEYS = _COMMON_KEYS + ("topology", "grid")
+_SHAPE_KEYS = {  # the keys each topology's network is built from
+    "circle": ("sided", "M"),  # analytic reads sided too: the circle's curve holds for both
+    "line": ("sided", "M"),
+    "grid": ("sided", "D", "side", "periodic"),
+    "hybrid": ("M", "ray"),
+}
+_VERIFY_READ_KEYS = ("p", "q", "out")
+_COUPLING_KEYS = ("trials", "seed", "t_max")  # read by the dominance suite's coupled runs
 
 
 _FIELD_TYPES = typing.get_type_hints(RunSpec)
@@ -216,12 +217,7 @@ def cmd_analytic(spec: RunSpec) -> int:
 
 
 def _simulate_network(net: Network, t: np.ndarray, spec: RunSpec) -> AdoptionCurve:
-    if spec.scheme not in ("event", "discrete"):
-        raise SystemExit(f"unknown scheme {spec.scheme!r}")
-    config = SimConfig(trials=spec.trials, base_seed=spec.seed, dt=spec.dt, t_max=float(t[-1]))
-    if spec.scheme == "event":
-        return run_event_driven(net, config, t_grid=t)
-    return curve_from_times(run_discrete(net, config), t)
+    return run_event_driven(net, SimConfig(trials=spec.trials, base_seed=spec.seed), t_grid=t)
 
 
 def _drop_per_node(curve: AdoptionCurve, per_node: bool) -> AdoptionCurve:
@@ -447,17 +443,21 @@ def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag (--side for --sided) is refused,
+    # not read as that flag
     parser = argparse.ArgumentParser(
         prog="basslab",
         description="Bass diffusion on networks: exact curves, simulation, verification",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    a = sub.add_parser("analytic", help="exact adoption curve to CSV")
+    a = sub.add_parser("analytic", help="exact adoption curve to CSV", allow_abbrev=False)
     _add_common_flags(a)
     _add_topology_flags(a)
 
-    s = sub.add_parser("simulate", help="Monte Carlo adoption curve to CSV")
+    s = sub.add_parser("simulate", help="Monte Carlo adoption curve to CSV",
+                       allow_abbrev=False)
     _add_common_flags(s)
     _add_topology_flags(s)
     s.add_argument("-D", dest="D", type=int, default=argparse.SUPPRESS, help="grid dimension")
@@ -466,15 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wrap the grid into a torus")
     s.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--scheme", choices=("event", "discrete"), default=argparse.SUPPRESS)
-    s.add_argument("--dt", type=float, default=argparse.SUPPRESS,
-                   help="discrete scheme step size")
     s.add_argument("--preset", choices=SIMULATE_PRESETS, default=argparse.SUPPRESS,
                    help="named multi-curve run; writes CSVs plus a manifest")
     s.add_argument("--per-node", dest="per_node", action="store_true", default=argparse.SUPPRESS,
                    help="include per-node adoption frequencies as CSV columns")
 
-    v = sub.add_parser("verify", help="verification suites; JSON report; exit 0 iff pass")
+    v = sub.add_parser("verify", help="verification suites; JSON report; exit 0 iff pass",
+                       allow_abbrev=False)
     _add_common_flags(v)
     v.add_argument("--suite", choices=SUITES, default=argparse.SUPPRESS)
     v.add_argument("--preset", choices=FIGURE_PLAN_NAMES, default=argparse.SUPPRESS,
@@ -490,6 +488,7 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
     config_path = explicit.pop("config", None)
     override = explicit.pop("override", False)
     merged = dict(DEFAULTS[command])
+    loaded = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -509,28 +508,48 @@ def _merge_spec(ns: argparse.Namespace) -> RunSpec:
             raise SystemExit(
                 "flag/config conflict for: " + ", ".join(conflicts) + " (pass --override to let flags win)"
             )
-        merged.update(loaded)
+    merged.update(loaded)
     merged.update(explicit)
-    return RunSpec(command=command, **merged)
+    spec = RunSpec(command=command, **merged)
+    _refuse_unread(spec, set(explicit) | set(loaded))
+    return spec
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"basslab: warning: {message}", file=sys.stderr)
+def _refuse_unread(spec: RunSpec, given: set[str]) -> None:
+    """Stop when a key given for the chosen run (a single network, a
+    simulate preset, a verify preset or a verify suite) is one that run does
+    not read."""
+    if spec.command == "simulate" and spec.preset is not None:
+        run, read = f"simulate --preset {spec.preset}", _SIMULATE_PRESET_KEYS
+    elif spec.command in ("analytic", "simulate") and spec.topology in _SHAPE_KEYS:
+        run = f"{spec.command} --topology {spec.topology}"
+        read = _SINGLE_RUN_KEYS + _SHAPE_KEYS[spec.topology]
+        if spec.command == "simulate":
+            read += _RUN_KEYS + ("per_node",)
+    elif spec.command == "verify" and spec.preset is not None:
+        run, read = f"verify --preset {spec.preset}", _VERIFY_READ_KEYS + ("preset",)
+    elif spec.command == "verify" and spec.suite in SUITES:
+        run, read = f"verify --suite {spec.suite}", _VERIFY_READ_KEYS + ("suite",)
+        if spec.suite in ("dominance", "all"):
+            read += _COUPLING_KEYS
+    else:
+        return
+    unread = sorted(given - set(read))
+    if unread:
+        raise SystemExit(f"basslab: error: `{run}` does not read {', '.join(unread)}")
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    with warnings.catch_warnings():  # library warnings print as one line, as errors do
-        warnings.showwarning = _warning_line
-        try:
-            spec = _merge_spec(ns)
-            if spec.command == "analytic":
-                return cmd_analytic(spec)
-            if spec.command == "simulate":
-                return cmd_simulate(spec)
-            return cmd_verify(spec)
-        except ValueError as exc:  # bad input the library rejected: one line, no traceback
-            raise SystemExit(f"basslab: error: {exc}") from None
+    try:
+        spec = _merge_spec(ns)
+        if spec.command == "analytic":
+            return cmd_analytic(spec)
+        if spec.command == "simulate":
+            return cmd_simulate(spec)
+        return cmd_verify(spec)
+    except ValueError as exc:  # bad input the library rejected: one line, no traceback
+        raise SystemExit(f"basslab: error: {exc}") from None
 
 
 if __name__ == "__main__":

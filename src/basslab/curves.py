@@ -8,7 +8,7 @@ from typing import IO
 import numpy as np
 
 # Sources a curve can come from.
-CURVE_SOURCES = ("closed_form", "ode", "quadrature", "oracle", "monte_carlo")
+CURVE_SOURCES = ("closed_form", "ode", "oracle", "monte_carlo")
 
 _SLACK = 1e-8  # numerical slack on the [0,1] / monotonicity invariants
 

@@ -187,17 +187,12 @@ def _case(name, label, network, plan, note) -> PlanCase:
     return PlanCase(name=name, label=label, network=network, plan=plan, note=note)
 
 
-def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1, **kw) -> list[PlanCase]:
+def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
     """Named preset transform scenarios; each returns one or two cases of
     (network, plan) ready for verify_indifference. Node ids are 0-based."""
+    M = 8  # node count of the circles and lines
     if name == "fig3":
-        M = 8 if M is None else M
-        k = kw.pop("k", 3)
-        s = kw.pop("start", 1)
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
-        if not 2 <= k <= M - 1:
-            raise ValueError("block size k must be in 2..M-1")
+        k, s = 3, 1
         net = build_circle(M, p, q, sided="one")
         omega = tuple((s + i) % M for i in range(k))
         removals = tuple(((s + i) % M, (s + i + 1) % M) for i in range(k - 1))
@@ -210,13 +205,7 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
         return [_case(name, "circle_block_shift", net, plan, note)]
 
     if name == "fig4":
-        M = 8 if M is None else M
-        k = kw.pop("k", 4)
-        s = kw.pop("start", 1)
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
-        if not 3 <= k <= M - 2:
-            raise ValueError("block size k must be in 3..M-2 so the inserted pair is new")
+        k, s = 4, 1
         net = build_circle(M, p, q, sided="two")
         omega = tuple((s + i) % M for i in range(k))
         removals = []
@@ -233,24 +222,13 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
         return [_case(name, "two_sided_circle_block_shift", net, plan, note)]
 
     if name == "fig6":
-        M = 8 if M is None else M
-        j = kw.pop("node", 4)
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
-        if not 0 <= j <= M - 1:
-            raise ValueError("node out of range")
+        j = 4
         net = build_line(M, p, q, sided="one")
-        removals = ((j, j + 1),) if j < M - 1 else ()
-        # node 0 already is a 1-circle; closing an edge to itself is a no-op
-        additions = ((j, 0, q),) if j > 0 else ()
-        plan = TransformPlan(omega=(j,), removals=removals, additions=additions)
+        plan = TransformPlan(omega=(j,), removals=((j, j + 1),), additions=((j, 0, q),))
         note = f"node {j} of the one-sided line closes into a {j + 1}-circle"
         return [_case(name, "line_node_to_circle", net, plan, note)]
 
     if name == "fig7":
-        M = 8 if M is None else M
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
         net = build_line(M, p, q, sided="two")
         removals = tuple((i + 1, i) for i in range(M - 1))
         plan = TransformPlan(omega=(M - 1,), removals=removals, additions=((M - 1, 0, q / 2),))
@@ -258,12 +236,7 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
         return [_case(name, "last_node_to_half_rate_circle", net, plan, note)]
 
     if name == "fig8":
-        M = 8 if M is None else M
-        j = kw.pop("node", 3)  # omega = {j-1, j}
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
-        if not 1 <= j <= M - 1:
-            raise ValueError("pair needs 1 <= node <= M-1")
+        j = 3  # omega = {j-1, j}
         net = build_line(M, p, q, sided="two")
         removals = [(i, i + 1) for i in range(j - 1, M - 1)]  # right-going from omega onward
         removals += [(i + 1, i) for i in range(j - 1)]  # left-going up to omega
@@ -276,26 +249,15 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
         return [_case(name, "interior_pair_to_independent_circles", net, plan, note)]
 
     if name == "fig13":
-        C = kw.pop("circle_size", 4)
-        K = kw.pop("ray_size", 3)
-        k = kw.pop("ray_node", 2)  # 1-based position along the ray
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
-        if not 1 <= k <= K:
-            raise ValueError("ray_node must be in 1..ray_size")
+        C, K, k = 4, 3, 2  # circle size, ray size, 1-based position along the ray
         net = build_hybrid_circle_ray(C, K, p, q)
         node = C + k - 1
-        removals = [(C - 1, 0)]
-        if k < K:
-            removals.append((node, node + 1))
-        plan = TransformPlan(omega=(node,), removals=tuple(removals), additions=((node, 0, q),))
+        removals = ((C - 1, 0), (node, node + 1))
+        plan = TransformPlan(omega=(node,), removals=removals, additions=((node, 0, q),))
         note = f"ray node {k} of the circle-with-ray closes into a {C + k}-circle"
         return [_case(name, "ray_node_to_circle", net, plan, note)]
 
     if name == "fig14":
-        M = 8 if M is None else M
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
         one = build_line(M, p, q, sided="one")
         plan_one = TransformPlan(
             omega=(0,), removals=tuple((i, i + 1) for i in range(M - 1)), additions=()
@@ -312,9 +274,6 @@ def figure_plan(name: str, M: int | None = None, p: float = 0.01, q: float = 0.1
         ]
 
     if name == "fig15":
-        M = 8 if M is None else M
-        if kw:
-            raise TypeError(f"unexpected arguments: {sorted(kw)}")
         net = build_line(M, p, q, sided="two")
         removals = tuple((i + 1, i) for i in range(M - 1))
         plan = TransformPlan(omega=(M - 1,), removals=removals, additions=())

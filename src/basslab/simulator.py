@@ -2,22 +2,22 @@
 
 Every sampler returns adoption times as one (trials, M) array, inf for a
 node that never adopted; `curve_from_times` turns such an array into a
-Monte Carlo curve. Two schemes:
+Monte Carlo curve.
 
-* event-driven: exact continuous-time sampling as first-passage
-  percolation. Hazards add, so each adoption time is a shortest-path
-  distance from a virtual source, with an Exp(1)/p_j edge into every node
-  and an Exp(1)/w_ij edge along every network edge. One Dijkstra call on a
-  block-diagonal graph solves a whole block of trials, at
-  O(trials * E * log(trials * E)) cost for E = nodes + edges per trial;
-* discrete: synchronous updates with step dt, node j adopting in a step
-  iff its uniform draw is <= lambda_j * dt, with the hazards one sparse
-  product over the in-edges: O(trials * (M + E)) per step, no M x M
-  matrix. One kernel steps any number of networks against the same
-  counter-based tape and records the step in which each node adopted.
-  `run_discrete` runs it on one network and `run_coupled` on a pair: the
-  pair is coupled draw-for-draw, which is what makes pathwise dominance
-  checks exact, and the coupling report is read off the two step arrays.
+Curves come from one sampler, exact continuous-time sampling as
+first-passage percolation. Hazards add, so each adoption time is a
+shortest-path distance from a virtual source, with an Exp(1)/p_j edge into
+every node and an Exp(1)/w_ij edge along every network edge. One Dijkstra
+call on a block-diagonal graph solves a whole block of trials, at
+O(trials * E * log(trials * E)) cost for E = nodes + edges per trial.
+
+`run_coupled` checks pathwise dominance on a pair of networks with a
+discrete kernel: synchronous updates with step dt, node j adopting in a
+step iff its uniform draw is <= lambda_j * dt, with the hazards one sparse
+product over the in-edges: O(trials * (M + E)) per step, no M x M matrix.
+Both networks step against the same counter-based tape, so the pair is
+coupled draw-for-draw, which is what makes the check exact; the coupling
+report is read off the two arrays of adoption steps.
 
 Event-driven trials are partitioned into fixed-size blocks, each with its
 own child stream of the base seed, and trial r of a block uses row r of the
@@ -25,9 +25,9 @@ block's draw, so results are reproducible for a given seed and a trial does
 not depend on how many trials share its block. This stream is new in
 basslab 0.2.0, where it replaced the step-by-step Gillespie loop:
 event-driven curves and `simulate` CSVs for a given seed differ from 0.1.0,
-and reruns with the same seed stay byte-identical. Discrete-scheme draws
-are a pure function of (base seed, step, trial, node), so a trial's path
-never depends on how many trials run alongside it.
+and reruns with the same seed stay byte-identical. Coupled draws are a
+pure function of (base seed, step, trial, node), so a trial's path never
+depends on how many trials run alongside it.
 """
 from __future__ import annotations
 
@@ -81,18 +81,6 @@ class CouplingTape:
     def uniforms(self, step: int, shape) -> np.ndarray:
         bits = np.random.Philox(key=self.seed, counter=[0, 0, int(step), 0])
         return np.random.Generator(bits).random(shape)
-
-
-class ConstantTape:
-    """Degenerate tape returning a fixed value; test instrumentation."""
-
-    def __init__(self, value: float):
-        if not 0 <= value <= 1:
-            raise ValueError("value must be in [0, 1]")
-        self.value = float(value)
-
-    def uniforms(self, step: int, shape) -> np.ndarray:
-        return np.full(shape, self.value)
 
 
 def max_total_rate(net: Network) -> float:
@@ -259,30 +247,6 @@ def _times(steps: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     return np.where(steps < n_steps, (steps + 1) * dt, np.inf)
 
 
-def _discrete_setup(dt_net: Network, config: SimConfig, tape):
-    dt = config.dt if config.dt is not None else default_dt(dt_net)
-    validate_dt(dt_net, dt)
-    if config.t_max is None:
-        raise ValueError("the discrete scheme needs config.t_max")
-    n_steps = int(np.ceil(config.t_max / dt - 1e-12))
-    if tape is None:
-        tape = CouplingTape(config.base_seed)
-    return dt, n_steps, tape
-
-
-def run_discrete(net: Network, config: SimConfig = SimConfig(), tape=None) -> np.ndarray:
-    """Synchronous discrete-time simulation with step dt; adoption times,
-    shape (trials, M), inf for never within the horizon.
-
-    All trials advance in lockstep from a shared tape and trial r consumes
-    the r-th slice of each step's draw block, so the uniform used by
-    (trial, node, step) does not depend on how many trials run.
-    """
-    dt, n_steps, tape = _discrete_setup(net, config, tape)
-    (steps,) = _discrete_steps([net], config, tape, n_steps, dt)
-    return _times(steps, n_steps, dt)
-
-
 def _violation_list(steps_a: np.ndarray, steps_b: np.ndarray) -> list[dict]:
     """The first VIOLATION_LIST_CAP (step, trial, node) cells, in that
     order, where A has adopted and B has not: steps_a <= step < steps_b."""
@@ -304,9 +268,7 @@ def _violation_list(steps_a: np.ndarray, steps_b: np.ndarray) -> list[dict]:
     return out
 
 
-def run_coupled(
-    net_a: Network, net_b: Network, config: SimConfig = SimConfig(), tape=None
-) -> dict:
+def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig()) -> dict:
     """Simulate both networks against one shared tape and check the
     pathwise ordering: every adopter of A is an adopter of B at every step.
 
@@ -320,8 +282,14 @@ def run_coupled(
     if net_a.n != net_b.n:
         raise ValueError("coupled networks must have the same node count")
     applicable = weakly_dominates(net_a, net_b)
-    dt, n_steps, tape = _discrete_setup(net_b, config, tape)
-    steps_a, steps_b = _discrete_steps([net_a, net_b], config, tape, n_steps, dt)
+    dt = config.dt if config.dt is not None else default_dt(net_b)
+    validate_dt(net_b, dt)
+    if config.t_max is None:
+        raise ValueError("the discrete scheme needs config.t_max")
+    n_steps = int(np.ceil(config.t_max / dt - 1e-12))
+    steps_a, steps_b = _discrete_steps(
+        [net_a, net_b], config, CouplingTape(config.base_seed), n_steps, dt
+    )
     # a cell violates the ordering in every step from A's adoption to B's
     violation_count = int(np.maximum(steps_b - steps_a, 0).sum())
     if applicable:

@@ -46,11 +46,11 @@ def two_node_chain_survival(t, p1, p2, w):
     return np.exp(-p2 * t) * (waited + fired)
 
 
-def brentq_horizon(p, q, coverage=0.99):
-    """T at which f_one_dim_limit reaches coverage, by brentq on a bracket
+def brentq_horizon(p, q):
+    """T at which f_one_dim_limit reaches 0.99, by brentq on a bracket
     [T/2, T] found by doubling T from 1: the reference for the default
     grid's horizon. brentq stops within 2e-12 + 4 eps T of the root."""
-    g = lambda T: float(f_one_dim_limit(T, p, q)[0]) - coverage
+    g = lambda T: float(f_one_dim_limit(T, p, q)[0]) - 0.99
     hi = 1.0
     while g(hi) < 0:
         hi *= 2.0

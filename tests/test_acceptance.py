@@ -126,15 +126,17 @@ def test_diagnostic_series_positive_with_oracle_pairs():
     for M in range(3, 10):
         for k in range(1, M - 1):
             assert np.all(gamma_diag(t, P, k, M, s1) > 0), ("gamma", k, M)
+    # psi from references that share no code with psi_diag: S_2 from the
+    # hierarchy solve and the pair survivals from the master equation
+    s2 = {m: hierarchy_survivals(t, P, Q, m)[1] for m in range(2, 9)}
     for M in range(3, 10):
         sol = solve_master(build_line(M, P, Q, sided="two"), t)
         for k in range(2, (M + 1) // 2 + 1):
-            psi = psi_diag(
-                t, P, k, M, s1, s1_half,
-                pair_left=sol.pair_survival(k - 2, k - 1),
-                pair_right=sol.pair_survival(k - 1, k),
-            )
+            psi = (s2[k] + s2[M - k + 1]
+                   - sol.pair_survival(k - 2, k - 1) - sol.pair_survival(k - 1, k))
             assert np.all(psi > 0), ("psi", k, M)
+            gap = np.max(np.abs(psi_diag(t, P, k, M, s1, s1_half) - psi))
+            assert gap <= 1e-10, ("psi", k, M, gap)
 
 
 def test_block_shift_identities_hold():

@@ -451,20 +451,6 @@ class TestDiagnostics:
         for k, M in ((2, 3), (2, 6), (3, 5), (4, 8)):
             assert np.all(psi_diag(t, 0.01, k, M, s1, s1_half) > 0)
 
-    def test_psi_accepts_injected_pair_series(self):
-        p, q, k, M = 0.05, 0.3, 2, 6
-        s1, s1_half = _circle_survivals(T_GRID, p, q, M), _circle_survivals(T_GRID, p, q / 2, M)
-        # the default pairs are these products of the half-rate table's rows
-        left = s1_half[k - 2] * s1_half[M - k]
-        right = s1_half[k - 1] * s1_half[M - k - 1]
-        a = psi_diag(T_GRID, p, k, M, s1, s1_half)
-        b = psi_diag(T_GRID, p, k, M, s1, s1_half, pair_left=left, pair_right=right)
-        assert np.array_equal(a, b)
-        assert np.max(np.abs(left - pair_survival_two_sided_line(T_GRID, p, q, M, k))) < 1e-10
-        assert np.max(np.abs(right - pair_survival_two_sided_line(T_GRID, p, q, M, k + 1))) < 1e-10
-        c = psi_diag(T_GRID, p, k, M, s1, s1_half, pair_left=0 * left, pair_right=0 * right)
-        assert np.max(np.abs((c - b) - (left + right))) < 1e-15
-
     def test_psi_bounds(self):
         s1 = _circle_survivals(T_GRID, 0.01, 0.1, 6)
         with pytest.raises(ValueError):
@@ -504,24 +490,18 @@ class TestTimeGrid:
         assert g.size == 100 and g[0] == 0.0
         assert f_one_dim_limit(g[-1], 0.01, 0.1)[0] == pytest.approx(0.99, abs=1e-9)
 
-    def test_coverage_bounds(self):
-        with pytest.raises(ValueError):
-            default_time_grid(0.01, 0.1, coverage=1.0)
-
     @pytest.mark.parametrize("p", [1e-3, 1e-2, 1e-1, 1.0])
     def test_horizon_matches_brentq(self, p):
         eps = np.finfo(float).eps
         qs = [0.0, *np.logspace(-3, 1, 9), 45 * p, 2 * p * (1 + 2e-9)]  # q/p = 45; resonant q
         for q in qs:
-            for coverage in (0.5, 0.99):
-                T = default_time_grid(p, q, coverage=coverage)[-1]
-                ref = brentq_horizon(p, q, coverage)
-                assert abs(T - ref) <= 2e-12 + 4 * eps * ref, (q, coverage)
+            T = default_time_grid(p, q)[-1]
+            ref = brentq_horizon(p, q)
+            assert abs(T - ref) <= 2e-12 + 4 * eps * ref, q
 
     @pytest.mark.parametrize("p", [1e-3, 0.01, 0.37, 1.0])
-    @pytest.mark.parametrize("coverage", [1e-6, 0.5, 0.99, 1 - 1e-9])
-    def test_zero_q_horizon_is_exact(self, p, coverage):
-        assert default_time_grid(p, 0.0, coverage=coverage)[-1] == -math.log1p(-coverage) / p
+    def test_zero_q_horizon_is_exact(self, p):
+        assert default_time_grid(p, 0.0)[-1] == -math.log1p(-0.99) / p
 
     def test_horizon_past_cap_is_an_error(self):
         with pytest.raises(ValueError, match="past 1e12"):

@@ -1,5 +1,9 @@
 import argparse
+import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from conftest import fresh_python
 
 Q_MESSAGE = "q must be non-negative and finite"
 T_MESSAGE = "t_max must be positive and finite"
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run(args):
@@ -82,14 +87,6 @@ class TestSimulate:
                     "--seed", "3", "--t-max", "5", "--grid", "6", "--out", str(out)]) == 0
         curve = read_curve_csv(str(out))
         assert np.all(curve.stderr == 0)
-
-    def test_discrete_scheme(self, tmp_path):
-        out = tmp_path / "disc.csv"
-        assert run(["simulate", "--topology", "line", "-M", "4", "--scheme", "discrete",
-                    "--dt", "0.05", "--trials", "40", "--seed", "5",
-                    "--t-max", "10", "--grid", "11", "--out", str(out)]) == 0
-        curve = read_curve_csv(str(out))
-        assert curve.f[0] == 0.0
 
     def test_per_node_flag_controls_columns(self, tmp_path):
         bare, full = tmp_path / "bare.csv", tmp_path / "full.csv"
@@ -215,7 +212,6 @@ class TestBadInput:
             (["analytic", "-q", "-1"], "q must be non-negative"),
             (["simulate", "--topology", "grid", "-D", "0"], "D must be >= 1"),
             (["simulate", "--t-max", "-1"], "t_max must be positive"),
-            (["simulate", "--scheme", "discrete", "--dt", "10"], "per-step probability 1.1 > 1"),
             (["analytic", "-p", "1e-13", "-q", "0"], "grid horizon T = 4.61e+13 is past 1e12"),
         ],
     )
@@ -259,15 +255,6 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
-    def test_coarse_dt_warns_in_one_line(self, tmp_path, capsys):
-        args = ["simulate", "--scheme", "discrete", "--dt", "0.5", "-q", "1", "--trials", "10",
-                "--out", str(tmp_path / "out.csv")]
-        assert run(args) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            "basslab: warning: dt=0.5 gives per-step probability 0.505; "
-            "discretization bias is O(dt)"
-        ]
-
 
 def _command_parsers() -> dict:
     parser = cli.build_parser()
@@ -282,13 +269,18 @@ class TestConfigFiles:
         for command, sub in commands.items():
             dests = {a.dest for a in sub._actions} - {"help", "config", "override"}
             assert dests == set(cli.DEFAULTS[command]), command
+        # a RunSpec field no command accepts is a setting nothing can set
+        keys = set().union(*cli.DEFAULTS.values())
+        assert {f.name for f in dataclasses.fields(cli.RunSpec)} == {"command"} | keys
 
     @pytest.mark.parametrize("command, flag, key, value, message", [
         ("analytic", ["-D", "2"], "D", 2, "unrecognized arguments: -D 2"),
-        # argparse reads --side as an abbreviation of --sided
-        ("analytic", ["--side", "4"], "side", 4, "argument --sided: invalid choice: '4'"),
+        ("analytic", ["--side", "4"], "side", 4, "unrecognized arguments: --side 4"),
         ("analytic", ["--periodic"], "periodic", True, "unrecognized arguments: --periodic"),
         ("verify", ["--dt", "0.1"], "dt", 0.1, "unrecognized arguments: --dt 0.1"),
+        ("simulate", ["--scheme", "discrete"], "scheme", "discrete",
+         "unrecognized arguments: --scheme discrete"),
+        ("simulate", ["--dt", "0.1"], "dt", 0.1, "unrecognized arguments: --dt 0.1"),
     ])
     def test_removed_settings_are_refused(self, tmp_path, capsys, command, flag, key, value,
                                           message):
@@ -300,6 +292,94 @@ class TestConfigFiles:
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit, match=f"--config keys not valid for `{command}`: {key}$"):
             run([command, "--config", str(cfg)])
+
+    @pytest.mark.parametrize("command, flag", [
+        ("analytic", ["--side", "two"]),  # a prefix of --sided
+        ("simulate", ["--per-n"]),  # a prefix of --per-node
+    ])
+    def test_flag_prefixes_are_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, config, run_name, unread", [
+        ("verify", ["--suite", "appendix", "--trials", "0", "--t-max", "1", "--seed", "9"],
+         {"suite": "appendix", "trials": 0, "t_max": 1, "seed": 9},
+         "verify --suite appendix", "seed, t_max, trials"),
+        ("verify", ["--preset", "fig3", "--trials", "0"], {"preset": "fig3", "trials": 0},
+         "verify --preset fig3", "trials"),
+        ("verify", ["--preset", "fig3", "--suite", "dominance"],
+         {"preset": "fig3", "suite": "dominance"}, "verify --preset fig3", "suite"),
+        ("simulate", ["--preset", "fig5", "-M", "9", "--side", "3", "--topology", "grid"],
+         {"preset": "fig5", "M": 9, "side": 3, "topology": "grid"},
+         "simulate --preset fig5", "M, side, topology"),
+        ("simulate", ["--topology", "circle", "-D", "3", "--side", "9", "--periodic"],
+         {"topology": "circle", "D": 3, "side": 9, "periodic": True},
+         "simulate --topology circle", "D, periodic, side"),
+        ("simulate", ["--topology", "grid", "-M", "40", "--ray", "2"],
+         {"topology": "grid", "M": 40, "ray": 2}, "simulate --topology grid", "M, ray"),
+        ("simulate", ["--topology", "hybrid", "--sided", "two", "-D", "3"],
+         {"topology": "hybrid", "sided": "two", "D": 3},
+         "simulate --topology hybrid", "D, sided"),
+        ("simulate", ["-D", "3"], {"D": 3}, "simulate --topology circle", "D"),
+        ("analytic", ["--topology", "hybrid", "--sided", "two"],
+         {"topology": "hybrid", "sided": "two"}, "analytic --topology hybrid", "sided"),
+        ("analytic", ["--topology", "line", "--ray", "2"], {"topology": "line", "ray": 2},
+         "analytic --topology line", "ray"),
+    ], ids=["verify-suite", "verify-preset", "verify-preset-and-suite", "simulate-preset",
+            "simulate-circle", "simulate-grid", "simulate-hybrid", "simulate-default-topology",
+            "analytic-hybrid", "analytic-line"])
+    def test_keys_the_run_does_not_read_are_refused(self, tmp_path, command, flags, config,
+                                                    run_name, unread):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        message = f"basslab: error: `{run_name}` does not read {unread}"
+        for args in (flags, ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                run([command, *args, "--out", str(out)])
+            assert str(exc.value) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite", ["dominance", "all"])
+    def test_coupled_suites_read_the_run_keys(self, suite):
+        ns = cli.build_parser().parse_args(
+            ["verify", "--suite", suite, "--trials", "100", "--seed", "4", "--t-max", "5"])
+        spec = cli._merge_spec(ns)
+        assert (spec.trials, spec.seed, spec.t_max) == (100, 4, 5.0)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analytic", ["--topology", "circle", "--sided", "two", "-M", "5"]),
+        ("analytic", ["--topology", "line", "--sided", "two", "-M", "5"]),
+        ("analytic", ["--topology", "hybrid", "-M", "7", "--ray", "3"]),
+        ("simulate", ["--topology", "circle", "--sided", "two", "-M", "5"]),
+        ("simulate", ["--topology", "line", "--sided", "two", "-M", "5"]),
+        ("simulate", ["--topology", "grid", "--sided", "two", "-D", "2", "--side", "3",
+                      "--periodic"]),
+        ("simulate", ["--topology", "hybrid", "-M", "7", "--ray", "3"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[1])
+    def test_single_runs_read_their_shape_keys(self, tmp_path, command, flags):
+        args = [command, *flags, "-p", "0.02", "-q", "0.2", "--t-max", "5", "--grid", "3",
+                "--out", str(tmp_path / "out.csv")]
+        if command == "simulate":
+            args += ["--trials", "2", "--seed", "1", "--per-node"]
+        assert run(args) == 0
+        assert read_curve_csv(str(tmp_path / "out.csv")).f.shape == (3,)
+
+    @pytest.mark.parametrize("workload", ["sim_lattice", "sim_torus_large", "exact_scale",
+                                          "verify_all"])
+    def test_benchmark_commands_are_accepted(self, monkeypatch, workload):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        ops = workloads.ops(workload, 5) + workloads.warmup_ops(workload, 5)
+        argvs = [[*op.argv, "--out", op.out] for op in ops if op.argv is not None]
+        assert argvs
+        for argv in argvs:
+            cli._merge_spec(cli.build_parser().parse_args(argv))  # raises if refused
 
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -352,13 +432,6 @@ class TestConfigFiles:
         with pytest.raises(SystemExit, match="JSON object"):
             run(["analytic", "--config", str(cfg)])
 
-    def test_bad_scheme_via_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scheme": "leapfrog"}))
-        with pytest.raises(SystemExit, match="scheme"):
-            run(["simulate", "--config", str(cfg), "--trials", "5",
-                 "--t-max", "5", "--grid", "3"])
-
     @pytest.mark.parametrize(
         "key, value, expected",
         [
@@ -377,7 +450,7 @@ class TestConfigFiles:
 
     def test_integer_passes_for_a_number_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_max": 20, "q": 0.2, "dt": None}))
+        cfg.write_text(json.dumps({"t_max": 20, "q": 0.2, "preset": None}))
         via_cfg, via_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
         assert run(["simulate", "--config", str(cfg), "--trials", "20", "--grid", "11",
                     "--out", str(via_cfg)]) == 0

@@ -22,9 +22,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             AdoptionCurve(t=np.zeros(0), f=np.zeros(0), source="ode")
 
-    def test_unknown_source(self):
+    @pytest.mark.parametrize("source", ["guesswork", "quadrature"])
+    def test_unknown_source(self, source):
         with pytest.raises(ValueError, match="unknown source"):
-            AdoptionCurve(t=T, f=F, source="guesswork")
+            AdoptionCurve(t=T, f=F, source=source)
 
     def test_nonzero_start(self):
         bad = F.copy()
@@ -57,7 +58,7 @@ class TestValidation:
         assert curve.f[0] == 0.3
 
     def test_all_sources_accepted(self):
-        for src in ("closed_form", "ode", "quadrature", "oracle", "monte_carlo"):
+        for src in ("closed_form", "ode", "oracle", "monte_carlo"):
             AdoptionCurve(t=T, f=F, source=src)
 
 

@@ -135,12 +135,12 @@ class TestTransforms:
 class TestFigurePlans:
     @pytest.mark.parametrize("name", ["fig3", "fig6", "fig7"])
     def test_preset_passes(self, name):
-        for case in figure_plan(name, M=6):
+        for case in figure_plan(name):
             report = verify_indifference(case.network, case.plan, t_grid=T)
             assert report["passed"], case.label
 
     def test_pair_split_disconnects_the_line(self):
-        (case,) = figure_plan("fig8", M=6, node=3)
+        (case,) = figure_plan("fig8")
         out = apply_transform(case.network, case.plan)
         # the two halves may only be bridged by edges leaving the watched
         # pair itself; those cannot affect what the pair experiences
@@ -154,28 +154,20 @@ class TestFigurePlans:
         from basslab.analytic import survival_circle
 
         s3, _ = survival_circle(T, 0.01, 0.05, 3)
-        assert np.max(np.abs(report["survival_after"] - s3 * s3)) < 1e-10
-
-    def test_first_node_plan_has_no_additions(self):
-        (case,) = figure_plan("fig6", M=6, node=0)
-        assert case.plan.additions == ()
-        assert verify_indifference(case.network, case.plan, t_grid=T)["passed"]
+        s5, _ = survival_circle(T, 0.01, 0.05, 5)
+        assert np.max(np.abs(report["survival_after"] - s3 * s5)) < 1e-10
 
     def test_names_are_exhaustive(self):
         for name in FIGURE_PLAN_NAMES:
-            assert figure_plan(name, M=6)
+            assert figure_plan(name)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown plan"):
             figure_plan("fig99")
 
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            figure_plan("fig3", M=6, k=6)
-
     def test_unexpected_argument(self):
         with pytest.raises(TypeError):
-            figure_plan("fig3", M=6, wobble=2)
+            figure_plan("fig3", M=6)
 
 
 p_small = st.floats(0.01, 0.5, allow_nan=False)

@@ -15,7 +15,6 @@ from basslab.network import (
 from basslab.oracle import exact_f
 from basslab.principles import dominance_pairs
 from basslab.simulator import (
-    ConstantTape,
     CouplingTape,
     DEFAULT_STEP_PROB,
     VIOLATION_LIST_CAP,
@@ -24,8 +23,9 @@ from basslab.simulator import (
     default_dt,
     event_trajectories,
     max_total_rate,
+    _discrete_steps,
+    _times,
     run_coupled,
-    run_discrete,
     run_event_driven,
     validate_dt,
 )
@@ -155,15 +155,6 @@ class TestTapes:
         large = tape.uniforms(2, (30, 3))
         assert np.array_equal(small, large[:10])
 
-    def test_constant_tape(self):
-        assert np.all(ConstantTape(0.25).uniforms(0, (3, 3)) == 0.25)
-        ConstantTape(0.0)
-        ConstantTape(1.0)
-        with pytest.raises(ValueError):
-            ConstantTape(-0.1)
-        with pytest.raises(ValueError):
-            ConstantTape(1.1)
-
 
 class TestStepSize:
     def test_max_total_rate(self):
@@ -290,30 +281,17 @@ class TestDiscrete:
     def test_deterministic_and_tape_driven(self):
         net = build_circle(4, 0.05, 0.3)
         cfg = SimConfig(trials=100, base_seed=21, dt=0.05, t_max=5.0)
-        a = run_discrete(net, cfg)
+        a = run_coupled(net, net, cfg)["times_a"]
         assert a.shape == (100, 4)
-        assert np.array_equal(a, run_discrete(net, cfg))
-        assert np.array_equal(a, run_discrete(net, cfg, tape=CouplingTape(21)))
+        assert np.array_equal(a, run_coupled(net, net, cfg)["times_a"])
+        (steps,) = _discrete_steps([net], cfg, CouplingTape(21), 100, 0.05)
+        assert np.array_equal(a, _times(steps, 100, 0.05))
 
     def test_trials_do_not_interact(self):
         net = build_circle(3, 0.1, 0.4)
-        few = run_discrete(net, SimConfig(trials=10, base_seed=2, dt=0.1, t_max=5.0))
-        many = run_discrete(net, SimConfig(trials=25, base_seed=2, dt=0.1, t_max=5.0))
-        assert np.array_equal(few, many[:10])
-
-    def test_all_ones_tape_freezes_everything(self):
-        net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=10, dt=0.05, t_max=5.0)
-        assert np.all(np.isinf(run_discrete(net, cfg, tape=ConstantTape(1.0))))
-
-    def test_all_zeros_tape_adopts_immediately(self):
-        net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=10, dt=0.05, t_max=5.0)
-        assert np.all(run_discrete(net, cfg, tape=ConstantTape(0.0)) == 0.05)
-
-    def test_needs_t_max(self):
-        with pytest.raises(ValueError, match="t_max"):
-            run_discrete(build_circle(3, 0.1, 0.4), SimConfig(trials=10, dt=0.1))
+        few = run_coupled(net, net, SimConfig(trials=10, base_seed=2, dt=0.1, t_max=5.0))
+        many = run_coupled(net, net, SimConfig(trials=25, base_seed=2, dt=0.1, t_max=5.0))
+        assert np.array_equal(few["times_a"], many["times_a"][:10])
 
     def test_matches_exact_chain_distribution(self):
         # the synchronous chain has an exactly computable mean fraction;
@@ -322,7 +300,7 @@ class TestDiscrete:
         dt, t_max = 0.1, 8.0
         ref = discrete_chain_f(net, dt, int(round(t_max / dt)))
         cfg = SimConfig(trials=3000, base_seed=1, dt=dt, t_max=t_max)
-        curve = curve_from_times(run_discrete(net, cfg), np.array([0.0, t_max]))
+        curve = curve_from_times(run_coupled(net, net, cfg)["times_a"], np.array([0.0, t_max]))
         assert abs(curve.f[-1] - ref) <= 4 * curve.stderr[-1]
 
     def test_step_bias_shrinks_linearly(self):
@@ -366,12 +344,8 @@ class TestDiscrete:
         net = build_circle(3, 0.1, 0.4, sided="two")
         t = np.linspace(0, 8, 9)
         ev = run_event_driven(net, SimConfig(trials=3000, base_seed=6), t_grid=t)
-        dis = curve_from_times(
-            run_discrete(
-                net, SimConfig(trials=3000, base_seed=106, dt=0.02, t_max=8.0)
-            ),
-            t,
-        )
+        cfg = SimConfig(trials=3000, base_seed=106, dt=0.02, t_max=8.0)
+        dis = curve_from_times(run_coupled(net, net, cfg)["times_a"], t)
         gap = np.abs(ev.f - dis.f)[1:]
         assert np.all(gap <= 3 * (ev.stderr + dis.stderr)[1:])
 
@@ -383,7 +357,7 @@ class TestCurveAssembly:
         # the fraction of finite times
         net = build_circle(4, 0.05, 0.3)
         cfg = SimConfig(trials=64, base_seed=13, dt=0.05, t_max=5.0)
-        times = run_discrete(net, cfg)
+        times = run_coupled(net, net, cfg)["times_a"]
         finite = times[np.isfinite(times)]
         k = np.round(finite / 0.05).astype(int) - 1
         assert 0 < finite.size < times.size
@@ -522,20 +496,21 @@ class TestCoupled:
             assert ref["violation_count"] > 0
 
     def test_each_side_is_a_single_discrete_run(self):
-        # the shared kernel steps each network exactly as run_discrete does
+        # each side of a pair steps exactly as that network coupled with
+        # itself: the other network never enters its path
         for net_a, net_b in [
             (build_line(5, 0.05, 0.3, sided="one"), build_circle(5, 0.05, 0.3)),
             (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
         ]:
             cfg = SimConfig(trials=300, base_seed=29, dt=0.02, t_max=10.0)
             rep = run_coupled(net_a, net_b, cfg)
-            assert np.array_equal(rep["times_a"], run_discrete(net_a, cfg))
-            assert np.array_equal(rep["times_b"], run_discrete(net_b, cfg))
+            assert np.array_equal(rep["times_a"], run_coupled(net_a, net_a, cfg)["times_a"])
+            assert np.array_equal(rep["times_b"], run_coupled(net_b, net_b, cfg)["times_a"])
 
 
 def test_large_network_needs_no_dense_matrix():
     """On the 60x60 torus one dense n x n matrix is 104 MB; the step-size
-    check, the dominance comparison and a short discrete run each stay
+    check, the dominance comparison and a short coupled run each stay
     below a tenth of that."""
     one = build_grid(2, 60, 0.01, 0.1, sided="one", periodic=True)
     two = build_grid(2, 60, 0.01, 0.1, sided="two", periodic=True)
@@ -543,7 +518,7 @@ def test_large_network_needs_no_dense_matrix():
     calls = {
         "validate_dt": lambda: validate_dt(one, 0.05),
         "dominates": lambda: dominates(one, two),
-        "run_discrete": lambda: run_discrete(one, SimConfig(trials=2, t_max=1.0)),
+        "run_coupled": lambda: run_coupled(one, two, SimConfig(trials=2, t_max=1.0)),
     }
     for name, call in calls.items():
         tracemalloc.start()

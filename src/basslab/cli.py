@@ -7,22 +7,22 @@ Three subcommands:
 * verify    - structural verification suites, JSON report, exit code 0 iff
               everything passed.
 
+Each setting is declared once, in SETTINGS: its flag, type, default,
+choices and help, the commands that take it and the runs that read it. The
+subcommand parsers, DEFAULTS, the checks on --config values and the refusal
+of a key the chosen run does not read all come from that table.
+
 Flags can also come from a JSON config file (--config); a key set both in
 the file and on the command line with different values is an error unless
 --override is given, in which case the command line wins. Reruns with the
-same inputs and seed produce byte-identical outputs. BASSLAB_THREADS caps
-the number of worker processes used for independent runs inside one
-command.
+same inputs and seed produce byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
 import sys
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,82 +44,119 @@ from .curves import AdoptionCurve, write_curve_csv
 from .network import Network, _check_t_max, build_circle, build_grid, build_hybrid_circle_ray, build_line
 from .principles import (
     FIGURE_PLAN_NAMES,
-    PlanCase,
     dominance_pairs,
     figure_plan,
     oracle_dominance_report,
     verify_indifference,
 )
-from .simulator import DEFAULT_TRIALS, SimConfig, run_coupled, run_event_driven
+from .simulator import (
+    DEFAULT_TRIALS,
+    SimConfig,
+    curve_from_times,
+    event_trajectories,
+    node_frequencies,
+    run_coupled,
+    run_event_driven,
+)
 
+COMMANDS = {
+    "analytic": "exact adoption curve to CSV",
+    "simulate": "Monte Carlo adoption curve to CSV",
+    "verify": "verification suites; JSON report; exit 0 iff pass",
+}
+TOPOLOGIES = ("circle", "line", "grid", "hybrid")
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "all")
 DEFAULT_GRID_POINTS = 200
+# verify's horizon: the end of the indifference and appendix grids, and of
+# the coupled runs without --t-max
+VERIFY_T_MAX = 30.0
 
-@dataclass
-class RunSpec:
-    command: str
-    topology: str = "circle"
-    sided: str = "one"
-    M: int = 6
-    D: int = 2
-    side: int = 6
-    p: float = 0.01
-    q: float = 0.1
-    periodic: bool = False
-    ray: int = 3
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-    t_max: float | None = None
-    grid: int = DEFAULT_GRID_POINTS
-    out: str | None = None
-    suite: str = "all"
-    preset: str | None = None
-    per_node: bool = False
+# The runs a key can be read by: a single run per topology (analytic or
+# simulate), "simulate preset", "verify preset" and each verify suite.
+_CURVE_RUNS = TOPOLOGIES + ("simulate preset",)
+_COUPLED_SUITES = ("dominance", "all")
+_EVERY_RUN = _CURVE_RUNS + ("verify preset",) + SUITES
 
 
-# the RunSpec fields each command accepts, from the command line or --config
-_COMMON_KEYS = ("p", "q", "t_max", "out")
-_TOPOLOGY_KEYS = ("topology", "sided", "M", "ray", "grid")
-_RUN_KEYS = ("trials", "seed", "preset")
+@dataclass(frozen=True)
+class Setting:
+    key: str  # the --config key and the parsed spec's attribute
+    flag: str
+    kind: type  # bool for a switch
+    default: object  # None: the key may also be null in --config
+    help: str
+    commands: tuple[str, ...]  # the subcommands that take the flag
+    reads: tuple[str, ...]  # the runs that read it; given to another run, it is refused
+    choices: tuple[str, ...] | None = None
+
+
+_ALL = tuple(COMMANDS)
+_CURVE_COMMANDS = ("analytic", "simulate")
+SETTINGS = (
+    Setting("out", "--out", str, None, "output path (CSV or JSON)", _ALL, _EVERY_RUN),
+    Setting("p", "-p", float, 0.01, "intrinsic adoption rate", _ALL, _EVERY_RUN),
+    Setting("q", "-q", float, 0.1, "total internal influence rate", _ALL, _EVERY_RUN),
+    Setting("t_max", "--t-max", float, None,
+            "time horizon (default: time for the 1D limit curve to reach 0.99)",
+            _ALL, _CURVE_RUNS + _COUPLED_SUITES),
+    Setting("topology", "--topology", str, "circle", "network topology",
+            _CURVE_COMMANDS, TOPOLOGIES, choices=TOPOLOGIES),
+    Setting("sided", "--sided", str, "one",
+            "influence from one neighbour per axis direction (weight q) or both (q/2 each)",
+            _CURVE_COMMANDS, ("circle", "line", "grid"), choices=("one", "two")),
+    Setting("M", "-M", int, 6, "node count (circle/line) or total nodes (hybrid)",
+            _CURVE_COMMANDS, ("circle", "line", "hybrid")),
+    Setting("ray", "--ray", int, 3, "ray length of the hybrid topology (circle part is M-ray)",
+            _CURVE_COMMANDS, ("hybrid",)),
+    Setting("grid", "--grid", int, DEFAULT_GRID_POINTS, "number of time grid points",
+            _CURVE_COMMANDS, _CURVE_RUNS),
+    Setting("D", "-D", int, 2, "grid dimension", ("simulate",), ("grid",)),
+    Setting("side", "--side", int, 6, "grid side length", ("simulate",), ("grid",)),
+    Setting("periodic", "--periodic", bool, False, "wrap the grid into a torus",
+            ("simulate",), ("grid",)),
+    Setting("trials", "--trials", int, DEFAULT_TRIALS, "Monte Carlo trials",
+            ("simulate", "verify"), _CURVE_RUNS + _COUPLED_SUITES),
+    Setting("seed", "--seed", int, 0, "base random seed",
+            ("simulate", "verify"), _CURVE_RUNS + _COUPLED_SUITES),
+    Setting("preset", "--preset", str, None, "named multi-curve run; writes CSVs plus a manifest",
+            ("simulate",), _CURVE_RUNS, choices=SIMULATE_PRESETS),
+    Setting("per_node", "--per-node", bool, False,
+            "include per-node adoption frequencies as CSV columns", ("simulate",), _CURVE_RUNS),
+    Setting("suite", "--suite", str, "all", "verification suite",
+            ("verify",), SUITES, choices=SUITES),
+    Setting("preset", "--preset", str, None, "verify a single named transform plan",
+            ("verify",), ("verify preset",), choices=FIGURE_PLAN_NAMES),
+)
+
+
+def _settings(command: str) -> dict[str, Setting]:
+    return {s.key: s for s in SETTINGS if command in s.commands}
+
+
 DEFAULTS = {
-    command: {f.name: f.default for f in fields(RunSpec) if f.name in keys}
-    for command, keys in (
-        ("analytic", _COMMON_KEYS + _TOPOLOGY_KEYS),
-        ("simulate", _COMMON_KEYS + _TOPOLOGY_KEYS + _RUN_KEYS
-         + ("D", "side", "periodic", "per_node")),
-        ("verify", _COMMON_KEYS + _RUN_KEYS + ("suite",)),
-    )
+    command: {key: s.default for key, s in _settings(command).items()} for command in COMMANDS
 }
-# the keys each run reads; any other key given for it is refused, not ignored
-_SIMULATE_PRESET_KEYS = _COMMON_KEYS + _RUN_KEYS + ("grid", "per_node")
-_SINGLE_RUN_KEYS = _COMMON_KEYS + ("topology", "grid")
-_SHAPE_KEYS = {  # the keys each topology's network is built from
-    "circle": ("sided", "M"),  # analytic reads sided too: the circle's curve holds for both
-    "line": ("sided", "M"),
-    "grid": ("sided", "D", "side", "periodic"),
-    "hybrid": ("M", "ray"),
-}
-_VERIFY_READ_KEYS = ("p", "q", "out")
-_COUPLING_KEYS = ("trials", "seed", "t_max")  # read by the dominance suite's coupled runs
-
-
-_FIELD_TYPES = typing.get_type_hints(RunSpec)
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _config_value(key: str, value):
-    """A --config value checked against its flag's type; a JSON integer
-    passes for a number flag and becomes a float, as on the command line."""
-    kinds = typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],)
-    if value is None and type(None) in kinds:
+def _config_value(s: Setting, value):
+    """A --config value checked as its flag is, for type and choices; a JSON
+    integer passes for a number flag and becomes a float, as on the command
+    line."""
+    if value is None and s.default is None:
         return value
-    kind = kinds[0]
-    accepted = (int, float) if kind is float else kind
+    accepted = (int, float) if s.kind is float else s.kind
     # bool is an int subclass: true/false pass only for switches
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise SystemExit(f"--config value for {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if isinstance(value, bool) != (s.kind is bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"--config value for {s.key!r} must be {_TYPE_NAMES[s.kind]}, got {value!r}"
+        )
+    if s.choices is not None and value not in s.choices:
+        raise ValueError(
+            f"--config value for {s.key!r} must be one of {', '.join(s.choices)}, got {value!r}"
+        )
+    return float(value) if s.kind is float else value
 
 
 class _JSONEncoder(json.JSONEncoder):
@@ -131,49 +168,30 @@ class _JSONEncoder(json.JSONEncoder):
         return super().default(o)
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("BASSLAB_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        raise SystemExit(f"BASSLAB_THREADS must be an integer, got {env!r}")
-    return max(1, min(n_tasks, cap))
-
-
-def _run_tasks(tasks: list[tuple[str, functools.partial]]) -> dict:
-    """Run (name, thunk) pairs, possibly in worker processes; results keyed
-    by name so output order never depends on scheduling."""
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        return {name: fn() for name, fn in tasks}
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in tasks]
-        return {name: fut.result() for name, fut in futures}
-
-
-def _time_grid(spec: RunSpec) -> np.ndarray:
+def _time_grid(spec: argparse.Namespace) -> np.ndarray:
     if spec.grid < 2:
-        raise SystemExit("--grid must be at least 2 points")
+        raise ValueError("--grid must be at least 2 points")
     if spec.t_max is not None:
         _check_t_max(spec.t_max)
         return np.linspace(0.0, spec.t_max, spec.grid)
     return default_time_grid(spec.p, spec.q, points=spec.grid)
 
 
-def _build_network(spec: RunSpec) -> Network:
+def _hybrid_sizes(spec: argparse.Namespace) -> tuple[int, int]:
+    """The hybrid topology's circle and ray node counts."""
+    if not 1 <= spec.ray < spec.M:
+        raise ValueError("--ray must be in 1..M-1 for the hybrid topology")
+    return spec.M - spec.ray, spec.ray
+
+
+def _build_network(spec: argparse.Namespace) -> Network:
     if spec.topology == "circle":
         return build_circle(spec.M, spec.p, spec.q, sided=spec.sided)
     if spec.topology == "line":
         return build_line(spec.M, spec.p, spec.q, sided=spec.sided)
     if spec.topology == "grid":
         return build_grid(spec.D, spec.side, spec.p, spec.q, sided=spec.sided, periodic=spec.periodic)
-    if spec.topology == "hybrid":
-        if not 1 <= spec.ray < spec.M:
-            raise SystemExit("--ray must be in 1..M-1 for the hybrid topology")
-        return build_hybrid_circle_ray(spec.M - spec.ray, spec.ray, spec.p, spec.q)
-    raise SystemExit(f"unknown topology {spec.topology!r}")
+    return build_hybrid_circle_ray(*_hybrid_sizes(spec), spec.p, spec.q)
 
 
 def _write_csv(curve: AdoptionCurve, out: str | None) -> None:
@@ -188,7 +206,7 @@ def _write_csv(curve: AdoptionCurve, out: str | None) -> None:
 # analytic
 
 
-def cmd_analytic(spec: RunSpec) -> int:
+def cmd_analytic(spec: argparse.Namespace) -> int:
     t = _time_grid(spec)
     if spec.topology == "circle":
         f, source = f_circle(t, spec.p, spec.q, spec.M)
@@ -200,12 +218,10 @@ def cmd_analytic(spec: RunSpec) -> int:
             per_node, f, source = f_line_two_sided(t, spec.p, spec.q, spec.M)
         curve = AdoptionCurve(t=t, f=f, source=source, per_node=per_node)
     elif spec.topology == "hybrid":
-        if not 1 <= spec.ray < spec.M:
-            raise SystemExit("--ray must be in 1..M-1 for the hybrid topology")
-        per_node, f, source = f_hybrid(t, spec.p, spec.q, spec.M - spec.ray, spec.ray)
+        per_node, f, source = f_hybrid(t, spec.p, spec.q, *_hybrid_sizes(spec))
         curve = AdoptionCurve(t=t, f=f, source=source, per_node=per_node)
     else:
-        raise SystemExit(
+        raise ValueError(
             f"no analytic curve for topology {spec.topology!r}; use `simulate` instead"
         )
     _write_csv(curve, spec.out)
@@ -216,17 +232,15 @@ def cmd_analytic(spec: RunSpec) -> int:
 # simulate
 
 
-def _simulate_network(net: Network, t: np.ndarray, spec: RunSpec) -> AdoptionCurve:
-    return run_event_driven(net, SimConfig(trials=spec.trials, base_seed=spec.seed), t_grid=t)
+def _simulate_network(net: Network, t: np.ndarray, spec: argparse.Namespace) -> AdoptionCurve:
+    config = SimConfig(trials=spec.trials, base_seed=spec.seed)
+    if not spec.per_node:
+        return run_event_driven(net, config, t_grid=t)
+    times = event_trajectories(net, config)
+    return replace(curve_from_times(times, t), per_node=node_frequencies(times, t))
 
 
-def _drop_per_node(curve: AdoptionCurve, per_node: bool) -> AdoptionCurve:
-    if per_node or curve.per_node is None:
-        return curve
-    return AdoptionCurve(t=curve.t, f=curve.f, source=curve.source, stderr=curve.stderr)
-
-
-def _preset_runs(spec: RunSpec) -> list[tuple[str, Network]]:
+def _preset_runs(spec: argparse.Namespace) -> list[tuple[str, Network]]:
     if spec.preset == "fig5":
         M, p, q = 6, spec.p, spec.q
         return [
@@ -235,37 +249,30 @@ def _preset_runs(spec: RunSpec) -> list[tuple[str, Network]]:
             ("line_one", build_line(M, p, q, sided="one")),
             ("line_two", build_line(M, p, q, sided="two")),
         ]
-    if spec.preset in ("fig11", "fig12"):
-        D = 2 if spec.preset == "fig11" else 3
-        p, q, side = spec.p, spec.q, 6
-        return [
-            ("torus_one", build_grid(D, side, p, q, sided="one", periodic=True)),
-            ("torus_two", build_grid(D, side, p, q, sided="two", periodic=True)),
-            ("box_one", build_grid(D, side, p, q, sided="one", periodic=False)),
-            ("box_two", build_grid(D, side, p, q, sided="two", periodic=False)),
-        ]
-    raise SystemExit(f"unknown preset {spec.preset!r}; known: {', '.join(SIMULATE_PRESETS)}")
+    D = 2 if spec.preset == "fig11" else 3
+    p, q, side = spec.p, spec.q, 6
+    return [
+        ("torus_one", build_grid(D, side, p, q, sided="one", periodic=True)),
+        ("torus_two", build_grid(D, side, p, q, sided="two", periodic=True)),
+        ("box_one", build_grid(D, side, p, q, sided="one", periodic=False)),
+        ("box_two", build_grid(D, side, p, q, sided="two", periodic=False)),
+    ]
 
 
-def cmd_simulate(spec: RunSpec) -> int:
+def cmd_simulate(spec: argparse.Namespace) -> int:
     t = _time_grid(spec)
     if spec.preset is None:
         net = _build_network(spec)
-        curve = _simulate_network(net, t, spec)
-        _write_csv(_drop_per_node(curve, spec.per_node), spec.out)
+        _write_csv(_simulate_network(net, t, spec), spec.out)
         return 0
-    runs = _preset_runs(spec)
-    tasks = [
-        (name, functools.partial(_simulate_network, net, t, spec)) for name, net in runs
-    ]
-    results = _run_tasks(tasks)
+    curves = [(name, _simulate_network(net, t, spec)) for name, net in _preset_runs(spec)]
     out_dir = Path(spec.out) if spec.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"command": "simulate", "preset": spec.preset, "trials": spec.trials,
                 "seed": spec.seed, "files": []}
-    for name, _net in runs:  # fixed order, independent of scheduling
+    for name, curve in curves:
         path = out_dir / f"{spec.preset}_{name}.csv"
-        write_curve_csv(path, _drop_per_node(results[name], spec.per_node))
+        write_curve_csv(path, curve)
         manifest["files"].append(str(path))
     with open(out_dir / f"{spec.preset}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, cls=_JSONEncoder)
@@ -277,25 +284,23 @@ def cmd_simulate(spec: RunSpec) -> int:
 # verify
 
 
-def _verify_case(case: PlanCase, t_grid: np.ndarray) -> dict:
-    report = verify_indifference(case.network, case.plan, t_grid=t_grid)
-    report = {"name": case.name, "label": case.label, "note": case.note, **report}
-    # survival series stay out of the report files; gaps summarize them
-    for key in ("t", "survival_before", "survival_after"):
-        report.pop(key)
-    return report
+def _indifference_reports(names: tuple[str, ...], spec: argparse.Namespace) -> list[dict]:
+    """One report per transform plan of each named figure, on a grid with a
+    point at each whole time up to VERIFY_T_MAX."""
+    t_grid = np.linspace(0.0, VERIFY_T_MAX, int(VERIFY_T_MAX) + 1)
+    reports = []
+    for name in names:
+        for case in figure_plan(name, p=spec.p, q=spec.q):
+            report = verify_indifference(case.network, case.plan, t_grid=t_grid)
+            # survival series stay out of the report files; gaps summarize them
+            for key in ("t", "survival_before", "survival_after"):
+                report.pop(key)
+            reports.append({"name": case.name, "label": case.label, "note": case.note, **report})
+    return reports
 
 
-def _suite_indifference(spec: RunSpec) -> dict:
-    t_grid = np.linspace(0.0, 30.0, 31)
-    cases: list[PlanCase] = []
-    for name in FIGURE_PLAN_NAMES:
-        cases.extend(figure_plan(name, p=spec.p, q=spec.q))
-    tasks = [
-        (f"{c.name}:{c.label}", functools.partial(_verify_case, c, t_grid)) for c in cases
-    ]
-    results = _run_tasks(tasks)
-    reports = [results[f"{c.name}:{c.label}"] for c in cases]
+def _suite_indifference(spec: argparse.Namespace) -> dict:
+    reports = _indifference_reports(FIGURE_PLAN_NAMES, spec)
     return {"suite": "indifference", "cases": reports,
             "passed": all(r["passed"] for r in reports)}
 
@@ -305,13 +310,13 @@ def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
     return {"diagnostic": kind, "k": k, "M": M, "min_value": m, "passed": m > 0}
 
 
-def _suite_appendix(spec: RunSpec) -> dict:
+def _suite_appendix(spec: argparse.Namespace) -> dict:
     """Positivity of alpha..psi at M <= 9. beta, gamma, psi and the
     one-sided line of nu read every S_k off two S_1 tables, at q and q/2;
     alpha integrates its own difference system and nu's two-sided line is
     one solve per M."""
     p, q = spec.p, spec.q
-    t = np.linspace(1.5, 30.0, 20)
+    t = np.linspace(1.5, VERIFY_T_MAX, 20)
     s1 = _circle_survivals(t, p, q, 9)
     s1_half = _circle_survivals(t, p, q / 2, 9)
     entries = [_diag_entry("alpha", k, 0, alpha_diag(t, p, q, k)) for k in range(1, 10)]
@@ -325,31 +330,26 @@ def _suite_appendix(spec: RunSpec) -> dict:
                     for k in range(1, M + 1)]
     entries += [_diag_entry("psi", k, M, psi_diag(t, p, k, M, s1, s1_half))
                 for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)]
-    return {"suite": "appendix", "t_min": 1.5, "t_max": 30.0, "points": 20,
+    return {"suite": "appendix", "t_min": 1.5, "t_max": VERIFY_T_MAX, "points": 20,
             "cases": entries, "passed": all(e["passed"] for e in entries)}
 
 
-def _dominance_entry(name: str, lo: Network, hi: Network, spec: RunSpec) -> dict:
-    report = run_coupled(
-        lo, hi, SimConfig(trials=spec.trials, base_seed=spec.seed,
-                          t_max=spec.t_max if spec.t_max is not None else 30.0)
-    )
-    report.pop("times_a")
-    report.pop("times_b")
-    return {"pair": name, **report, "passed": report["verdict"] == "pass"}
-
-
-def _suite_dominance(spec: RunSpec) -> dict:
+def _suite_dominance(spec: argparse.Namespace) -> dict:
     mono = oracle_dominance_report(spec.p, spec.q)
-    pairs = dominance_pairs(spec.p, spec.q)
-    tasks = [
-        (name, functools.partial(_dominance_entry, name, lo, hi, spec))
-        for name, lo, hi in pairs
-    ]
-    results = _run_tasks(tasks)
-    coupled = [results[name] for name, _lo, _hi in pairs]
+    t_max = VERIFY_T_MAX if spec.t_max is None else spec.t_max
+    config = SimConfig(trials=spec.trials, base_seed=spec.seed, t_max=t_max)
+    coupled = []
+    for name, lo, hi in dominance_pairs(spec.p, spec.q):
+        report = run_coupled(lo, hi, config)
+        report.pop("times_a")
+        report.pop("times_b")
+        coupled.append({"pair": name, **report, "passed": report["verdict"] == "pass"})
     passed = all(m["passed"] for m in mono) and all(c["passed"] for c in coupled)
     return {"suite": "dominance", "monotonicity": mono, "coupling": coupled, "passed": passed}
+
+
+_SUITE_RUNS = {"indifference": _suite_indifference, "appendix": _suite_appendix,
+               "dominance": _suite_dominance}
 
 
 def _entry_line(entry: dict) -> str:
@@ -378,29 +378,14 @@ def _write_summary(report: dict) -> None:
                 print(_entry_line(e), file=sys.stderr)
 
 
-def cmd_verify(spec: RunSpec) -> int:
+def cmd_verify(spec: argparse.Namespace) -> int:
     if spec.preset is not None:
-        if spec.preset not in FIGURE_PLAN_NAMES:
-            raise SystemExit(
-                f"unknown verify preset {spec.preset!r}; known: {', '.join(FIGURE_PLAN_NAMES)}"
-            )
-        t_grid = np.linspace(0.0, 30.0, 31)
-        cases = figure_plan(spec.preset, p=spec.p, q=spec.q)
-        reports = [_verify_case(c, t_grid) for c in cases]
+        reports = _indifference_reports((spec.preset,), spec)
         report = {"command": "verify", "preset": spec.preset, "cases": reports,
                   "passed": all(r["passed"] for r in reports)}
     else:
-        suite_names = ("indifference", "appendix", "dominance") if spec.suite == "all" else (spec.suite,)
-        suites = []
-        for name in suite_names:
-            if name == "indifference":
-                suites.append(_suite_indifference(spec))
-            elif name == "appendix":
-                suites.append(_suite_appendix(spec))
-            elif name == "dominance":
-                suites.append(_suite_dominance(spec))
-            else:
-                raise SystemExit(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        names = tuple(_SUITE_RUNS) if spec.suite == "all" else (spec.suite,)
+        suites = [_SUITE_RUNS[name](spec) for name in names]
         report = {"command": "verify", "suites": suites,
                   "passed": all(s["passed"] for s in suites)}
     _write_summary(report)
@@ -418,30 +403,6 @@ def cmd_verify(spec: RunSpec) -> int:
 # argument plumbing
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=argparse.SUPPRESS,
-                     help="JSON file of flag values; command line conflicts require --override")
-    sub.add_argument("--override", action="store_true", default=argparse.SUPPRESS,
-                     help="let command-line flags win over conflicting --config values")
-    sub.add_argument("--out", default=argparse.SUPPRESS, help="output path (CSV or JSON)")
-    sub.add_argument("-p", type=float, default=argparse.SUPPRESS, help="intrinsic adoption rate")
-    sub.add_argument("-q", type=float, default=argparse.SUPPRESS, help="total internal influence rate")
-    sub.add_argument("--t-max", dest="t_max", type=float, default=argparse.SUPPRESS,
-                     help="time horizon (default: time for the 1D limit curve to reach 0.99)")
-
-
-def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--topology", choices=("circle", "line", "grid", "hybrid"),
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--sided", choices=("one", "two"), default=argparse.SUPPRESS)
-    sub.add_argument("-M", dest="M", type=int, default=argparse.SUPPRESS,
-                     help="node count (circle/line) or total nodes (hybrid)")
-    sub.add_argument("--ray", type=int, default=argparse.SUPPRESS,
-                     help="ray length of the hybrid topology (circle part is M-ray)")
-    sub.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                     help="number of time grid points")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix of a flag (--side for --sided) is refused,
     # not read as that flag
@@ -451,92 +412,67 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    a = sub.add_parser("analytic", help="exact adoption curve to CSV", allow_abbrev=False)
-    _add_common_flags(a)
-    _add_topology_flags(a)
-
-    s = sub.add_parser("simulate", help="Monte Carlo adoption curve to CSV",
-                       allow_abbrev=False)
-    _add_common_flags(s)
-    _add_topology_flags(s)
-    s.add_argument("-D", dest="D", type=int, default=argparse.SUPPRESS, help="grid dimension")
-    s.add_argument("--side", type=int, default=argparse.SUPPRESS, help="grid side length")
-    s.add_argument("--periodic", action="store_true", default=argparse.SUPPRESS,
-                   help="wrap the grid into a torus")
-    s.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--preset", choices=SIMULATE_PRESETS, default=argparse.SUPPRESS,
-                   help="named multi-curve run; writes CSVs plus a manifest")
-    s.add_argument("--per-node", dest="per_node", action="store_true", default=argparse.SUPPRESS,
-                   help="include per-node adoption frequencies as CSV columns")
-
-    v = sub.add_parser("verify", help="verification suites; JSON report; exit 0 iff pass",
-                       allow_abbrev=False)
-    _add_common_flags(v)
-    v.add_argument("--suite", choices=SUITES, default=argparse.SUPPRESS)
-    v.add_argument("--preset", choices=FIGURE_PLAN_NAMES, default=argparse.SUPPRESS,
-                   help="verify a single named transform plan")
-    v.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for command, text in COMMANDS.items():
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
+        cmd.add_argument("--config", default=argparse.SUPPRESS,
+                         help="JSON file of flag values; command line conflicts require --override")
+        cmd.add_argument("--override", action="store_true", default=argparse.SUPPRESS,
+                         help="let command-line flags win over conflicting --config values")
+        for s in _settings(command).values():
+            if s.kind is bool:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": s.kind, "choices": s.choices}
+            cmd.add_argument(s.flag, dest=s.key, default=argparse.SUPPRESS, help=s.help, **kind)
     return parser
 
 
-def _merge_spec(ns: argparse.Namespace) -> RunSpec:
+def _read_config(path: str, command: str) -> dict:
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing file or malformed JSON
+        raise ValueError(f"cannot read --config {path}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError("--config must contain a JSON object of flag values")
+    settings = _settings(command)
+    unknown = sorted(set(loaded) - set(settings))
+    if unknown:
+        raise ValueError(f"--config keys not valid for `{command}`: {', '.join(unknown)}")
+    return {k: _config_value(settings[k], v) for k, v in loaded.items()}
+
+
+def _merge_spec(ns: argparse.Namespace) -> argparse.Namespace:
     explicit = dict(vars(ns))
     command = explicit.pop("command")
     config_path = explicit.pop("config", None)
     override = explicit.pop("override", False)
-    merged = dict(DEFAULTS[command])
-    loaded = {}
-    if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:  # missing file or malformed JSON
-            raise SystemExit(f"basslab: error: cannot read --config {config_path}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise SystemExit("--config must contain a JSON object of flag values")
-        unknown = sorted(set(loaded) - set(merged))
-        if unknown:
-            raise SystemExit(f"--config keys not valid for `{command}`: {', '.join(unknown)}")
-        loaded = {k: _config_value(k, v) for k, v in loaded.items()}
-        conflicts = sorted(
-            k for k in loaded if k in explicit and explicit[k] != loaded[k]
+    loaded = {} if config_path is None else _read_config(config_path, command)
+    conflicts = sorted(k for k in loaded if k in explicit and explicit[k] != loaded[k])
+    if conflicts and not override:
+        raise ValueError(
+            "flag/config conflict for: " + ", ".join(conflicts) + " (pass --override to let flags win)"
         )
-        if conflicts and not override:
-            raise SystemExit(
-                "flag/config conflict for: " + ", ".join(conflicts) + " (pass --override to let flags win)"
-            )
-    merged.update(loaded)
-    merged.update(explicit)
-    spec = RunSpec(command=command, **merged)
+    spec = argparse.Namespace(command=command, **{**DEFAULTS[command], **loaded, **explicit})
     _refuse_unread(spec, set(explicit) | set(loaded))
     return spec
 
 
-def _refuse_unread(spec: RunSpec, given: set[str]) -> None:
-    """Stop when a key given for the chosen run (a single network, a
-    simulate preset, a verify preset or a verify suite) is one that run does
-    not read."""
-    if spec.command == "simulate" and spec.preset is not None:
-        run, read = f"simulate --preset {spec.preset}", _SIMULATE_PRESET_KEYS
-    elif spec.command in ("analytic", "simulate") and spec.topology in _SHAPE_KEYS:
-        run = f"{spec.command} --topology {spec.topology}"
-        read = _SINGLE_RUN_KEYS + _SHAPE_KEYS[spec.topology]
-        if spec.command == "simulate":
-            read += _RUN_KEYS + ("per_node",)
-    elif spec.command == "verify" and spec.preset is not None:
-        run, read = f"verify --preset {spec.preset}", _VERIFY_READ_KEYS + ("preset",)
-    elif spec.command == "verify" and spec.suite in SUITES:
-        run, read = f"verify --suite {spec.suite}", _VERIFY_READ_KEYS + ("suite",)
-        if spec.suite in ("dominance", "all"):
-            read += _COUPLING_KEYS
+def _refuse_unread(spec: argparse.Namespace, given: set[str]) -> None:
+    """Stop when a key given for the chosen run is one that run does not
+    read."""
+    if spec.command == "verify" and spec.preset is not None:
+        name, run = f"verify --preset {spec.preset}", "verify preset"
+    elif spec.command == "verify":
+        name, run = f"verify --suite {spec.suite}", spec.suite
+    elif spec.command == "simulate" and spec.preset is not None:
+        name, run = f"simulate --preset {spec.preset}", "simulate preset"
     else:
-        return
-    unread = sorted(given - set(read))
+        name, run = f"{spec.command} --topology {spec.topology}", spec.topology
+    settings = _settings(spec.command)
+    unread = sorted(key for key in given if run not in settings[key].reads)
     if unread:
-        raise SystemExit(f"basslab: error: `{run}` does not read {', '.join(unread)}")
+        raise ValueError(f"`{name}` does not read {', '.join(unread)}")
 
 
 def main(argv=None) -> int:
@@ -548,7 +484,7 @@ def main(argv=None) -> int:
         if spec.command == "simulate":
             return cmd_simulate(spec)
         return cmd_verify(spec)
-    except ValueError as exc:  # bad input the library rejected: one line, no traceback
+    except ValueError as exc:  # bad input: one line, no traceback, exit status 1
         raise SystemExit(f"basslab: error: {exc}") from None
 
 

@@ -2,7 +2,7 @@
 
 Every sampler returns adoption times as one (trials, M) array, inf for a
 node that never adopted; `curve_from_times` turns such an array into a
-Monte Carlo curve.
+Monte Carlo curve, and `node_frequencies` into per-node frequencies.
 
 Curves come from one sampler, exact continuous-time sampling as
 first-passage percolation. Hazards add, so each adoption time is a
@@ -48,6 +48,10 @@ STEP_PROB_WARN = 0.1
 # violation lists are for diagnosis; cap them so a badly ordered pair
 # cannot produce a gigabyte of report
 VIOLATION_LIST_CAP = 100
+# a coupled run costs one step of both networks per dt; on 2 vCPUs a 6-node
+# pair at 4000 trials took 5.7 s at this cap, about 0.57 ms a step. The
+# dominance suite's default horizon of 30 takes at most 630 steps.
+MAX_COUPLED_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,10 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
 
 
 def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> AdoptionCurve:
-    """Empirical mean adopter fraction (with stderr and per-node
-    frequencies) from per-trial adoption times, shape (trials, M).
+    """Empirical mean adopter fraction, with stderr, from per-trial adoption
+    times, shape (trials, M). Per-node frequencies come from
+    `node_frequencies`; the curve carries none, since they cost (M, T)
+    arrays that a large network's mean curve does not need.
 
     Adoption times must be > 0 (inf for a node that never adopts): nobody
     has adopted at t = 0.
@@ -178,7 +184,6 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
     T = t_grid.size
     sum_f = np.zeros(T)
     sum_f2 = np.zeros(T)
-    node_counts = np.zeros((M, T))
     for lo in range(0, trials, block):
         # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T
         k = np.searchsorted(t_grid, times[lo : lo + block], side="left")
@@ -189,21 +194,33 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
         frac = per_trial.reshape(R, T + 1).cumsum(axis=1)[:, :T] / M
         sum_f += frac.sum(axis=0)
         sum_f2 += (frac**2).sum(axis=0)
-        per_node = np.bincount((k + (T + 1) * np.arange(M)).ravel(), minlength=M * (T + 1))
-        node_counts += per_node.reshape(M, T + 1).cumsum(axis=1)[:, :T]
     mean = sum_f / trials
     if trials > 1:
         var = (sum_f2 - trials * mean**2) / (trials - 1)
         stderr = np.sqrt(np.maximum(var, 0.0) / trials)
     else:
         stderr = np.zeros_like(mean)
-    return AdoptionCurve(
-        t=t_grid, f=mean, source="monte_carlo", per_node=node_counts / trials, stderr=stderr
-    )
+    return AdoptionCurve(t=t_grid, f=mean, source="monte_carlo", stderr=stderr)
+
+
+def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
+    """Per-node adoption frequencies, shape (M, T): entry (j, i) is the
+    share of trials in which node j has adopted by t_grid[i]. times as for
+    `curve_from_times`."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    trials, M = times.shape
+    T = t_grid.size
+    node_counts = np.zeros((M, T))
+    for lo in range(0, trials, TRIAL_BLOCK):
+        k = np.searchsorted(t_grid, times[lo : lo + TRIAL_BLOCK], side="left")
+        per_node = np.bincount((k + (T + 1) * np.arange(M)).ravel(), minlength=M * (T + 1))
+        node_counts += per_node.reshape(M, T + 1).cumsum(axis=1)[:, :T]
+    return node_counts / trials
 
 
 def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
-    """Exact continuous-time simulation; Monte Carlo curve on t_grid."""
+    """Exact continuous-time simulation; Monte Carlo curve on t_grid, with
+    no per-node frequencies (see `curve_from_times`)."""
     return curve_from_times(_event_times(net, config), t_grid, block=config.block_size)
 
 
@@ -271,6 +288,7 @@ def _violation_list(steps_a: np.ndarray, steps_b: np.ndarray) -> list[dict]:
 def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig()) -> dict:
     """Simulate both networks against one shared tape and check the
     pathwise ordering: every adopter of A is an adopter of B at every step.
+    A run of more than MAX_COUPLED_STEPS steps is refused before it starts.
 
     dt defaults from B, the faster network when the ordering applies. Only
     meaningful when A's parameters are componentwise <= B's ("not
@@ -287,6 +305,11 @@ def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig())
     if config.t_max is None:
         raise ValueError("the discrete scheme needs config.t_max")
     n_steps = int(np.ceil(config.t_max / dt - 1e-12))
+    if n_steps > MAX_COUPLED_STEPS:
+        raise ValueError(
+            f"a coupled run to t_max = {config.t_max:g} takes {n_steps} steps of dt = {dt:.3g}, "
+            f"past the {MAX_COUPLED_STEPS} a coupled run takes; use a shorter horizon"
+        )
     steps_a, steps_b = _discrete_steps(
         [net_a, net_b], config, CouplingTape(config.base_seed), n_steps, dt
     )

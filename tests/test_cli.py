@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -112,24 +111,6 @@ class TestSimulate:
             f"fig5_{name}.csv" for name in names
         ]
 
-    def test_worker_processes_change_nothing(self, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        args = ["simulate", "--preset", "fig5", "--trials", "30", "--seed", "2",
-                "--t-max", "20", "--grid", "6"]
-        monkeypatch.delenv("BASSLAB_THREADS", raising=False)
-        run(args + ["--out", str(serial)])
-        monkeypatch.setenv("BASSLAB_THREADS", "2")
-        run(args + ["--out", str(parallel)])
-        for name in ("circle_one", "circle_two", "line_one", "line_two"):
-            fname = f"fig5_{name}.csv"
-            assert (serial / fname).read_bytes() == (parallel / fname).read_bytes()
-
-    def test_thread_cap_must_be_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BASSLAB_THREADS", "many")
-        with pytest.raises(SystemExit, match="BASSLAB_THREADS"):
-            run(["simulate", "--preset", "fig5", "--trials", "5", "--t-max", "5",
-                 "--grid", "3", "--out", str(tmp_path / "x")])
-
     def test_unknown_preset_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run(["simulate", "--preset", "fig99"])
@@ -176,10 +157,10 @@ class TestVerify:
     def test_unknown_suite_via_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suite": "mystery"}))
-        with pytest.raises(SystemExit, match="unknown suite"):
+        with pytest.raises(SystemExit, match="'suite' must be one of indifference, appendix"):
             run(["verify", "--config", str(cfg)])
 
-    def test_appendix_suite_entries_and_reruns(self, tmp_path, capsys, monkeypatch):
+    def test_appendix_suite_entries_and_reruns(self, tmp_path, capsys):
         # the 133 entries of 0.6.0, in its order: the hierarchy-free suite
         # must not drop, add or reorder a check
         expected = ([("alpha", k, 0) for k in range(1, 10)]
@@ -189,17 +170,14 @@ class TestVerify:
                     + [("psi", k, M) for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)])
         counts = {kind: sum(e[0] == kind for e in expected) for kind in ("alpha", "beta", "gamma", "nu", "psi")}
         assert counts == {"alpha": 9, "beta": 36, "gamma": 28, "nu": 44, "psi": 16}
-        monkeypatch.delenv("BASSLAB_THREADS", raising=False)
-        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["verify", "--suite", "appendix", "--out", str(a)]) == 0
         assert capsys.readouterr().err == "appendix: 133/133 checks passed\n"
         cases = json.loads(a.read_text())["suites"][0]["cases"]
         assert [(e["diagnostic"], e["k"], e["M"]) for e in cases] == expected
         assert all(e["passed"] and e["min_value"] > 0 for e in cases)
         assert run(["verify", "--suite", "appendix", "--out", str(b)]) == 0
-        monkeypatch.setenv("BASSLAB_THREADS", "2")
-        assert run(["verify", "--suite", "appendix", "--out", str(c)]) == 0
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestBadInput:
@@ -255,6 +233,44 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, config, message", [
+        (["analytic", "--config", "cfg.json"], {"M": 2.5},
+         "--config value for 'M' must be an integer, got 2.5"),
+        (["analytic", "--config", "cfg.json"], {"sided": "three"},
+         "--config value for 'sided' must be one of one, two, got 'three'"),
+        (["analytic", "--grid", "1"], None, "--grid must be at least 2 points"),
+        (["analytic", "--topology", "hybrid", "-M", "6", "--ray", "6"], None,
+         "--ray must be in 1..M-1 for the hybrid topology"),
+        (["simulate", "--topology", "hybrid", "-M", "6", "--ray", "0"], None,
+         "--ray must be in 1..M-1 for the hybrid topology"),
+        (["analytic", "--topology", "grid"], None,
+         "no analytic curve for topology 'grid'; use `simulate` instead"),
+        (["analytic", "--config", "missing.json"], None,
+         "cannot read --config missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+        (["analytic", "--config", "cfg.json"], [1, 2],
+         "--config must contain a JSON object of flag values"),
+        (["analytic", "--config", "cfg.json"], {"wobble": 1},
+         "--config keys not valid for `analytic`: wobble"),
+        (["analytic", "--config", "cfg.json", "-M", "6"], {"M": 5},
+         "flag/config conflict for: M (pass --override to let flags win)"),
+        (["verify", "--suite", "appendix", "--seed", "9"], None,
+         "`verify --suite appendix` does not read seed"),
+        (["verify", "--suite", "dominance", "--trials", "10", "--t-max", "1e6"], None,
+         "a coupled run to t_max = 1e+06 takes 11000000 steps of dt = 0.0909, past the 10000 "
+         "a coupled run takes; use a shorter horizon"),
+    ], ids=["config-type", "config-choice", "grid", "ray-analytic", "ray-simulate",
+            "no-analytic-curve", "config-unreadable", "config-not-object", "config-key",
+            "conflict", "unread-key", "coupled-steps"])
+    def test_each_refusal_is_one_error_line(self, tmp_path, args, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        proc = fresh_python(["-m", "basslab.cli", *args, "--out", str(out)],
+                            cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"basslab: error: {message}\n"
+        assert not out.exists()
+
 
 def _command_parsers() -> dict:
     parser = cli.build_parser()
@@ -262,16 +278,87 @@ def _command_parsers() -> dict:
     return subparsers.choices
 
 
+# Each command's flags as the 0.11.0 parser had them, and the (choices,
+# help) each flag shows; --topology, --sided, --trials, --seed and --suite
+# had no help before 0.12.0. The parser and DEFAULTS are built from one
+# table, so they are checked against these literals, not each other.
+_CURVE_FLAGS = ["--config", "--override", "--out", "-p", "-q", "--t-max", "--topology",
+                "--sided", "-M", "--ray", "--grid"]
+COMMAND_FLAGS = {
+    "analytic": _CURVE_FLAGS,
+    "simulate": _CURVE_FLAGS + ["-D", "--side", "--periodic", "--trials", "--seed", "--preset",
+                                "--per-node"],
+    "verify": ["--config", "--override", "--out", "-p", "-q", "--t-max", "--suite", "--preset",
+               "--trials", "--seed"],
+}
+FLAG_HELP = {
+    "--config": (None, "JSON file of flag values; command line conflicts require --override"),
+    "--override": (None, "let command-line flags win over conflicting --config values"),
+    "--out": (None, "output path (CSV or JSON)"),
+    "-p": (None, "intrinsic adoption rate"),
+    "-q": (None, "total internal influence rate"),
+    "--t-max": (None, "time horizon (default: time for the 1D limit curve to reach 0.99)"),
+    "--topology": (("circle", "line", "grid", "hybrid"), "network topology"),
+    "--sided": (("one", "two"),
+                "influence from one neighbour per axis direction (weight q) or both (q/2 each)"),
+    "-M": (None, "node count (circle/line) or total nodes (hybrid)"),
+    "--ray": (None, "ray length of the hybrid topology (circle part is M-ray)"),
+    "--grid": (None, "number of time grid points"),
+    "-D": (None, "grid dimension"),
+    "--side": (None, "grid side length"),
+    "--periodic": (None, "wrap the grid into a torus"),
+    "--trials": (None, "Monte Carlo trials"),
+    "--seed": (None, "base random seed"),
+    "simulate --preset": (("fig5", "fig11", "fig12"),
+                          "named multi-curve run; writes CSVs plus a manifest"),
+    "--per-node": (None, "include per-node adoption frequencies as CSV columns"),
+    "--suite": (("indifference", "appendix", "dominance", "all"), "verification suite"),
+    "verify --preset": (("fig3", "fig4", "fig6", "fig7", "fig8", "fig13", "fig14", "fig15"),
+                        "verify a single named transform plan"),
+}
+KEY_DEFAULTS = {"out": None, "p": 0.01, "q": 0.1, "t_max": None, "topology": "circle",
+                "sided": "one", "M": 6, "ray": 3, "grid": 200, "D": 2, "side": 6,
+                "periodic": False, "trials": 4000, "seed": 0, "preset": None, "per_node": False,
+                "suite": "all"}
+
+
 class TestConfigFiles:
     def test_config_keys_are_the_parser_flags(self):
         commands = _command_parsers()
-        assert set(commands) == set(cli.DEFAULTS)
+        assert list(commands) == ["analytic", "simulate", "verify"]
+        assert [len(COMMAND_FLAGS[c]) for c in commands] == [11, 18, 10]
         for command, sub in commands.items():
-            dests = {a.dest for a in sub._actions} - {"help", "config", "override"}
-            assert dests == set(cli.DEFAULTS[command]), command
-        # a RunSpec field no command accepts is a setting nothing can set
-        keys = set().union(*cli.DEFAULTS.values())
-        assert {f.name for f in dataclasses.fields(cli.RunSpec)} == {"command"} | keys
+            actions = [a for a in sub._actions if a.dest != "help"]
+            assert sorted(a.option_strings[0] for a in actions) == sorted(COMMAND_FLAGS[command])
+            for a in actions:
+                flag = a.option_strings[0]
+                choices, help_text = FLAG_HELP.get(f"{command} {flag}", FLAG_HELP.get(flag))
+                assert (a.choices and tuple(a.choices), a.help) == (choices, help_text), flag
+            # every flag but --config and --override is a --config key, with its default
+            keys = {a.dest for a in actions} - {"config", "override"}
+            assert cli.DEFAULTS[command] == {k: KEY_DEFAULTS[k] for k in keys}, command
+
+    @pytest.mark.parametrize("command, key, value, choices", [
+        ("analytic", "topology", "torus", "circle, line, grid, hybrid"),
+        ("analytic", "sided", "three", "one, two"),
+        ("simulate", "preset", "fig3", "fig5, fig11, fig12"),
+        ("verify", "preset", "fig5", "fig3, fig4, fig6, fig7, fig8, fig13, fig14, fig15"),
+        ("verify", "suite", "everything", "indifference, appendix, dominance, all"),
+    ])
+    def test_config_values_meet_the_flag_choices(self, tmp_path, capsys, command, key, value,
+                                                 choices):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", str(cfg), "--out", str(out)])
+        assert str(exc.value) == (f"basslab: error: --config value for {key!r} must be one of "
+                                  f"{choices}, got {value!r}")
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--" + key, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, key, value, message", [
         ("analytic", ["-D", "2"], "D", 2, "unrecognized arguments: -D 2"),

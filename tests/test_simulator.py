@@ -17,12 +17,14 @@ from basslab.principles import dominance_pairs
 from basslab.simulator import (
     CouplingTape,
     DEFAULT_STEP_PROB,
+    MAX_COUPLED_STEPS,
     VIOLATION_LIST_CAP,
     SimConfig,
     curve_from_times,
     default_dt,
     event_trajectories,
     max_total_rate,
+    node_frequencies,
     _discrete_steps,
     _times,
     run_coupled,
@@ -197,7 +199,7 @@ class TestEventDriven:
         b = run_event_driven(net, cfg, t_grid=t)
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.stderr, b.stderr)
-        assert np.array_equal(a.per_node, b.per_node)
+        assert a.per_node is None and b.per_node is None  # node_frequencies gives them
         c = run_event_driven(net, SimConfig(trials=300, base_seed=10), t_grid=t)
         assert not np.array_equal(a.f, c.f)
 
@@ -220,10 +222,10 @@ class TestEventDriven:
         net = Network(n=2, p=np.array([p1, p2]), edges=((0, 1, w),))
         t = np.linspace(0, 10, 21)
         n = 4000
-        curve = run_event_driven(net, SimConfig(trials=n, base_seed=31), t_grid=t)
+        per_node = node_frequencies(event_trajectories(net, SimConfig(trials=n, base_seed=31)), t)
         exact = np.vstack([1 - np.exp(-p1 * t), 1 - two_node_chain_survival(t, p1, p2, w)])
         sigma = np.sqrt(exact * (1 - exact) / n)[:, 1:]
-        z = (curve.per_node - exact)[:, 1:] / sigma
+        z = (per_node - exact)[:, 1:] / sigma
         assert np.max(np.abs(z)) <= 4
 
     def test_box_with_silent_node_matches_master_equation(self):
@@ -389,7 +391,7 @@ class TestCurveAssembly:
         var = ((frac**2).sum(axis=0) - n * f**2) / (n - 1)
         assert np.array_equal(curve.f, f)
         assert np.array_equal(curve.stderr, np.sqrt(np.maximum(var, 0.0) / n))
-        assert np.array_equal(curve.per_node, hit.mean(axis=0))
+        assert np.array_equal(node_frequencies(times, t), hit.mean(axis=0))
 
     def test_binned_counts_match_boolean_accumulation_bytewise(self):
         # any M: the same per-trial counts summed in the same order as the
@@ -400,7 +402,22 @@ class TestCurveAssembly:
         f, stderr, per_node = _boolean_blocked_curve(times, t, block=16)
         assert np.array_equal(curve.f, f)
         assert np.array_equal(curve.stderr, stderr)
-        assert np.array_equal(curve.per_node, per_node)
+        assert np.array_equal(node_frequencies(times, t), per_node)
+
+    def test_mean_curve_builds_no_per_node_arrays(self):
+        # one (M, T) float array is 15 MB here, and up to 0.11.0, when the
+        # curve carried per-node frequencies, the peak was 63 MB
+        rng = np.random.default_rng(0)
+        times = rng.exponential(50.0, size=(20, 10_000))
+        t = np.linspace(0.0, 300.0, 200)
+        tracemalloc.start()
+        try:
+            curve = curve_from_times(times, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.per_node is None
+        assert peak < 3 * times.nbytes  # 4.6 MB
 
     def test_single_trial_has_zero_stderr(self):
         curve = curve_from_times(np.array([[1.0, 2.0]]), np.linspace(0, 3, 4))
@@ -461,6 +478,16 @@ class TestCoupled:
         net = build_circle(3, 0.1, 0.4)
         with pytest.raises(ValueError, match="t_max"):
             run_coupled(net, net, SimConfig(trials=10))
+
+    def test_step_cap(self):
+        # dt = 0.02 here: t_max = 200 is exactly MAX_COUPLED_STEPS steps,
+        # and one step more or a million steps are refused
+        net = build_circle(3, 0.1, 0.4)
+        cap_t = MAX_COUPLED_STEPS * 0.02
+        assert run_coupled(net, net, SimConfig(trials=2, dt=0.02, t_max=cap_t))["steps"] == 10_000
+        for t_max in (cap_t + 0.02, 1e6 * 0.02):
+            with pytest.raises(ValueError, match=r"steps of dt = 0.02, past the 10000"):
+                run_coupled(net, net, SimConfig(trials=2, dt=0.02, t_max=t_max))
 
     @pytest.mark.parametrize(
         "pair, trials, dt",

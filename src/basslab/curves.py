@@ -72,10 +72,6 @@ def _snap(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
 def write_curve_csv(path_or_file: str | IO[str], curve: AdoptionCurve) -> None:
     """Write `t,f[,stderr][,node_1..node_M]` with 12 significant digits."""
     header = ["t", "f"]
@@ -86,10 +82,10 @@ def write_curve_csv(path_or_file: str | IO[str], curve: AdoptionCurve) -> None:
     if curve.per_node is not None:
         M = curve.per_node.shape[0]
         header.extend(f"node_{j}" for j in range(1, M + 1))
-        cols.extend(curve.per_node[j] for j in range(M))
+        cols.extend(curve.per_node)
+    row = ",".join(["%.12g"] * len(cols))
     lines = [",".join(header)]
-    for k in range(curve.t.size):
-        lines.append(",".join(_fmt(c[k]) for c in cols))
+    lines.extend(row % tuple(values) for values in np.column_stack(cols).tolist())
     text = "\n".join(lines) + "\n"
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "w", newline="") as fh:

@@ -29,14 +29,21 @@ Curves (marginals, set survivals) need O(M 2^M) memory, for the generator
 and a few state vectors; only solve_master, which returns the whole
 distribution, holds a (T, 2^M) array. Hard cap M = 20.
 
-exact_marginals (and exact_f) lump the chain when a grid's translations
-map the network onto itself, as on circles and tori (Kemeny & Snell 1960;
-Buchholz 1994). The generator commutes with the translations, so the
-chain on orbits of adopter sets is exact; the group is transitive on
-nodes, so every marginal is E|A|/M. The sweep then costs
-O(terms * orbits * M/2), with about 2^M / M orbits: 14,602 for the circle
-M = 18 (0.06 s on a 200-point grid, against 0.7 s unlumped) and 4,156
-for the 4x4 torus. Labelling the orbits takes a few int32 arrays of 2^M.
+exact_marginals (and exact_f) lump the chain by the largest group of grid
+maps that sends p and every weighted edge onto itself (Kemeny & Snell
+1960; Buchholz 1994). The grids are the layouts (side,)*D with
+side^D = M, and a map is x -> sigma(x) + s, sigma an axis permutation with
+reflections: that finds the translations and axis swap of a one-sided
+torus, the whole hyperoctahedral group of a two-sided one, the dihedral
+group of a two-sided circle and the reflection of a two-sided line. The
+generator commutes with the group, so the chain on orbits of adopter sets
+is exact, and every node of a node class C (a node orbit) has the marginal
+E|A & C|/|C|. The sweep then costs O(terms * orbits * M/2): the two-sided
+16-node line has 32,896 orbits of 65,536 states (0.14 s on a 200-point
+grid, against 0.21 s unlumped), the circle M = 18 has 14,602 one-sided
+(0.07 s, against 0.7 s) and 7,685 two-sided, and the 4x4 torus 2,209
+one-sided and 805 two-sided. Labelling the orbits takes a few int32 arrays
+of 2^M.
 """
 from __future__ import annotations
 
@@ -195,41 +202,98 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
 
 
-def _translation_shape(net: Network) -> tuple[int, ...] | None:
-    """The first grid shape (side,)*D with side**D == n and side >= 2 whose
-    one-step shift along every axis maps p and every weighted edge onto
-    themselves, or None. Nodes are laid out in C order, as build_grid
-    numbers them. Only p and the edges are read, never tag or meta."""
-    n, src, dst, w = net.n, net.src, net.dst, net.w
+@dataclass(frozen=True)
+class _Symmetry:
+    """A group H of node permutations that maps p and every weighted edge
+    onto themselves, laid out on the grid `shape` (nodes in C order, as
+    build_grid numbers them): every shift along the axes `shift_axes`,
+    composed with the node maps in `cosets`, one per coset of those
+    shifts, identity first. cosets[c, i] is the image of node i. The node
+    classes are the orbits of H on nodes."""
 
-    def invariant(image: np.ndarray) -> bool:
-        if not np.array_equal(net.p[image], net.p):
-            return False
-        s, t = image[src], image[dst]
-        order = np.lexsort((t, s))  # the edge arrays are sorted by (source, target)
-        return (np.array_equal(s[order], src) and np.array_equal(t[order], dst)
-                and np.array_equal(w[order], w))
+    shape: tuple[int, ...]
+    shift_axes: tuple[int, ...]
+    cosets: np.ndarray
+    order: int
+    node_class: np.ndarray
 
+
+def _grid_maps(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every map x -> sigma(x) + s (mod side) of the grid `shape` onto
+    itself, sigma an axis permutation with reflections c -> side - 1 - c,
+    as rows of node images, and the shift s of each row. Row 0 is the
+    identity, and the first side^D rows are the shifts alone, s in C
+    order."""
+    from itertools import permutations, product
+
+    D, side = len(shape), shape[0]
+    n = side**D
+    coords = np.indices(shape).reshape(D, n)
+    perms = np.array(list(permutations(range(D))))
+    # at side 2 a reflection is the shift by 1
+    flips = np.array(list(product((False, True), repeat=D)) if side > 2 else [[False] * D])
+    c = coords[perms]  # (sigma, axis, node), before reflections
+    c = np.where(flips[:, None, :, None], side - 1 - c, c).reshape(-1, D, 1, n)
+    place = side ** np.arange(D - 1, -1, -1)[:, None, None]
+    maps = ((c + coords[:, :, None]) % side * place).sum(axis=1)  # (sigma, s, node)
+    return maps.reshape(-1, n), np.tile(coords.T, (len(c), 1))
+
+
+def _symmetries(net: Network) -> _Symmetry | None:
+    """The largest group of grid maps that sends p and every weighted edge
+    onto themselves, over the layouts (side,)*D with side**D == n and
+    side >= 2, the first layout winning a tie; None when no layout has a
+    map but the identity. Only p and the edges are read, never tag or
+    meta."""
+    n = net.n
+    W = np.zeros((n, n))
+    W[net.src, net.dst] = net.w
+    best = None
     for D in range(1, n.bit_length()):
         side = round(n ** (1.0 / D))
         if side < 2 or side**D != n:
             continue
         shape = (side,) * D
-        nodes = np.arange(n).reshape(shape)
-        if all(invariant(np.roll(nodes, -1, axis=d).ravel()) for d in range(D)):
-            return shape
-    return None
+        maps, shifts = _grid_maps(shape)
+        # a node map is one-to-one on node pairs: when every edge lands on
+        # an edge of its own weight, the edge set maps onto itself
+        keep = (net.p[maps] == net.p).all(axis=1)
+        keep &= (W[maps[:, net.src], maps[:, net.dst]] == net.w).all(axis=1)
+        order = int(keep.sum())
+        if order <= (1 if best is None else best.order):
+            continue
+        axes = tuple(d for d in range(D) if keep[side ** (D - 1 - d)])  # the shift by e_d
+        rep = keep & ~shifts[:, list(axes)].any(axis=1)
+        _, node_class = np.unique(maps[keep].min(axis=0), return_inverse=True)
+        best = _Symmetry(shape, axes, maps[rep], order, node_class)
+    return best
 
 
-def _orbits(M: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, label) for the orbits of the translations of the grid `shape`
-    on adopter sets: reps holds each orbit's least set, ascending, and
-    label[A] is the index in reps of A's orbit.
+def _image(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The set {g[i] : i in A} for each bitmask A in x, one lookup table
+    per 7 nodes."""
+    v = np.arange(128)[:, None]
+    out = np.zeros_like(x)
+    for lo in range(0, g.size, 7):
+        to = g[lo : lo + 7]
+        table = (((v >> np.arange(to.size)) & 1) << to).sum(axis=1).astype(x.dtype)
+        out |= table[(x >> lo) & 127]
+    return out
 
-    The least image is a running minimum over the group, each image one
-    masked bit-shift from the one before, so no (|G|, 2^M) array exists.
+
+def _orbits(M: int, sym: _Symmetry) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, label) for the orbits of the group `sym` on adopter sets:
+    reps holds each orbit's least set, ascending, and label[A] is the
+    index in reps of A's orbit.
+
+    The least image under the shifts is a running minimum, each image one
+    masked bit-shift from the one before. The shifts are normal in the
+    group, so the least shift image of g(A), for g a coset's map, depends
+    only on A's least shift image: the minimum over the cosets is one
+    table lookup per coset on the shift orbits' least sets. No
+    (|G|, 2^M) array exists.
     """
-    D, side = len(shape), shape[0]
+    D, side = len(sym.shape), sym.shape[0]
     states = np.arange(1 << M, dtype=np.int32)
     least = states.copy()
     full = (1 << M) - 1
@@ -247,16 +311,23 @@ def _orbits(M: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         moved |= wrapped
         return moved
 
-    def visit(x: np.ndarray, d: int) -> None:
-        for k in range(side):
-            if d + 1 < D:
-                visit(x, d + 1)
-            else:
-                np.minimum(least, x, out=least)
-            if k + 1 < side:
-                x = shift(x, d)
+    def visit(x: np.ndarray, k: int) -> None:
+        if k == len(sym.shift_axes):
+            np.minimum(least, x, out=least)
+            return
+        for step in range(side):
+            visit(x, k + 1)
+            if step + 1 < side:
+                x = shift(x, sym.shift_axes[k])
 
     visit(states, 0)
+    if len(sym.cosets) > 1:
+        is_rep = least == states
+        shift_reps = states[is_rep]
+        lowest = shift_reps.copy()
+        for g in sym.cosets[1:]:
+            np.minimum(lowest, least[_image(shift_reps, g)], out=lowest)
+        least = lowest[np.cumsum(is_rep, dtype=np.int32)[least] - 1]
     is_rep = least == states
     number = np.cumsum(is_rep, dtype=np.int32) - 1
     return states[is_rep], number[least]
@@ -446,20 +517,33 @@ def solve_master(net: Network, t_grid) -> MasterSolution:
 def exact_marginals(net: Network, t_grid) -> np.ndarray:
     """Per-node adoption probabilities, shape (M, T).
 
-    A network that a grid's translations map onto itself is solved on the
-    orbits of its adopter sets, where E|A|/M is the marginal of every node.
+    A network that a group of grid maps sends onto itself is solved on the
+    orbits of its adopter sets (see `_lumped_marginals`).
     """
     _check_size(net.n)
-    shape = _translation_shape(net)
-    if shape is None:
-        route = f"unlumped: no translation symmetry, {1 << net.n} states"
+    sym = _symmetries(net)
+    if sym is None:
+        route = f"unlumped: no symmetry, {1 << net.n} states"
         return _uniformized(build_generator(net), t_grid, _marginals, net.n, route).T
-    reps, label = _orbits(net.n, shape)
+    return _lumped_marginals(net, t_grid, sym)
+
+
+def _lumped_marginals(net: Network, t_grid, sym: _Symmetry) -> np.ndarray:
+    """exact_marginals on the orbits of `sym`. The distribution from the
+    empty set is invariant under the group, so every node j of a node
+    class C has the marginal E|A & C| / |C|, a function of A's orbit."""
+    reps, label = _orbits(net.n, sym)
     Q = _lumped_generator(net, reps, label)
-    size = (np.bitwise_count(reps) / net.n)[None, :]  # |A| / M on each orbit
-    route = f"lumped by translations of {shape}: {reps.size} orbits of {1 << net.n} states"
-    f = _uniformized(Q, t_grid, lambda v: size @ v, 1, route)
-    return np.repeat(f.T, net.n, axis=0)
+    n_classes = int(sym.node_class.max()) + 1
+    share = np.empty((n_classes, reps.size))  # |A & C| / |C| on each orbit
+    for c in range(n_classes):
+        members = np.flatnonzero(sym.node_class == c)
+        mask = sum(1 << int(j) for j in members)
+        share[c] = np.bitwise_count(reps & mask) / members.size
+    route = (f"lumped by {sym.order} symmetries of {sym.shape}: {reps.size} orbits of "
+             f"{1 << net.n} states, {n_classes} node class{'es' * (n_classes > 1)}")
+    f = _uniformized(Q, t_grid, lambda v: share @ v, n_classes, route)
+    return f.T[sym.node_class]
 
 
 def exact_f(net: Network, t_grid) -> AdoptionCurve:

@@ -206,16 +206,21 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
 def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
     """Per-node adoption frequencies, shape (M, T): entry (j, i) is the
     share of trials in which node j has adopted by t_grid[i]. times as for
-    `curve_from_times`."""
+    `curve_from_times`. The adoption counts of every block go into one
+    (M, T + 1) float array, which the cumulative sum and the division
+    overwrite."""
     t_grid = np.asarray(t_grid, dtype=float)
     trials, M = times.shape
     T = t_grid.size
-    node_counts = np.zeros((M, T))
+    counts = np.zeros(M * (T + 1))
     for lo in range(0, trials, TRIAL_BLOCK):
         k = np.searchsorted(t_grid, times[lo : lo + TRIAL_BLOCK], side="left")
-        per_node = np.bincount((k + (T + 1) * np.arange(M)).ravel(), minlength=M * (T + 1))
-        node_counts += per_node.reshape(M, T + 1).cumsum(axis=1)[:, :T]
-    return node_counts / trials
+        k += (T + 1) * np.arange(M)
+        counts += np.bincount(k.ravel(), minlength=M * (T + 1))
+    counts = counts.reshape(M, T + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    counts /= trials
+    return counts[:, :T]
 
 
 def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:

@@ -123,3 +123,35 @@ class TestCsv:
         write_curve_csv(str(path), AdoptionCurve(t=t, f=f, source="ode"))
         back = read_curve_csv(str(path))
         assert abs(back.f[1] - f[1]) < 1e-12
+
+
+def _write_cell_by_cell(curve):
+    """The writer up to 0.12.0, which formatted one cell at a time."""
+    header = ["t", "f"]
+    cols = [curve.t, curve.f]
+    if curve.stderr is not None:
+        header.append("stderr")
+        cols.append(curve.stderr)
+    if curve.per_node is not None:
+        M = curve.per_node.shape[0]
+        header.extend(f"node_{j}" for j in range(1, M + 1))
+        cols.extend(curve.per_node[j] for j in range(M))
+    lines = [",".join(header)]
+    for k in range(curve.t.size):
+        lines.append(",".join("%.12g" % c[k] for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("stderr", (False, True))
+@pytest.mark.parametrize("per_node", (False, True))
+def test_row_writer_matches_the_cell_writer_bytewise(stderr, per_node):
+    t = np.array([0.0, 1e-13, 0.5, 1.0, 3.25, 1e6])
+    f = np.array([0.0, 1e-13, 0.123456789012345, 0.5, 0.9999999999999, 1.0])
+    curve = AdoptionCurve(
+        t=t, f=f, source="monte_carlo" if stderr else "ode",
+        per_node=np.vstack([f, f**2, np.sqrt(f)]) if per_node else None,
+        stderr=np.array([0.0, 1e-13, 0.123456789012345, 1.0, 0.25, 0.0]) if stderr else None,
+    )
+    buf = io.StringIO()
+    write_curve_csv(buf, curve)
+    assert buf.getvalue() == _write_cell_by_cell(curve)

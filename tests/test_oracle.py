@@ -30,8 +30,11 @@ from basslab.oracle import (
     StateDistribution,
     _marginals,
     _poisson_terms,
+    _image,
+    _lumped_marginals,
+    _orbits,
     _poisson_weights,
-    _translation_shape,
+    _symmetries,
     _uniformized,
     build_generator,
     exact_f,
@@ -372,63 +375,124 @@ def _unlumped_marginals(net, t):
     return _uniformized(build_generator(net), t, _marginals, net.n, "unlumped").T
 
 
+def _is_symmetry(net, g):
+    """Whether the node map g sends p and every weighted edge onto themselves."""
+    W = dense_weights(net)
+    return np.array_equal(net.p[g], net.p) and np.array_equal(W[np.ix_(g, g)], W)
+
+
+# network, then the group order, orbit count and node class count the finder
+# must report; the orbit counts are Burnside's for the group (necklaces and
+# bracelets on circles)
+LUMPED = {
+    "torus3_one": (build_grid(2, 3, 0.01, 0.1, sided="one"), 18, 44, 1),
+    "torus3_two": (build_grid(2, 3, 0.01, 0.1, sided="two"), 72, 26, 1),
+    "torus4_one": (build_grid(2, 4, 0.01, 0.1, sided="one"), 32, 2209, 1),
+    "torus4_two": (build_grid(2, 4, 0.01, 0.1, sided="two"), 128, 805, 1),
+    "box3_one": (build_grid(2, 3, 0.01, 0.1, sided="one", periodic=False), 2, 288, 6),
+    "box3_two": (build_grid(2, 3, 0.01, 0.1, sided="two", periodic=False), 8, 102, 3),
+    "box4_one": (build_grid(2, 4, 0.01, 0.1, sided="one", periodic=False), 2, 33280, 10),
+    "box4_two": (build_grid(2, 4, 0.01, 0.1, sided="two", periodic=False), 8, 8548, 3),
+    "torus2x2x2": (build_grid(3, 2, 0.01, 0.1, sided="two"), 48, 22, 1),
+    "circle5": (build_circle(5, 0.01, 0.1), 5, 8, 1),
+    "circle12": (build_circle(12, 0.01, 0.1), 12, 352, 1),
+    "circle18": (build_circle(18, 0.01, 0.1), 18, 14602, 1),
+    "circle5_two": (build_circle(5, 0.01, 0.1, sided="two"), 10, 8, 1),
+    "circle12_two": (build_circle(12, 0.01, 0.1, sided="two"), 24, 224, 1),
+    "circle18_two": (build_circle(18, 0.01, 0.1, sided="two"), 36, 7685, 1),
+    "line5_two": (build_line(5, 0.01, 0.1, sided="two"), 2, 20, 3),
+    "line16_two": (build_line(16, 0.01, 0.1, sided="two"), 2, 32896, 8),
+}
+
+
 class TestLumping:
     T60 = np.linspace(0.0, 60.0, 61)
 
-    @pytest.mark.parametrize(
-        "net",
-        [
-            build_grid(2, 3, 0.01, 0.1, sided="one"),
-            build_grid(2, 3, 0.01, 0.1, sided="two"),
-            build_grid(2, 4, 0.01, 0.1, sided="one"),
-            build_grid(2, 4, 0.01, 0.1, sided="two"),
-            build_circle(5, 0.01, 0.1),
-            build_circle(12, 0.01, 0.1),
-            build_circle(18, 0.01, 0.1),
-        ],
-        ids=["torus3_one", "torus3_two", "torus4_one", "torus4_two",
-             "circle5", "circle12", "circle18"],
-    )
-    def test_lumped_route_matches_the_full_sweep(self, net):
-        assert _translation_shape(net) is not None
+    @pytest.mark.parametrize("name", LUMPED)
+    def test_lumped_route_matches_translations_and_the_full_sweep(self, name):
+        net, order, n_orbits, n_classes = LUMPED[name]
+        sym = _symmetries(net)
+        assert sym is not None
+        assert (sym.order, _orbits(net.n, sym)[0].size, sym.node_class.max() + 1) == (
+            order, n_orbits, n_classes)
+        assert all(_is_symmetry(net, g) for g in sym.cosets)
         lumped = exact_marginals(net, self.T60)
         assert np.max(np.abs(lumped - _unlumped_marginals(net, self.T60))) <= 1e-13
+        if name.startswith(("torus", "circle")):
+            # the shifts alone, the group the oracle lumped by before it
+            # read reflections and axis permutations
+            assert sym.shift_axes == tuple(range(len(sym.shape)))
+            shifts = replace(sym, cosets=sym.cosets[:1], order=net.n,
+                             node_class=np.zeros(net.n, dtype=int))
+            assert np.max(np.abs(lumped - _lumped_marginals(net, self.T60, shifts))) <= 1e-13
+        else:
+            assert sym.shift_axes == ()
 
-    def _not_invariant(self):
+    def _perturbed(self):
+        """(network, order of the group that still holds, its node classes)."""
         torus = build_grid(2, 4, 0.01, 0.1, sided="two")
         circle = build_circle(12, 0.01, 0.1)
+        two = build_circle(12, 0.01, 0.1, sided="two")
         p = circle.p.copy()
         p[5] = 0.02
+
+        def heavier(net, pairs):
+            return replace(net, edges=tuple(
+                (i, j, 0.2 if (i, j) in pairs else w) for i, j, w in net.edges))
+
         box = build_grid(2, 3, 0.01, 0.1, periodic=False)
-        heavier = tuple((i, j, 0.2 if (i, j) == (0, 1) else w) for i, j, w in circle.edges)
         return [
-            remove_edges(torus, [torus.edges[0][:2]]),
-            replace(circle, p=p),
-            replace(circle, edges=heavier),
-            Network(n=box.n, p=box.p, edges=box.edges, tag="torus",
-                    meta={**box.meta, "periodic": True}),
+            # the reflection of the first axis about row 0 fixes the edge 0 -> 1
+            (remove_edges(torus, [torus.edges[0][:2]]), 2, 12),
+            # the point group of the torus about node 5
+            (replace(torus, p=np.where(np.arange(16) == 5, 0.02, 0.01)), 8, 6),
+            (replace(circle, p=p), 1, None),
+            (heavier(circle, {(0, 1)}), 1, None),
+            # x -> 10 - x fixes node 5 of the two-sided circle
+            (replace(two, p=p), 2, 7),
+            (heavier(two, {(0, 1)}), 1, None),
+            (heavier(two, {(0, 1), (1, 0)}), 2, 6),
+            # a one-sided box keeps its axis swap, whatever tag and meta say
+            (Network(n=box.n, p=box.p, edges=box.edges, tag="torus",
+                     meta={**box.meta, "periodic": True}), 2, 6),
         ]
 
-    def test_networks_without_the_symmetry_take_the_full_sweep(self):
-        for net in self._not_invariant():
-            assert _translation_shape(net) is None
+    def test_perturbed_networks_keep_only_the_symmetries_that_hold(self):
+        for net, order, n_classes in self._perturbed():
+            sym = _symmetries(net)
+            if order == 1:
+                assert sym is None
+            else:
+                assert (sym.order, sym.node_class.max() + 1, sym.shift_axes) == (order, n_classes, ())
+                assert all(_is_symmetry(net, g) for g in sym.cosets)
             got = exact_marginals(net, self.T60)
             assert np.max(np.abs(got - _unlumped_marginals(net, self.T60))) <= 1e-13
 
-    def test_shape_is_read_from_the_rates(self):
-        assert _translation_shape(build_circle(16, 0.01, 0.1)) == (16,)
-        assert _translation_shape(build_grid(2, 4, 0.01, 0.1)) == (4, 4)
-        assert _translation_shape(build_grid(3, 2, 0.01, 0.1, sided="two")) == (2, 2, 2)
-        assert _translation_shape(Network(n=1, p=np.array([0.1]), edges=())) is None
+    def test_group_is_read_from_the_rates(self):
+        assert _symmetries(build_circle(16, 0.01, 0.1)).shape == (16,)
+        assert _symmetries(build_grid(2, 4, 0.01, 0.1)).shape == (4, 4)
+        assert _symmetries(build_grid(3, 2, 0.01, 0.1, sided="two")).shape == (2, 2, 2)
+        assert _symmetries(build_line(16, 0.01, 0.1)) is None
+        assert _symmetries(Network(n=1, p=np.array([0.1]), edges=())) is None
+
+    def test_image_maps_every_node_of_the_set(self):
+        rng = np.random.default_rng(11)
+        M = 20
+        g = rng.permutation(M)
+        sets = rng.integers(0, 1 << M, 500).astype(np.int32)
+        ref = [sum(1 << int(g[i]) for i in range(M) if a >> i & 1) for a in sets.tolist()]
+        assert _image(sets, g).tolist() == ref
 
     def test_each_solve_names_its_route(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="basslab.oracle"):
             exact_f(build_grid(2, 4, 0.01, 0.1), self.T60)
+            exact_f(build_line(16, 0.01, 0.1, sided="two"), self.T60)
             exact_f(build_line(5, 0.01, 0.1), self.T60)
             survival(build_circle(4, 0.01, 0.1), [0], self.T60)
-        lumped, line, surv = (r.getMessage() for r in caplog.records)
-        assert "lumped by translations of (4, 4): 4156 orbits of 65536 states" in lumped
-        assert "unlumped: no translation symmetry, 32 states" in line
+        torus, line, one, surv = (r.getMessage() for r in caplog.records)
+        assert "lumped by 32 symmetries of (4, 4): 2209 orbits of 65536 states, 1 node class;" in torus
+        assert "lumped by 2 symmetries of (16,): 32896 orbits of 65536 states, 8 node classes" in line
+        assert "unlumped: no symmetry, 32 states" in one
         assert "unlumped: set survival, 16 states" in surv
 
     def test_size_cap_holds_for_the_lumped_route(self):
@@ -436,11 +500,12 @@ class TestLumping:
         with pytest.raises(ValueError, match="capped"):
             exact_f(net, self.T60)
 
-    def test_orbit_labelling_streams(self):
-        # the images of every state under all |G| = M translations, held at
+    @pytest.mark.parametrize("sided", ("one", "two"))
+    def test_orbit_labelling_streams(self, sided):
+        # the images of every state under the M translations alone, held at
         # once, would take M * 2^M * 4 bytes as int32
         M = 18
-        net = build_circle(M, 0.01, 0.1)
+        net = build_circle(M, 0.01, 0.1, sided=sided)
         exact_f(net, self.T60[:2])
         tracemalloc.start()
         try:

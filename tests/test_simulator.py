@@ -18,6 +18,7 @@ from basslab.simulator import (
     CouplingTape,
     DEFAULT_STEP_PROB,
     MAX_COUPLED_STEPS,
+    TRIAL_BLOCK,
     VIOLATION_LIST_CAP,
     SimConfig,
     curve_from_times,
@@ -418,6 +419,35 @@ class TestCurveAssembly:
             tracemalloc.stop()
         assert curve.per_node is None
         assert peak < 3 * times.nbytes  # 4.6 MB
+
+    def test_node_frequencies_equal_the_per_block_cumsum_exactly(self):
+        # the formula up to 0.12.0: each block's int64 counts cumulated,
+        # cut to T columns and added to a float total; more trials than
+        # TRIAL_BLOCK, so the blocks' counts are summed too
+        t = np.linspace(0.0, 6.0, 13)
+        times = _awkward_times(t, 1100, 7)
+        trials, M = times.shape
+        T = t.size
+        total = np.zeros((M, T))
+        for lo in range(0, trials, TRIAL_BLOCK):
+            k = np.searchsorted(t, times[lo : lo + TRIAL_BLOCK], side="left")
+            per_node = np.bincount((k + (T + 1) * np.arange(M)).ravel(), minlength=M * (T + 1))
+            total += per_node.reshape(M, T + 1).cumsum(axis=1)[:, :T]
+        assert np.array_equal(node_frequencies(times, t), total / trials)
+
+    def test_node_frequencies_hold_one_count_array(self):
+        # the accumulator and one block's bincount, each (M, T + 1); up to
+        # 0.12.0 the cumsum and the float total made it about three
+        rng = np.random.default_rng(0)
+        times = rng.exponential(50.0, size=(20, 4000))
+        t = np.linspace(0.0, 300.0, 200)
+        tracemalloc.start()
+        try:
+            node_frequencies(times, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * times.shape[1] * (t.size + 1) * 8
 
     def test_single_trial_has_zero_stderr(self):
         curve = curve_from_times(np.array([[1.0, 2.0]]), np.linspace(0, 3, 4))

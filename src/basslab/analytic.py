@@ -352,6 +352,24 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
 # Diagnostic quantities
 
 
+def _alpha_table(t_grid: np.ndarray, p: float, q: float, k: int) -> np.ndarray:
+    """alpha(t,j) for every j = 1..k, shape (k, T), from one solve of the
+    difference system (see alpha_diag)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _check_pq(p, q)
+
+    def rhs(t, a):
+        d = -(p + q) * a
+        drive = q * np.exp(-p * t)
+        d[0] += drive * (1.0 - np.exp(-p * t))
+        d[1:] += drive * a[:-1]
+        return d
+
+    return _integrate(rhs, np.asarray(t_grid, dtype=float), np.zeros(k), "difference system",
+                      p + q, ODE_RTOL, 1e-18)
+
+
 def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
     """alpha(t,k) = S_1(t;k) - S_1(t;k+1); positive for t > 0.
 
@@ -364,21 +382,9 @@ def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
         alpha_0  = 1 - e^{-pt},  alpha_j(0) = 0,
 
     which is positivity-preserving and carries no cancellation.
+    _alpha_table gives every row j <= k from the same solve.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_pq(p, q)
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    def rhs(t, a):
-        d = -(p + q) * a
-        drive = q * np.exp(-p * t)
-        d[0] += drive * (1.0 - np.exp(-p * t))
-        d[1:] += drive * a[:-1]
-        return d
-
-    return _integrate(rhs, t_grid, np.zeros(k), "difference system", p + q, ODE_RTOL,
-                      1e-18)[k - 1]
+    return _alpha_table(t_grid, p, q, k)[k - 1]
 
 
 def _block_survival(s1: np.ndarray, t_grid: np.ndarray, p: float, k: int, m: int) -> np.ndarray:

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    _alpha_table,
     _circle_survivals,
-    alpha_diag,
     beta_diag,
     default_time_grid,
     f_circle,
@@ -313,13 +313,14 @@ def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
 def _suite_appendix(spec: argparse.Namespace) -> dict:
     """Positivity of alpha..psi at M <= 9. beta, gamma, psi and the
     one-sided line of nu read every S_k off two S_1 tables, at q and q/2;
-    alpha integrates its own difference system and nu's two-sided line is
-    one solve per M."""
+    alpha reads every k off one solve of its difference system, and nu's
+    two-sided line is one solve per M."""
     p, q = spec.p, spec.q
     t = np.linspace(1.5, VERIFY_T_MAX, 20)
     s1 = _circle_survivals(t, p, q, 9)
     s1_half = _circle_survivals(t, p, q / 2, 9)
-    entries = [_diag_entry("alpha", k, 0, alpha_diag(t, p, q, k)) for k in range(1, 10)]
+    entries = [_diag_entry("alpha", k, 0, row)
+               for k, row in enumerate(_alpha_table(t, p, q, 9), start=1)]
     entries += [_diag_entry("beta", k, M, beta_diag(t, p, k, M, s1, s1_half))
                 for M in range(2, 10) for k in range(1, M)]
     entries += [_diag_entry("gamma", k, M, gamma_diag(t, p, k, M, s1))
@@ -341,8 +342,8 @@ def _suite_dominance(spec: argparse.Namespace) -> dict:
     coupled = []
     for name, lo, hi in dominance_pairs(spec.p, spec.q):
         report = run_coupled(lo, hi, config)
-        report.pop("times_a")
-        report.pop("times_b")
+        for key in ("steps", "times_a", "times_b"):
+            report.pop(key)
         coupled.append({"pair": name, **report, "passed": report["verdict"] == "pass"})
     passed = all(m["passed"] for m in mono) and all(c["passed"] for c in coupled)
     return {"suite": "dominance", "monotonicity": mono, "coupling": coupled, "passed": passed}

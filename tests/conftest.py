@@ -66,39 +66,6 @@ def dense_weights(net):
     return W
 
 
-def discrete_chain_f(net, dt, n_steps):
-    """Exact mean adopter fraction of the synchronous discrete-time chain
-    (each non-adopter flips with probability lambda_j*dt per step), by
-    dynamic programming over all 2^M adopter sets. Independent reference for
-    the stochastic discrete scheme; O(3^M) per step, so keep M small."""
-    M = net.n
-    n_states = 1 << M
-    bits = ((np.arange(n_states)[:, None] >> np.arange(M)) & 1).astype(float)
-    pr = np.clip((net.p[None, :] + bits @ dense_weights(net)) * dt, 0.0, 1.0)
-    probs = np.zeros(n_states)
-    probs[0] = 1.0
-    for _ in range(n_steps):
-        nxt = np.zeros(n_states)
-        for A in range(n_states):
-            if probs[A] == 0.0:
-                continue
-            absent = [j for j in range(M) if not (A >> j) & 1]
-            sub = absent
-            # enumerate which subset of the absent nodes flips this step
-            for mask in range(1 << len(sub)):
-                w = probs[A]
-                B = A
-                for b, j in enumerate(sub):
-                    if (mask >> b) & 1:
-                        w *= pr[A, j]
-                        B |= 1 << j
-                    else:
-                        w *= 1.0 - pr[A, j]
-                nxt[B] += w
-        probs = nxt
-    return float((probs @ bits).mean())
-
-
 def _hierarchy_matrix(p, q, M, sided="one"):
     """Coefficient matrix of the S_k hierarchy of the M-circle, assembled
     from the sided edge weights: a block of k adjacent nodes is fed by 1

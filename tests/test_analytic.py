@@ -8,6 +8,7 @@ from basslab.analytic import (
     CLOSED_FORM_MAX_M,
     MAX_DECAY_SPAN,
     DegenerateParameters,
+    _alpha_table,
     _block_survival,
     _circle_survivals,
     alpha_diag,
@@ -392,6 +393,14 @@ class TestDiagnostics:
             )
             got = alpha_diag(np.array([t]), 0.01, 0.1, k)[0]
             assert got == pytest.approx(ref, rel=1e-8)
+
+    def test_alpha_table_rows_are_the_single_solves(self):
+        # the appendix suite's grid: one k = 9 solve gives every row
+        t = np.linspace(1.5, 30.0, 20)
+        table = _alpha_table(t, 0.01, 0.1, 9)
+        assert table.shape == (9, t.size) and np.all(table > 0)
+        for k in range(1, 10):
+            np.testing.assert_allclose(table[k - 1], alpha_diag(t, 0.01, 0.1, k), rtol=1e-7)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import heapq
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,29 +13,20 @@ from basslab.network import (
     build_hybrid_circle_ray,
     build_line,
     dominates,
-    weakly_dominates,
 )
 from basslab.oracle import exact_f
 from basslab.principles import dominance_pairs
 from basslab.simulator import (
-    CouplingTape,
-    DEFAULT_STEP_PROB,
-    MAX_COUPLED_STEPS,
     TRIAL_BLOCK,
     VIOLATION_LIST_CAP,
     SimConfig,
     curve_from_times,
-    default_dt,
     event_trajectories,
-    max_total_rate,
     node_frequencies,
-    _discrete_steps,
-    _times,
     run_coupled,
     run_event_driven,
-    validate_dt,
 )
-from conftest import dense_weights, discrete_chain_f, two_node_chain_survival
+from conftest import two_node_chain_survival
 
 
 def _awkward_times(t, trials, M):
@@ -61,58 +55,58 @@ def _boolean_blocked_curve(times, t, block):
     return mean, np.sqrt(np.maximum(var, 0.0) / trials), node_counts / trials
 
 
-def _stepwise_coupled_report(net_a, net_b, config):
-    """Reference coupling: both networks stepped together against one tape,
-    the ordering checked after every step (the per-step loop run_coupled
-    used before it shared the discrete kernel)."""
+def _reference_coupling(net_a, net_b, cfg):
+    """Shared-clock coupling, one trial at a time: trial r of block b reads
+    row r of the block's Exp(1) draw, whose columns are the node clocks of
+    every node seeded in either network, then the edge clocks of either
+    network's edges in key (src*M + dst) order. Each network divides its
+    own clocks by its own rates and runs a heap Dijkstra."""
     M = net_a.n
-    applicable = weakly_dominates(net_a, net_b)
-    dt = config.dt if config.dt is not None else default_dt(net_b)
-    n_steps = int(np.ceil(config.t_max / dt - 1e-12))
-    tape = CouplingTape(config.base_seed)
-    Wa, Wb = dense_weights(net_a), dense_weights(net_b)
-    R = config.trials
-    Xa = np.zeros((R, M), dtype=bool)
-    Xb = np.zeros((R, M), dtype=bool)
-    times_a = np.full((R, M), np.inf)
-    times_b = np.full((R, M), np.inf)
-    violation_count = 0
-    violations = []
-    for step in range(n_steps):
-        u = tape.uniforms(step, (R, M))
-        lam_a = net_a.p[None, :] + Xa @ Wa
-        lam_b = net_b.p[None, :] + Xb @ Wb
-        new_a = (~Xa) & (u <= lam_a * dt)
-        new_b = (~Xb) & (u <= lam_b * dt)
-        times_a[new_a] = (step + 1) * dt
-        times_b[new_b] = (step + 1) * dt
-        Xa |= new_a
-        Xb |= new_b
-        bad = Xa & ~Xb
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            violation_count += n_bad
-            for trial, node in zip(*np.nonzero(bad)):
-                if len(violations) >= VIOLATION_LIST_CAP:
-                    break
-                violations.append({"trial": int(trial), "step": step, "node": int(node)})
-    if applicable:
-        verdict = "pass" if violation_count == 0 else "fail"
-    else:
-        verdict = "not_applicable"
-    return {
-        "applicable": bool(applicable),
-        "trials": R,
-        "steps": n_steps,
-        "dt": dt,
-        "violations": violations,
-        "violation_count": violation_count,
-        "verdict": verdict,
-        "mean_final_fraction_a": float(Xa.mean()),
-        "mean_final_fraction_b": float(Xb.mean()),
-        "times_a": times_a,
-        "times_b": times_b,
-    }
+    seeded = [j for j in range(M) if net_a.p[j] > 0 or net_b.p[j] > 0]
+    keys = sorted({int(i) * M + int(j) for net in (net_a, net_b) for i, j in zip(net.src, net.dst)})
+    out = [np.empty((cfg.trials, M)) for _ in range(2)]
+    done = 0
+    for b in range(-(-cfg.trials // cfg.block_size)):
+        R = min(cfg.block_size, cfg.trials - done)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b)))
+        for row in rng.standard_exponential((R, len(seeded) + len(keys))):
+            node_clock = dict(zip(seeded, row))
+            edge_clock = dict(zip(keys, row[len(seeded):]))
+            for net, times in zip((net_a, net_b), out):
+                dist = [node_clock[j] / net.p[j] if net.p[j] > 0 else np.inf for j in range(M)]
+                heap = [(d, j) for j, d in enumerate(dist) if d < np.inf]
+                heapq.heapify(heap)
+                settled = set()
+                while heap:
+                    d, i = heapq.heappop(heap)
+                    if i in settled:
+                        continue
+                    settled.add(i)
+                    for e in range(net.indptr[i], net.indptr[i + 1]):
+                        j = int(net.dst[e])
+                        cand = d + edge_clock[i * M + j] / net.w[e]
+                        if cand < dist[j]:
+                            dist[j] = cand
+                            heapq.heappush(heap, (cand, j))
+                times[done] = dist
+            done += 1
+    for times in out:
+        times[times > cfg.t_max] = np.inf
+    return out
+
+
+def _crossed_pair():
+    """Neither network above the other: each seeds nodes and has edges the
+    other lacks; A's nodes 3 and 4 and B's node 1 can never adopt."""
+    a = Network(5, np.array([0.1, 0.0, 0.2, 0.0, 0.0]),
+                [(0, 1, 0.5), (1, 2, 0.3), (3, 4, 0.4)])
+    b = Network(5, np.array([0.0, 0.0, 0.2, 0.3, 0.0]),
+                [(1, 2, 0.6), (2, 3, 0.2), (4, 0, 0.7), (3, 4, 0.1)])
+    return a, b
+
+
+def _scaled(net, factor):
+    return Network(net.n, net.p * factor, np.column_stack([net.src, net.dst, net.w * factor]))
 
 
 class TestSimConfig:
@@ -124,11 +118,9 @@ class TestSimConfig:
         "kwargs",
         [
             {"trials": 0},
-            {"dt": 0.0},
             {"t_max": -1.0},
             {"t_max": float("nan")},
             {"t_max": float("inf")},
-            {"dt": float("nan")},
             {"block_size": 0},
             {"t_max": 0.0},
         ],
@@ -136,59 +128,6 @@ class TestSimConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
-
-
-class TestTapes:
-    def test_coupling_tape_is_pure(self):
-        a = CouplingTape(42).uniforms(3, (4, 5))
-        b = CouplingTape(42).uniforms(3, (4, 5))
-        assert np.array_equal(a, b)
-
-    def test_steps_and_seeds_decorrelate(self):
-        tape = CouplingTape(42)
-        assert not np.array_equal(tape.uniforms(0, (8,)), tape.uniforms(1, (8,)))
-        assert not np.array_equal(
-            CouplingTape(1).uniforms(0, (8,)), CouplingTape(2).uniforms(0, (8,))
-        )
-
-    def test_leading_draws_do_not_depend_on_shape(self):
-        # trial r's slice is the same whether 10 or 30 trials are running
-        tape = CouplingTape(7)
-        small = tape.uniforms(2, (10, 3))
-        large = tape.uniforms(2, (30, 3))
-        assert np.array_equal(small, large[:10])
-
-
-class TestStepSize:
-    def test_max_total_rate(self):
-        net = build_circle(4, 0.05, 0.3, sided="two")
-        assert max_total_rate(net) == pytest.approx(0.35)
-
-    def test_max_total_rate_equals_dense_column_sum(self):
-        nets = [net for _name, *pair in dominance_pairs() for net in pair]
-        nets += [build_hybrid_circle_ray(4, 3, 0.01, 0.1),
-                 Network(n=3, p=np.array([0.1, 0.2, 0.3]),
-                         edges=((0, 1, 0.5), (0, 2, 0.7), (1, 2, 0.05)))]
-        nets += [build_grid(D, side, 0.01, q, sided=sided, periodic=periodic)
-                 for D, side in ((1, 5), (2, 4), (3, 3), (4, 2))
-                 for q in (0.1, 0.3, 0.7)
-                 for sided in ("one", "two")
-                 for periodic in (True, False)]
-        for net in nets:
-            assert max_total_rate(net) == np.max(net.p + dense_weights(net).sum(axis=0))
-
-    def test_default_dt_targets_step_probability(self):
-        net = build_circle(4, 0.05, 0.3)
-        dt = default_dt(net)
-        assert dt * max_total_rate(net) == pytest.approx(DEFAULT_STEP_PROB)
-
-    def test_validate_dt(self):
-        net = build_circle(4, 0.05, 0.3)
-        validate_dt(net, 0.01)
-        with pytest.raises(ValueError):
-            validate_dt(net, 5.0)
-        with pytest.warns(UserWarning):
-            validate_dt(net, 0.5)
 
 
 class TestEventDriven:
@@ -279,47 +218,6 @@ class TestEventDriven:
         with pytest.raises(ValueError, match="block_size"):
             event_trajectories(net, cfg)
 
-
-class TestDiscrete:
-    def test_deterministic_and_tape_driven(self):
-        net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=100, base_seed=21, dt=0.05, t_max=5.0)
-        a = run_coupled(net, net, cfg)["times_a"]
-        assert a.shape == (100, 4)
-        assert np.array_equal(a, run_coupled(net, net, cfg)["times_a"])
-        (steps,) = _discrete_steps([net], cfg, CouplingTape(21), 100, 0.05)
-        assert np.array_equal(a, _times(steps, 100, 0.05))
-
-    def test_trials_do_not_interact(self):
-        net = build_circle(3, 0.1, 0.4)
-        few = run_coupled(net, net, SimConfig(trials=10, base_seed=2, dt=0.1, t_max=5.0))
-        many = run_coupled(net, net, SimConfig(trials=25, base_seed=2, dt=0.1, t_max=5.0))
-        assert np.array_equal(few["times_a"], many["times_a"][:10])
-
-    def test_matches_exact_chain_distribution(self):
-        # the synchronous chain has an exactly computable mean fraction;
-        # the sampler must land within Monte Carlo error of it
-        net = build_circle(3, 0.1, 0.4, sided="two")
-        dt, t_max = 0.1, 8.0
-        ref = discrete_chain_f(net, dt, int(round(t_max / dt)))
-        cfg = SimConfig(trials=3000, base_seed=1, dt=dt, t_max=t_max)
-        curve = curve_from_times(run_coupled(net, net, cfg)["times_a"], np.array([0.0, t_max]))
-        assert abs(curve.f[-1] - ref) <= 4 * curve.stderr[-1]
-
-    def test_step_bias_shrinks_linearly(self):
-        # halving dt halves the gap between the chain and the continuous
-        # process, measured against the exact master equation
-        net = build_circle(3, 0.1, 0.4, sided="two")
-        t_max = 8.0
-        ref = exact_f(net, np.array([0.0, t_max])).f[-1]
-        errs = [
-            discrete_chain_f(net, dt, int(round(t_max / dt))) - ref
-            for dt in (0.1, 0.05, 0.025)
-        ]
-        assert all(e > 0 for e in errs)
-        for big, small in zip(errs, errs[1:]):
-            assert 1.6 < big / small < 2.5
-
     def test_circle_sidedness_is_statistically_invisible(self):
         t = np.linspace(0, 30, 16)
         one = run_event_driven(
@@ -343,31 +241,8 @@ class TestDiscrete:
         gap = two.f[mid] - one.f[mid]
         assert gap > 2 * (one.stderr[mid] + two.stderr[mid])
 
-    def test_agrees_with_event_scheme(self):
-        net = build_circle(3, 0.1, 0.4, sided="two")
-        t = np.linspace(0, 8, 9)
-        ev = run_event_driven(net, SimConfig(trials=3000, base_seed=6), t_grid=t)
-        cfg = SimConfig(trials=3000, base_seed=106, dt=0.02, t_max=8.0)
-        dis = curve_from_times(run_coupled(net, net, cfg)["times_a"], t)
-        gap = np.abs(ev.f - dis.f)[1:]
-        assert np.all(gap <= 3 * (ev.stderr + dis.stderr)[1:])
-
 
 class TestCurveAssembly:
-    def test_discrete_times_end_steps_and_feed_the_curve(self):
-        # a finite discrete time is the end of the step the node adopted
-        # in, (k + 1) * dt for k < n_steps; the curve at the horizon is
-        # the fraction of finite times
-        net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=64, base_seed=13, dt=0.05, t_max=5.0)
-        times = run_coupled(net, net, cfg)["times_a"]
-        finite = times[np.isfinite(times)]
-        k = np.round(finite / 0.05).astype(int) - 1
-        assert 0 < finite.size < times.size
-        assert np.all((0 <= k) & (k < 100)) and np.array_equal(finite, (k + 1) * 0.05)
-        curve = curve_from_times(times, np.linspace(0, 5, 6))
-        assert curve.f[-1] == np.isfinite(times).mean()
-
     def test_blocked_accumulation_matches_direct(self):
         rng = np.random.default_rng(0)
         times = rng.exponential(2.0, size=(97, 5))
@@ -461,14 +336,126 @@ class TestCurveAssembly:
 
 
 class TestCoupled:
-    def test_self_coupling_is_identical(self):
+    def test_self_coupling_is_the_event_sampler(self):
+        # both sides draw the clocks event_trajectories draws, in its blocks
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=200, base_seed=17, dt=0.05, t_max=10.0)
+        cfg = SimConfig(trials=200, base_seed=17, t_max=10.0, block_size=64)
         rep = run_coupled(net, net, cfg)
         assert rep["applicable"] and rep["verdict"] == "pass"
         assert rep["violation_count"] == 0 and rep["violations"] == []
         assert rep["times_a"].shape == (200, 4)
         assert np.array_equal(rep["times_a"], rep["times_b"])
+        assert np.array_equal(rep["times_a"], event_trajectories(net, cfg))
+
+    def test_report_has_one_pass_and_no_step_size(self):
+        net = build_circle(3, 0.1, 0.4)
+        rep = run_coupled(net, net, SimConfig(trials=5, t_max=5.0))
+        assert rep["steps"] == 1 and "dt" not in rep
+        assert list(rep) == ["applicable", "trials", "steps", "violations", "violation_count",
+                             "verdict", "mean_final_fraction_a", "mean_final_fraction_b",
+                             "times_a", "times_b"]
+
+    @pytest.mark.parametrize("name, lo, hi", dominance_pairs(),
+                             ids=[name for name, _, _ in dominance_pairs()])
+    def test_dominance_pairs_order_every_cell(self, name, lo, hi):
+        # a horizon no clock reaches: nothing is clipped, and the ordering
+        # holds on the raw first-passage times
+        rep = run_coupled(lo, hi, SimConfig(trials=2000, base_seed=3, t_max=1e9))
+        assert np.all(np.isfinite(rep["times_a"]))
+        assert np.all(rep["times_b"] <= rep["times_a"])
+        assert np.any(rep["times_b"] < rep["times_a"])
+        assert rep["verdict"] == "pass" and rep["violation_count"] == 0
+
+    @pytest.mark.parametrize("net", [
+        build_circle(5, 0.05, 0.3, sided="two"),
+        build_line(6, 0.02, 0.4, sided="one"),
+        build_grid(2, 3, 0.01, 0.1, sided="two", periodic=True),
+        build_hybrid_circle_ray(3, 2, 0.05, 0.2),
+    ], ids=["circle", "line", "torus", "hybrid"])
+    def test_doubled_rates_halve_every_time_exactly(self, net):
+        # halving is exact in binary, so it commutes with each division, sum
+        # and minimum: on shared clocks B = 2A runs in exactly half A's time
+        rep = run_coupled(net, _scaled(net, 2.0), SimConfig(trials=300, base_seed=8, t_max=1e9))
+        assert np.all(np.isfinite(rep["times_a"]))
+        assert np.array_equal(rep["times_b"], rep["times_a"] / 2)
+        assert rep["verdict"] == "pass"
+
+    @pytest.mark.parametrize("case, trials, block_size, t_max", [
+        ("dominated", 300, 128, 40.0),
+        ("reversed", 300, 128, 20.0),
+        ("crossed", 200, 64, 30.0),
+        ("short-horizon", 150, 512, 3.0),
+        ("one-trial-blocks", 20, 1, 30.0),
+    ])
+    def test_report_matches_reference(self, case, trials, block_size, t_max):
+        _, lo, hi = dominance_pairs()[2]
+        net_a, net_b = {
+            "dominated": (lo, hi),
+            "reversed": (hi, lo),
+            "crossed": _crossed_pair(),
+            "short-horizon": (build_circle(4, 0.05, 0.3, sided="one"),
+                              build_circle(4, 0.05, 0.3, sided="two")),
+            "one-trial-blocks": (lo, hi),
+        }[case]
+        cfg = SimConfig(trials=trials, base_seed=13, t_max=t_max, block_size=block_size)
+        rep = run_coupled(net_a, net_b, cfg)
+        ref_a, ref_b = _reference_coupling(net_a, net_b, cfg)
+        assert np.array_equal(rep["times_a"], ref_a)
+        assert np.array_equal(rep["times_b"], ref_b)
+        late = ref_a < ref_b
+        assert rep["violation_count"] == np.count_nonzero(late)
+        assert rep["mean_final_fraction_a"] == np.isfinite(ref_a).mean()
+        assert rep["mean_final_fraction_b"] == np.isfinite(ref_b).mean()
+
+    def test_clocks_a_network_lacks_divide_nothing(self):
+        # a node clock whose p_j is 0, or an edge clock whose edge is absent,
+        # in one network is never divided by that network's zero rate
+        net_a, net_b = _crossed_pair()
+        cfg = SimConfig(trials=100, base_seed=2, t_max=1e9)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rep = run_coupled(net_a, net_b, cfg)
+        assert np.all(np.isinf(rep["times_a"][:, 3:]))
+        assert np.all(np.isfinite(rep["times_a"][:, :3]))
+        assert np.all(np.isinf(rep["times_b"][:, 1]))
+        assert np.all(np.isfinite(rep["times_b"][:, [0, 2, 3, 4]]))
+        assert not rep["applicable"]
+
+    def test_trials_do_not_depend_on_trial_count(self):
+        _, lo, hi = dominance_pairs()[0]
+        short = run_coupled(lo, hi, SimConfig(trials=100, base_seed=6, t_max=30.0, block_size=64))
+        long = run_coupled(lo, hi, SimConfig(trials=200, base_seed=6, t_max=30.0, block_size=64))
+        assert np.array_equal(short["times_a"], long["times_a"][:100])
+        assert np.array_equal(short["times_b"], long["times_b"][:100])
+
+    def test_horizon_only_clips_the_unclipped_times(self):
+        _, lo, hi = dominance_pairs()[3]
+        far = run_coupled(lo, hi, SimConfig(trials=400, base_seed=10, t_max=1e9))
+        near = run_coupled(lo, hi, SimConfig(trials=400, base_seed=10, t_max=15.0))
+        for key in ("times_a", "times_b"):
+            clipped = np.where(far[key] > 15.0, np.inf, far[key])
+            assert np.array_equal(near[key], clipped)
+            assert 0 < np.isinf(clipped).mean() < 1
+        assert near["mean_final_fraction_a"] == np.isfinite(near["times_a"]).mean()
+        assert near["mean_final_fraction_a"] <= near["mean_final_fraction_b"]
+
+    def test_violation_report_is_strict_json(self):
+        # a never-adopted B cell is listed as null, never as Infinity
+        hi, lo = build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)
+        rep = run_coupled(hi, lo, SimConfig(trials=400, base_seed=29, t_max=20.0))
+        summary = {k: v for k, v in rep.items() if k not in ("times_a", "times_b")}
+        text = json.dumps(summary, allow_nan=False)
+        assert json.loads(text)["violations"] == rep["violations"]
+        assert "null" in text
+
+    def test_each_side_has_its_exact_law(self):
+        name, lo, hi = dominance_pairs()[0]
+        t = np.linspace(0.0, 30.0, 16)
+        rep = run_coupled(lo, hi, SimConfig(trials=4000, base_seed=41, t_max=30.0))
+        for times, net in ((rep["times_a"], lo), (rep["times_b"], hi)):
+            curve = curve_from_times(times, t)
+            z = (curve.f - exact_f(net, t).f)[1:] / curve.stderr[1:]
+            assert np.max(np.abs(z)) <= 5, name
 
     def test_dominated_pair_never_violates(self):
         line = build_line(5, 0.05, 0.3, sided="one")
@@ -487,18 +474,27 @@ class TestCoupled:
         assert not rep["applicable"]
         assert rep["verdict"] == "not_applicable"
 
-    def test_reversed_pair_reports_violations(self):
+    @pytest.mark.parametrize("hi, lo", [
+        (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
+        (build_circle(5, 0.05, 0.3, sided="one"), build_line(5, 0.05, 0.3, sided="one")),
+    ], ids=["rates", "edges"])
+    def test_reversed_pair_reports_violations(self, hi, lo):
         # A strictly above B: the pathwise ordering cannot hold, and the
         # report must say so rather than certify anything
-        hot = build_circle(4, 0.05, 0.6)
-        cold = build_circle(4, 0.05, 0.1)
         cfg = SimConfig(trials=400, base_seed=29, t_max=20.0)
-        rep = run_coupled(hot, cold, cfg)
+        rep = run_coupled(hi, lo, cfg)
         assert rep["verdict"] == "not_applicable"
-        assert rep["violation_count"] > 0
-        assert 0 < len(rep["violations"]) <= 100
-        first = rep["violations"][0]
-        assert set(first) == {"trial", "step", "node"}
+        times_a, times_b = rep["times_a"], rep["times_b"]
+        cells = np.argwhere(times_a < times_b)  # trial-then-node order
+        assert rep["violation_count"] == len(cells) > VIOLATION_LIST_CAP
+        assert [(v["trial"], v["node"]) for v in rep["violations"]] == [
+            (int(r), int(j)) for r, j in cells[:VIOLATION_LIST_CAP]]
+        for v in rep["violations"]:
+            assert set(v) == {"trial", "node", "time_a", "time_b"}
+            assert v["time_a"] == times_a[v["trial"], v["node"]] <= 20.0
+            assert v["time_b"] is None or v["time_a"] < v["time_b"]
+            assert v["time_b"] is not None or np.isinf(times_b[v["trial"], v["node"]])
+        assert any(v["time_b"] is None for v in rep["violations"])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -509,71 +505,14 @@ class TestCoupled:
         with pytest.raises(ValueError, match="t_max"):
             run_coupled(net, net, SimConfig(trials=10))
 
-    def test_step_cap(self):
-        # dt = 0.02 here: t_max = 200 is exactly MAX_COUPLED_STEPS steps,
-        # and one step more or a million steps are refused
-        net = build_circle(3, 0.1, 0.4)
-        cap_t = MAX_COUPLED_STEPS * 0.02
-        assert run_coupled(net, net, SimConfig(trials=2, dt=0.02, t_max=cap_t))["steps"] == 10_000
-        for t_max in (cap_t + 0.02, 1e6 * 0.02):
-            with pytest.raises(ValueError, match=r"steps of dt = 0.02, past the 10000"):
-                run_coupled(net, net, SimConfig(trials=2, dt=0.02, t_max=t_max))
-
-    @pytest.mark.parametrize(
-        "pair, trials, dt",
-        [
-            ("dominated", 500, None),
-            ("reversed", 400, None),  # about 90,000 violations: the list is capped
-            # 81 violations with a quiet step between two of them; a step this
-            # coarse warns about its bias, which is beside the point here
-            pytest.param(
-                "crossed", 10, 0.2, marks=pytest.mark.filterwarnings("ignore:dt=0.2")
-            ),
-        ],
-    )
-    def test_report_matches_stepwise_reference(self, pair, trials, dt):
-        net_a, net_b = {
-            "dominated": (build_line(5, 0.05, 0.3, sided="one"), build_circle(5, 0.05, 0.3)),
-            "reversed": (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
-            "crossed": (
-                Network(n=2, p=np.array([0.02, 0.3]), edges=()),
-                Network(n=2, p=np.array([0.3, 0.02]), edges=((0, 1, 1.5),)),
-            ),
-        }[pair]
-        cfg = SimConfig(trials=trials, base_seed=23, dt=dt, t_max=20.0)
-        rep = run_coupled(net_a, net_b, cfg)
-        ref = _stepwise_coupled_report(net_a, net_b, cfg)
-        assert list(rep) == list(ref)
-        for key, want in ref.items():
-            if key.startswith("times_"):
-                assert np.array_equal(rep[key], want), key
-            else:
-                assert rep[key] == want and type(rep[key]) is type(want), key
-        if pair != "dominated":
-            assert ref["violation_count"] > 0
-
-    def test_each_side_is_a_single_discrete_run(self):
-        # each side of a pair steps exactly as that network coupled with
-        # itself: the other network never enters its path
-        for net_a, net_b in [
-            (build_line(5, 0.05, 0.3, sided="one"), build_circle(5, 0.05, 0.3)),
-            (build_circle(4, 0.05, 0.6), build_circle(4, 0.05, 0.1)),
-        ]:
-            cfg = SimConfig(trials=300, base_seed=29, dt=0.02, t_max=10.0)
-            rep = run_coupled(net_a, net_b, cfg)
-            assert np.array_equal(rep["times_a"], run_coupled(net_a, net_a, cfg)["times_a"])
-            assert np.array_equal(rep["times_b"], run_coupled(net_b, net_b, cfg)["times_a"])
-
 
 def test_large_network_needs_no_dense_matrix():
-    """On the 60x60 torus one dense n x n matrix is 104 MB; the step-size
-    check, the dominance comparison and a short coupled run each stay
-    below a tenth of that."""
+    """On the 60x60 torus one dense n x n matrix is 104 MB; the dominance
+    comparison and a short coupled run each stay below a tenth of that."""
     one = build_grid(2, 60, 0.01, 0.1, sided="one", periodic=True)
     two = build_grid(2, 60, 0.01, 0.1, sided="two", periodic=True)
     bound = one.n * one.n * 8 / 10
     calls = {
-        "validate_dt": lambda: validate_dt(one, 0.05),
         "dominates": lambda: dominates(one, two),
         "run_coupled": lambda: run_coupled(one, two, SimConfig(trials=2, t_max=1.0)),
     }

@@ -77,13 +77,12 @@ def is_degenerate(p: float, q: float, M: int) -> bool:
     return any(abs(q - j * p) < tol for j in range(1, M))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleCoefficients:
     """Closed-form exponent coefficients for S_1(t;M) on the circle.
 
     A has length M-1 (A[k-1] multiplies e^{-(kp+q)t}); B multiplies
-    e^{-Mpt}. c[m-1] is the size-(M-m+1) leading coefficient A_{1,M-m+1},
-    related to A by A_{m,M} = (-q)^{m-1} / ((m-1)! p^{m-1}) * c_m.
+    e^{-Mpt}.
     """
 
     M: int
@@ -91,10 +90,6 @@ class CircleCoefficients:
     q: float
     A: np.ndarray
     B: float
-    c: np.ndarray
-
-    def normalization_defect(self) -> float:
-        return abs(float(np.sum(self.A)) + self.B - 1.0)
 
 
 def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
@@ -108,12 +103,11 @@ def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
     if is_degenerate(p, q, M):
         raise DegenerateParameters(f"q={q} is within tolerance of a multiple of p={p} below M={M}")
     if M == 1:
-        return CircleCoefficients(M=1, p=p, q=q, A=np.zeros(0), B=1.0, c=np.zeros(0))
-    # Forward recursion over sizes 2..M. A1_by_size[m] = A_{1,m} feeds the c
-    # array; each size's A vector comes from the previous size's.
+        return CircleCoefficients(M=1, p=p, q=q, A=np.zeros(0), B=1.0)
+    # Forward recursion over sizes 2..M: each size's A vector comes from the
+    # previous size's.
     A_prev: list[float] = []
     B_prev = 1.0
-    A1_by_size: dict[int, float] = {}
     A_cur: list[float] = []
     B_cur = 1.0
     for m in range(2, M + 1):
@@ -123,10 +117,8 @@ def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
         A_cur[0] = 1.0 + (q / p) * sum(A_prev[k - 1] / k for k in range(1, m - 1)) - q * B_prev / denom
         for k in range(2, m):
             A_cur[k - 1] = -q * A_prev[k - 2] / ((k - 1) * p)
-        A1_by_size[m] = A_cur[0]
         A_prev, B_prev = A_cur, B_cur
-    c = np.array([A1_by_size[M - m + 1] for m in range(1, M)])
-    return CircleCoefficients(M=M, p=p, q=q, A=np.asarray(A_cur), B=B_cur, c=c)
+    return CircleCoefficients(M=M, p=p, q=q, A=np.asarray(A_cur), B=B_cur)
 
 
 def _trusted_coefficients(p: float, q: float, M: int) -> CircleCoefficients | None:

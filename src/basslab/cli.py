@@ -44,6 +44,7 @@ from .curves import AdoptionCurve, write_curve_csv
 from .network import Network, _check_t_max, build_circle, build_grid, build_hybrid_circle_ray, build_line
 from .principles import (
     FIGURE_PLAN_NAMES,
+    VERIFY_T_MAX,
     dominance_pairs,
     figure_plan,
     oracle_dominance_report,
@@ -68,9 +69,6 @@ TOPOLOGIES = ("circle", "line", "grid", "hybrid")
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "all")
 DEFAULT_GRID_POINTS = 200
-# verify's horizon: the end of the indifference and appendix grids, and of
-# the coupled runs without --t-max
-VERIFY_T_MAX = 30.0
 
 # The runs a key can be read by: a single run per topology (analytic or
 # simulate), "simulate preset", "verify preset" and each verify suite.
@@ -285,13 +283,12 @@ def cmd_simulate(spec: argparse.Namespace) -> int:
 
 
 def _indifference_reports(names: tuple[str, ...], spec: argparse.Namespace) -> list[dict]:
-    """One report per transform plan of each named figure, on a grid with a
-    point at each whole time up to VERIFY_T_MAX."""
-    t_grid = np.linspace(0.0, VERIFY_T_MAX, int(VERIFY_T_MAX) + 1)
+    """One report per transform plan of each named figure, on the verify
+    grid (a point at each whole time up to VERIFY_T_MAX)."""
     reports = []
     for name in names:
         for case in figure_plan(name, p=spec.p, q=spec.q):
-            report = verify_indifference(case.network, case.plan, t_grid=t_grid)
+            report = verify_indifference(case.network, case.plan)
             # survival series stay out of the report files; gaps summarize them
             for key in ("t", "survival_before", "survival_after"):
                 report.pop(key)
@@ -487,6 +484,8 @@ def main(argv=None) -> int:
         return cmd_verify(spec)
     except ValueError as exc:  # bad input: one line, no traceback, exit status 1
         raise SystemExit(f"basslab: error: {exc}") from None
+    except MemoryError as exc:  # an array too large to allocate, e.g. from --trials
+        raise SystemExit(f"basslab: error: out of memory: {exc}") from None
 
 
 if __name__ == "__main__":

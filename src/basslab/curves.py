@@ -13,7 +13,7 @@ CURVE_SOURCES = ("closed_form", "ode", "oracle", "monte_carlo")
 _SLACK = 1e-8  # numerical slack on the [0,1] / monotonicity invariants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdoptionCurve:
     """Expected adopter fraction f(t) on a time grid.
 
@@ -60,10 +60,6 @@ class AdoptionCurve:
             if se.shape != f.shape:
                 raise ValueError("stderr must match f in shape")
             object.__setattr__(self, "stderr", se)
-
-    @property
-    def node_count(self) -> int | None:
-        return None if self.per_node is None else self.per_node.shape[0]
 
 
 def _snap(x: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ class _EdgeTriples:
         net.__dict__["edges"] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable directed weighted network.
 

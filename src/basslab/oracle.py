@@ -73,36 +73,8 @@ _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class StateDistribution:
-    """Probability vector over adopter sets (bitmask-indexed) at one time."""
-
-    M: int
-    time: float
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.shape != (1 << self.M,):
-            raise ValueError(f"need 2^{self.M} entries, got shape {probs.shape}")
-        if float(probs.min()) < -CONSERVATION_TOL:
-            raise ValueError(f"negative probability {probs.min():.3e}")
-        defect = abs(float(probs.sum()) - 1.0)
-        if defect > CONSERVATION_TOL:
-            raise ValueError(f"probabilities sum to 1 {defect:.3e} off")
-        object.__setattr__(self, "probabilities", probs)
-
-    def prob(self, adopters) -> float:
-        """Probability that the adopter set is exactly the given one."""
-        mask = 0
-        for j in adopters:
-            mask |= 1 << j
-        return float(self.probabilities[mask])
-
-
 class MasterSolution:
-    """Distribution over adopter sets on a time grid; acts as a sequence of
-    per-time StateDistribution snapshots.
+    """Distribution over adopter sets on a time grid.
 
     probs[n, A] = Prob(adopter set = A at t[n]), A a bitmask over nodes
     0..M-1 (bit j set means node j has adopted).
@@ -115,21 +87,6 @@ class MasterSolution:
         if self.probs.shape != (self.t.size, 1 << network.n):
             raise ValueError("probs must have shape (len(t), 2^M)")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.network.n
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __getitem__(self, n: int) -> StateDistribution:
-        return StateDistribution(
-            M=self.n_nodes, time=float(self.t[n]), probabilities=self.probs[n]
-        )
-
-    def __iter__(self):
-        return (self[n] for n in range(len(self)))
-
     def marginals(self) -> np.ndarray:
         """Per-node adoption probabilities, shape (M, T)."""
         return np.array([_marginals(P) for P in self.probs]).T
@@ -137,12 +94,6 @@ class MasterSolution:
     def survival(self, nodes) -> np.ndarray:
         """Prob(no node of the set has adopted) on the grid."""
         return self.probs @ _survival_masks(self.network, [nodes])[0]
-
-    def pair_survival(self, i: int, j: int) -> np.ndarray:
-        return self.survival([i, j])
-
-    def expected_fraction(self) -> np.ndarray:
-        return self.marginals().mean(axis=0)
 
     def conservation_defect(self) -> float:
         return float(np.max(np.abs(self.probs.sum(axis=1) - 1.0)))
@@ -202,7 +153,7 @@ def build_generator(net: Network) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Symmetry:
     """A group H of node permutations that maps p and every weighted edge
     onto themselves, laid out on the grid `shape` (nodes in C order, as

@@ -26,6 +26,10 @@ from .network import Network, add_edges, build_circle, build_hybrid_circle_ray, 
 from .oracle import exact_marginals, survival
 
 VERIFY_TOL = 1e-10
+# verify's horizon, and its grid: a point at each whole time up to it
+VERIFY_T_MAX = 30.0
+VERIFY_GRID = np.linspace(0.0, VERIFY_T_MAX, int(VERIFY_T_MAX) + 1)
+VERIFY_GRID.flags.writeable = False
 # node count of the circles and lines in dominance_pairs
 DOMINANCE_M = 6
 
@@ -142,11 +146,9 @@ def apply_transform(net: Network, plan: TransformPlan) -> Network:
     return transformed
 
 
-def verify_indifference(net: Network, plan: TransformPlan, t_grid=None) -> dict:
+def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID) -> dict:
     """Check that the plan leaves Prob(omega untouched) invariant, by exact
     master-equation solves of both networks."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 30.0, 31)
     t_grid = np.asarray(t_grid, dtype=float)
     transformed, records = _apply_with_records(net, plan, strict=False)
     before = survival(net, plan.omega, t_grid)
@@ -183,10 +185,6 @@ class PlanCase:
     note: str
 
 
-def _case(name, label, network, plan, note) -> PlanCase:
-    return PlanCase(name=name, label=label, network=network, plan=plan, note=note)
-
-
 def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
     """Named preset transform scenarios; each returns one or two cases of
     (network, plan) ready for verify_indifference. Node ids are 0-based."""
@@ -202,7 +200,7 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
             f"block of {k} on the one-sided {M}-circle reduces to {k - 1} isolated nodes "
             f"plus a {M - k + 1}-circle"
         )
-        return [_case(name, "circle_block_shift", net, plan, note)]
+        return [PlanCase(name, "circle_block_shift", net, plan, note)]
 
     if name == "fig4":
         k, s = 4, 1
@@ -219,21 +217,21 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
             f"block of {k} on the two-sided {M}-circle reduces to {k - 2} isolated nodes "
             f"plus an adjacent pair on a {M - k + 2}-circle"
         )
-        return [_case(name, "two_sided_circle_block_shift", net, plan, note)]
+        return [PlanCase(name, "two_sided_circle_block_shift", net, plan, note)]
 
     if name == "fig6":
         j = 4
         net = build_line(M, p, q, sided="one")
         plan = TransformPlan(omega=(j,), removals=((j, j + 1),), additions=((j, 0, q),))
         note = f"node {j} of the one-sided line closes into a {j + 1}-circle"
-        return [_case(name, "line_node_to_circle", net, plan, note)]
+        return [PlanCase(name, "line_node_to_circle", net, plan, note)]
 
     if name == "fig7":
         net = build_line(M, p, q, sided="two")
         removals = tuple((i + 1, i) for i in range(M - 1))
         plan = TransformPlan(omega=(M - 1,), removals=removals, additions=((M - 1, 0, q / 2),))
         note = f"last node of the two-sided line closes into a half-rate {M}-circle"
-        return [_case(name, "last_node_to_half_rate_circle", net, plan, note)]
+        return [PlanCase(name, "last_node_to_half_rate_circle", net, plan, note)]
 
     if name == "fig8":
         j = 3  # omega = {j-1, j}
@@ -246,7 +244,7 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
             f"adjacent interior pair of the two-sided line splits into independent "
             f"half-rate circles of sizes {j} and {M - j}"
         )
-        return [_case(name, "interior_pair_to_independent_circles", net, plan, note)]
+        return [PlanCase(name, "interior_pair_to_independent_circles", net, plan, note)]
 
     if name == "fig13":
         C, K, k = 4, 3, 2  # circle size, ray size, 1-based position along the ray
@@ -255,7 +253,7 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
         removals = ((C - 1, 0), (node, node + 1))
         plan = TransformPlan(omega=(node,), removals=removals, additions=((node, 0, q),))
         note = f"ray node {k} of the circle-with-ray closes into a {C + k}-circle"
-        return [_case(name, "ray_node_to_circle", net, plan, note)]
+        return [PlanCase(name, "ray_node_to_circle", net, plan, note)]
 
     if name == "fig14":
         one = build_line(M, p, q, sided="one")
@@ -267,10 +265,10 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
             omega=(0,), removals=tuple((i, i + 1) for i in range(M - 1)), additions=()
         )
         return [
-            _case(name, "first_node_isolated", one, plan_one,
-                  "first node of the one-sided line keeps only its intrinsic rate"),
-            _case(name, "first_node_half_rate_chain", two, plan_two,
-                  "first node of the two-sided line ends a half-rate one-sided chain"),
+            PlanCase(name, "first_node_isolated", one, plan_one,
+                     "first node of the one-sided line keeps only its intrinsic rate"),
+            PlanCase(name, "first_node_half_rate_chain", two, plan_two,
+                     "first node of the two-sided line ends a half-rate one-sided chain"),
         ]
 
     if name == "fig15":
@@ -278,7 +276,7 @@ def figure_plan(name: str, p: float = 0.01, q: float = 0.1) -> list[PlanCase]:
         removals = tuple((i + 1, i) for i in range(M - 1))
         plan = TransformPlan(omega=(M - 1,), removals=removals, additions=())
         note = f"last node of the two-sided line ends a half-rate one-sided {M}-line"
-        return [_case(name, "last_node_half_rate_line", net, plan, note)]
+        return [PlanCase(name, "last_node_half_rate_line", net, plan, note)]
 
     raise ValueError(f"unknown plan name {name!r}; known: {', '.join(FIGURE_PLAN_NAMES)}")
 
@@ -307,11 +305,9 @@ def dominance_pairs(p: float = 0.01, q: float = 0.1) -> list[tuple[str, Network,
     ]
 
 
-def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=None) -> list[dict]:
+def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=VERIFY_GRID) -> list[dict]:
     """Exact check that componentwise-larger parameters give pointwise
     larger per-node adoption probabilities (strictly, past t=0)."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 30.0, 31)
     t_grid = np.asarray(t_grid, dtype=float)
     out = []
     for name, lo, hi in dominance_pairs(p, q):
@@ -333,12 +329,10 @@ def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=None) -> lis
     return out
 
 
-def corollary_monotonicity_suite(base: Network, added_edges, t_grid=None) -> dict:
+def corollary_monotonicity_suite(base: Network, added_edges, t_grid=VERIFY_GRID) -> dict:
     """Exact check that adding positive-weight edges can only speed adoption:
     the expected adopter fraction after the additions is strictly larger at
     every sampled t > 0 (and exactly equal when nothing is added)."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 30.0, 31)
     t_grid = np.asarray(t_grid, dtype=float)
     added = tuple((int(i), int(j), float(w)) for i, j, w in added_edges)
     for i, j, w in added:

@@ -84,9 +84,9 @@ def _first_passage(
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
     n_lengths = sum(r.size for r in rates)
-    n_nodes = sum(net.n for net in nets)
+    nodes_per_trial = sum(net.n for net in nets)
     R_max = min(config.block_size, config.trials)
-    if R_max * max(n_lengths, n_nodes + 1) >= np.iinfo(np.int32).max:
+    if R_max * max(n_lengths, nodes_per_trial + 1) >= np.iinfo(np.int32).max:
         raise ValueError(
             f"a block of {R_max} trials on this network overflows the graph's int32 "
             "indices; lower block_size"
@@ -107,7 +107,7 @@ def _first_passage(
         # network's node rows, trial r's with node ids offset by r*M and
         # edge slots by r*E
         nnz_src = R * sum(s.size for s in seeded)
-        indptr = np.empty(R * n_nodes + 2, dtype=np.int32)
+        indptr = np.empty(R * nodes_per_trial + 2, dtype=np.int32)
         indptr[0] = 0
         indptr[-1] = R * n_lengths
         indices = np.empty(R * n_lengths, dtype=np.int32)
@@ -127,7 +127,7 @@ def _first_passage(
             data[edge].reshape(R, E)[:] = length[:, n_p:]
             node, src_slot, edge_slot = node + R * M, src.stop, edge.stop
         del lengths, length  # freed before Dijkstra allocates its own work arrays
-        graph = csr_matrix((data, indices, indptr), shape=(R * n_nodes + 1,) * 2)
+        graph = csr_matrix((data, indices, indptr), shape=(R * nodes_per_trial + 1,) * 2)
         dist = dijkstra(graph, directed=True, indices=0)
         node = 1
         for net, times in zip(nets, all_times):
@@ -232,14 +232,13 @@ def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig())
     A violation is a (trial, node) cell with time_a < time_b. The report
     counts them and lists the first VIOLATION_LIST_CAP in trial-then-node
     order, time_b None where B had not adopted by t_max. times_a/times_b
-    are the two (trials, M) adoption-time arrays, inf past config.t_max.
+    are the two (trials, M) adoption-time arrays, inf past config.t_max;
+    with t_max None nothing is clipped.
     steps is always 1, one exact pass; it stays only because the
     benchmark's cell counter (perfbench/spans.py) reads it.
     """
     if net_a.n != net_b.n:
         raise ValueError("coupled networks must have the same node count")
-    if config.t_max is None:
-        raise ValueError("run_coupled needs config.t_max")
     applicable = weakly_dominates(net_a, net_b)
     seeded = np.flatnonzero((net_a.p > 0) | (net_b.p > 0))
     keys = np.union1d(_keys(net_a), _keys(net_b))

@@ -92,9 +92,9 @@ def test_hybrid_curve_matches_oracle():
 def test_two_sided_line_strictly_beats_one_sided_everywhere():
     positive = GRID_61 > 0
     for M in range(2, 11):
-        f_one = solve_master(build_line(M, P, Q, sided="one"), GRID_61).expected_fraction()
-        f_two = solve_master(build_line(M, P, Q, sided="two"), GRID_61).expected_fraction()
-        f_circ = solve_master(build_circle(M, P, Q, sided="one"), GRID_61).expected_fraction()
+        f_one = solve_master(build_line(M, P, Q, sided="one"), GRID_61).marginals().mean(axis=0)
+        f_two = solve_master(build_line(M, P, Q, sided="two"), GRID_61).marginals().mean(axis=0)
+        f_circ = solve_master(build_circle(M, P, Q, sided="one"), GRID_61).marginals().mean(axis=0)
         assert np.all((f_two - f_one)[positive] > 0), M
         assert np.all((f_circ - f_two)[positive] > 0), M
 
@@ -133,7 +133,7 @@ def test_diagnostic_series_positive_with_oracle_pairs():
         sol = solve_master(build_line(M, P, Q, sided="two"), t)
         for k in range(2, (M + 1) // 2 + 1):
             psi = (s2[k] + s2[M - k + 1]
-                   - sol.pair_survival(k - 2, k - 1) - sol.pair_survival(k - 1, k))
+                   - sol.survival([k - 2, k - 1]) - sol.survival([k - 1, k]))
             assert np.all(psi > 0), ("psi", k, M)
             gap = np.max(np.abs(psi_diag(t, P, k, M, s1, s1_half) - psi))
             assert gap <= 1e-10, ("psi", k, M, gap)

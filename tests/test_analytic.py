@@ -83,13 +83,14 @@ class TestClosedForm:
     @pytest.mark.parametrize("M", [1, 2, 3, 5, 8, 10])
     def test_coefficients_sum_to_one(self, p, q, M):
         coef = circle_coefficients(p, q, M)
-        assert coef.normalization_defect() < 1e-10
+        assert abs(coef.A.sum() + coef.B - 1.0) < 1e-10
 
     def test_leading_coefficient_factorial_relation(self):
         p, q, M = 0.02, 0.17, 7
         coef = circle_coefficients(p, q, M)
         for m in range(2, M):
-            expected = (-q) ** (m - 1) / (math.factorial(m - 1) * p ** (m - 1)) * coef.c[m - 1]
+            leading = circle_coefficients(p, q, M - m + 1).A[0]  # A_{1,M-m+1}
+            expected = (-q) ** (m - 1) / (math.factorial(m - 1) * p ** (m - 1)) * leading
             assert coef.A[m - 1] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("p,q,M", [(0.01, 0.1, 4), (0.1, 0.45, 8), (0.05, 0.3, 5)])
@@ -303,7 +304,7 @@ class TestLines:
         sol = solve_master(net, t)
         for j in range(2, M + 1):
             closed = pair_survival_two_sided_line(t, p, q, M, j)
-            ref = sol.pair_survival(j - 2, j - 1)
+            ref = sol.survival([j - 2, j - 1])
             assert np.max(np.abs(closed - ref)) < 1e-10
 
     def test_pair_survival_bounds(self):

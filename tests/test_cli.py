@@ -246,6 +246,22 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "-M", "6"],
+        ["verify", "--suite", "dominance"],
+    ], ids=["simulate", "verify"])
+    def test_unallocatable_trial_count_is_one_error_line(self, tmp_path, args):
+        # 10^13 trials of 6 nodes is a 437 TiB array, past the address
+        # space, so the allocation fails before any page is touched
+        out = tmp_path / "out"
+        proc = fresh_python(["-m", "basslab.cli", *args, "--trials", "10000000000000",
+                             "--out", str(out)], cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("basslab: error: out of memory: ")
+        assert "(10000000000000, 6)" in proc.stderr  # the shape numpy could not allocate
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, config, message", [
         (["analytic", "--config", "cfg.json"], {"M": 2.5},
          "--config value for 'M' must be an integer, got 2.5"),

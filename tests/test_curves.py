@@ -74,10 +74,6 @@ class TestSnap:
         assert np.all(curve.per_node >= 0.0) and np.all(curve.per_node <= 1.0)
         assert np.all(curve.per_node[:, 0] == 0.0)
 
-    def test_node_count(self):
-        assert AdoptionCurve(t=T, f=F, source="ode").node_count is None
-        pn = np.vstack([F, F, F])
-        assert AdoptionCurve(t=T, f=F, source="ode", per_node=pn).node_count == 3
 
 
 class TestCsv:

@@ -27,7 +27,6 @@ from basslab.network import (
 from basslab.oracle import (
     HARD_CAP,
     MasterSolution,
-    StateDistribution,
     _marginals,
     _poisson_terms,
     _image,
@@ -74,10 +73,9 @@ class TestSmallExactCases:
 
     def test_initial_state_is_point_mass_on_empty_set(self):
         sol = solve_master(build_circle(3, 0.1, 0.3), np.array([0.0, 1.0]))
-        dist = sol[0]
-        assert dist.time == 0.0
-        assert dist.prob([]) == pytest.approx(1.0, abs=1e-12)
-        assert dist.prob([0]) == pytest.approx(0.0, abs=1e-12)
+        assert sol.t[0] == 0.0
+        assert sol.probs[0, 0] == pytest.approx(1.0, abs=1e-12)  # the empty set
+        assert sol.probs[0, 1] == pytest.approx(0.0, abs=1e-12)  # {0}
 
     def test_edgeless_network_factorizes(self):
         p = np.array([0.05, 0.11, 0.23, 0.4])
@@ -98,8 +96,8 @@ class TestSmallExactCases:
     def test_circle_sidedness_is_invisible_in_distribution(self):
         one = solve_master(build_circle(4, 0.05, 0.3, sided="one"), T)
         two = solve_master(build_circle(4, 0.05, 0.3, sided="two"), T)
-        f1 = one.expected_fraction()
-        f2 = two.expected_fraction()
+        f1 = one.marginals().mean(axis=0)
+        f2 = two.marginals().mean(axis=0)
         assert np.max(np.abs(f1 - f2)) < 1e-10
 
 
@@ -122,7 +120,7 @@ class TestSurvival:
         sol = solve_master(build_line(M, p, q, sided="two"), T)
         for j in range(2, M + 1):
             ref = pair_survival_two_sided_line(T, p, q, M, j)
-            assert np.max(np.abs(sol.pair_survival(j - 2, j - 1) - ref)) < 1e-10
+            assert np.max(np.abs(sol.survival([j - 2, j - 1]) - ref)) < 1e-10
 
     def test_set_monotone_in_omega(self):
         net = build_circle(5, 0.05, 0.3)
@@ -238,24 +236,6 @@ class TestMonotonicityInStructure:
 
 
 class TestContainers:
-    def test_state_distribution_validation(self):
-        with pytest.raises(ValueError, match="entries"):
-            StateDistribution(M=2, time=0.0, probabilities=np.ones(3) / 3)
-        with pytest.raises(ValueError, match="negative"):
-            StateDistribution(M=1, time=0.0, probabilities=np.array([1.1, -0.1]))
-        with pytest.raises(ValueError, match="sum"):
-            StateDistribution(M=1, time=0.0, probabilities=np.array([0.6, 0.6]))
-
-    def test_solution_acts_as_sequence(self):
-        sol = solve_master(build_circle(3, 0.1, 0.3), T)
-        assert len(sol) == T.size
-        snap = sol[5]
-        assert isinstance(snap, StateDistribution)
-        assert snap.time == T[5]
-        assert snap.M == 3
-        times = [d.time for d in sol]
-        assert times == list(T)
-
     def test_solution_shape_validation(self):
         net = build_circle(3, 0.1, 0.3)
         with pytest.raises(ValueError, match="shape"):

@@ -237,7 +237,7 @@ class TestDominanceCorollaries:
         assert report["passed"] and report["strict"]
         assert report["relation"] == "A<B"
         assert report["min_gap"] > 0
-        circle_f = solve_master(build_circle(6, 0.01, 0.1), T).expected_fraction()
+        circle_f = solve_master(build_circle(6, 0.01, 0.1), T).marginals().mean(axis=0)
         assert np.max(np.abs(report["f_augmented"] - circle_f)) < 1e-12
 
     def test_long_range_edge_strictly_helps(self):

@@ -500,10 +500,17 @@ class TestCoupled:
         with pytest.raises(ValueError):
             run_coupled(build_circle(3, 0.05, 0.3), build_circle(4, 0.05, 0.3))
 
-    def test_needs_t_max(self):
-        net = build_circle(3, 0.1, 0.4)
-        with pytest.raises(ValueError, match="t_max"):
-            run_coupled(net, net, SimConfig(trials=10))
+    def test_default_config_clips_nothing(self):
+        # t_max None clips nothing: the default run is the run at a horizon
+        # no clock reaches
+        _, lo, hi = dominance_pairs()[0]
+        rep = run_coupled(lo, hi)
+        far = run_coupled(lo, hi, SimConfig(t_max=1e9))
+        assert np.all(np.isfinite(rep["times_a"]))
+        for key in ("times_a", "times_b"):
+            assert np.array_equal(rep[key], far[key])
+        rest = [k for k in rep if k not in ("times_a", "times_b")]
+        assert {k: rep[k] for k in rest} == {k: far[k] for k in rest}
 
 
 def test_large_network_needs_no_dense_matrix():

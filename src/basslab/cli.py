@@ -42,9 +42,12 @@ from .analytic import (
 )
 from .curves import AdoptionCurve, write_curve_csv
 from .network import Network, _check_t_max, build_circle, build_grid, build_hybrid_circle_ray, build_line
+from .oracle import exact_f
 from .principles import (
     FIGURE_PLAN_NAMES,
+    VERIFY_GRID,
     VERIFY_T_MAX,
+    VERIFY_TOL,
     dominance_pairs,
     figure_plan,
     oracle_dominance_report,
@@ -53,6 +56,7 @@ from .principles import (
 from .simulator import (
     DEFAULT_TRIALS,
     SimConfig,
+    _fraction_stats,
     curve_from_times,
     event_trajectories,
     node_frequencies,
@@ -67,7 +71,7 @@ COMMANDS = {
 }
 TOPOLOGIES = ("circle", "line", "grid", "hybrid")
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
-SUITES = ("indifference", "appendix", "dominance", "all")
+SUITES = ("indifference", "appendix", "dominance", "sidedness", "all")
 DEFAULT_GRID_POINTS = 200
 
 # The runs a key can be read by: a single run per topology (analytic or
@@ -346,8 +350,62 @@ def _suite_dominance(spec: argparse.Namespace) -> dict:
     return {"suite": "dominance", "monotonicity": mono, "coupling": coupled, "passed": passed}
 
 
+# The sidedness suite's coupled runs: trials, and one seed per grid kind, so
+# that the torus and box estimates are independent.
+SIDEDNESS_TRIALS = 4000
+SIDEDNESS_SEEDS = {"torus": 7, "box": 8}
+SIDEDNESS_SIGMAS = 5.0
+
+
+def _sidedness_gap(lo: Network, hi: Network) -> np.ndarray:
+    """Exact f(hi) - f(lo) on the verify grid."""
+    return exact_f(hi, VERIFY_GRID).f - exact_f(lo, VERIFY_GRID).f
+
+
+def _suite_sidedness(spec: argparse.Namespace) -> dict:
+    """The paper's sidedness claims: on a line two-sided influence is
+    strictly faster than one-sided, on a circle the two are the same law,
+    and on a torus the gap is far smaller than on the box of the same
+    side. Exact on the line, the circle and the 3x3 and 4x4 grids; on the
+    6x6 and 6x6x6 grids each of torus and box is one coupled run of its
+    one- and two-sided networks on shared clocks, and the box gap must
+    exceed the torus gap by SIDEDNESS_SIGMAS paired standard errors."""
+    p, q, t = spec.p, spec.q, VERIFY_GRID
+    gap = f_line_two_sided(t, p, q, 6)[1] - f_line_one_sided(t, p, q, 6)[1]
+    cases = [{"name": "line_6", "method": "analytic", "min_gap": gap[1:].min(),
+              "max_gap": gap.max(), "passed": bool(gap[1:].min() > VERIFY_TOL)}]
+    gap = _sidedness_gap(build_circle(6, p, q, sided="one"), build_circle(6, p, q, sided="two"))
+    cases.append({"name": "circle_6", "method": "oracle", "min_gap": gap.min(),
+                  "max_gap": gap.max(), "passed": bool(np.abs(gap).max() <= VERIFY_TOL)})
+    for side in (3, 4):
+        torus, box = (
+            _sidedness_gap(build_grid(2, side, p, q, sided="one", periodic=periodic),
+                           build_grid(2, side, p, q, sided="two", periodic=periodic))
+            for periodic in (True, False)
+        )
+        cases.append({"name": f"torus_{side}x{side}", "method": "oracle",
+                      "torus_min_gap": torus.min(), "torus_max_gap": torus.max(),
+                      "box_max_gap": box.max(),
+                      "passed": bool(torus.min() >= -VERIFY_TOL and torus.max() < box.max())})
+    for D in (2, 3):
+        row = {"name": f"grid_{D}d_6", "method": "coupled", "trials": SIDEDNESS_TRIALS}
+        for kind, periodic in (("torus", True), ("box", False)):
+            config = SimConfig(trials=SIDEDNESS_TRIALS, base_seed=SIDEDNESS_SEEDS[kind])
+            report = run_coupled(build_grid(D, 6, p, q, sided="one", periodic=periodic),
+                                 build_grid(D, 6, p, q, sided="two", periodic=periodic), config)
+            mean, stderr = _fraction_stats(report["times_b"], t, base=report["times_a"])
+            k = int(np.argmax(mean))
+            row |= {f"{kind}_seed": config.base_seed, f"{kind}_max_gap": mean[k],
+                    f"{kind}_stderr": stderr[k]}
+        z = (row["box_max_gap"] - row["torus_max_gap"]) / np.hypot(row["box_stderr"],
+                                                                   row["torus_stderr"])
+        cases.append({**row, "z": z, "passed": bool(z > SIDEDNESS_SIGMAS)})
+    return {"suite": "sidedness", "t_max": VERIFY_T_MAX, "points": t.size,
+            "cases": cases, "passed": all(c["passed"] for c in cases)}
+
+
 _SUITE_RUNS = {"indifference": _suite_indifference, "appendix": _suite_appendix,
-               "dominance": _suite_dominance}
+               "dominance": _suite_dominance, "sidedness": _suite_sidedness}
 
 
 def _entry_line(entry: dict) -> str:
@@ -359,6 +417,8 @@ def _entry_line(entry: dict) -> str:
         detail = f"min={entry['min_value']:.3e}"
     elif "violation_count" in entry:
         detail = f"violations={entry['violation_count']}"
+    elif "z" in entry:
+        detail = f"z={entry['z']:.1f}"
     else:
         detail = ""
     return f"  [FAIL] {label:28s} {detail}"
@@ -377,12 +437,15 @@ def _write_summary(report: dict) -> None:
 
 
 def cmd_verify(spec: argparse.Namespace) -> int:
+    if spec.q == 0:  # every case is built from edges of weight q
+        raise ValueError(f"-q must be positive for verify, got {spec.q}")
     if spec.preset is not None:
         reports = _indifference_reports((spec.preset,), spec)
         report = {"command": "verify", "preset": spec.preset, "cases": reports,
                   "passed": all(r["passed"] for r in reports)}
     else:
-        names = tuple(_SUITE_RUNS) if spec.suite == "all" else (spec.suite,)
+        # sidedness is left out of all: its coupled runs cost seconds
+        names = ("indifference", "appendix", "dominance") if spec.suite == "all" else (spec.suite,)
         suites = [_SUITE_RUNS[name](spec) for name in names]
         report = {"command": "verify", "suites": suites,
                   "passed": all(s["passed"] for s in suites)}

@@ -143,6 +143,44 @@ def _event_times(net: Network, config: SimConfig) -> np.ndarray:
     return _first_passage([net], [slice(None)], n_clocks, config)[0]
 
 
+def _fraction_stats(
+    times: np.ndarray, t_grid: np.ndarray, block: int = TRIAL_BLOCK, base: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over trials, and its stderr, of each trial's adopter fraction on
+    t_grid, from adoption times of shape (trials, M). With base, adoption
+    times of the same shape on the same trials (a coupled run), of each
+    trial's fraction minus base's, so the stderr is the paired one."""
+    if not np.all(times > 0):
+        raise ValueError(f"adoption times must be > 0, got minimum {np.min(times)}")
+    trials, M = times.shape
+    T = t_grid.size
+
+    def fractions(x: np.ndarray) -> np.ndarray:
+        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T
+        k = np.searchsorted(t_grid, x, side="left")
+        R = k.shape[0]
+        per_trial = np.bincount(
+            (k + (T + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (T + 1)
+        )
+        return per_trial.reshape(R, T + 1).cumsum(axis=1)[:, :T] / M
+
+    sum_f = np.zeros(T)
+    sum_f2 = np.zeros(T)
+    for lo in range(0, trials, block):
+        frac = fractions(times[lo : lo + block])
+        if base is not None:
+            frac -= fractions(base[lo : lo + block])
+        sum_f += frac.sum(axis=0)
+        sum_f2 += (frac**2).sum(axis=0)
+    mean = sum_f / trials
+    if trials > 1:
+        var = (sum_f2 - trials * mean**2) / (trials - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / trials)
+    else:
+        stderr = np.zeros_like(mean)
+    return mean, stderr
+
+
 def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> AdoptionCurve:
     """Empirical mean adopter fraction, with stderr, from per-trial adoption
     times, shape (trials, M). Per-node frequencies come from
@@ -153,28 +191,7 @@ def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> Ado
     has adopted at t = 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(times > 0):
-        raise ValueError(f"adoption times must be > 0, got minimum {np.min(times)}")
-    trials, M = times.shape
-    T = t_grid.size
-    sum_f = np.zeros(T)
-    sum_f2 = np.zeros(T)
-    for lo in range(0, trials, block):
-        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T
-        k = np.searchsorted(t_grid, times[lo : lo + block], side="left")
-        R = k.shape[0]
-        per_trial = np.bincount(
-            (k + (T + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (T + 1)
-        )
-        frac = per_trial.reshape(R, T + 1).cumsum(axis=1)[:, :T] / M
-        sum_f += frac.sum(axis=0)
-        sum_f2 += (frac**2).sum(axis=0)
-    mean = sum_f / trials
-    if trials > 1:
-        var = (sum_f2 - trials * mean**2) / (trials - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / trials)
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = _fraction_stats(times, t_grid, block)
     return AdoptionCurve(t=t_grid, f=mean, source="monte_carlo", stderr=stderr)
 
 

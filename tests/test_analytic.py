@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from basslab.analytic import (
     CLOSED_FORM_MAX_M,
@@ -231,6 +232,36 @@ class TestOneDimLimit:
         f200, source = f_circle(T_GRID, 0.01, 0.1, 200)
         assert source == "ode"
         assert np.max(np.abs(f200 - f_one_dim_limit(T_GRID, 0.01, 0.1))) < 1e-12
+
+    @pytest.mark.parametrize("ratio", (10, 45))
+    @pytest.mark.parametrize("M", (2, 6, 30, 200, 1000))
+    def test_lines_and_circle_are_ordered_below_the_limit(self, M, ratio):
+        # f_line_one < f_line_two is the paper's main theorem; the
+        # two-sided circle is the two-sided line plus the wrap edges, and
+        # has the circle's curve. The tail bound: with tau = (1 - e^{-pt})/p
+        # and S_1(t;m) = e^{-(p+q)t} v_m, the recursion reads
+        # dv_m/dtau = q v_{m-1}, v_1 = e^{qt}, so v_m - e^{q tau} is the
+        # (m-1)-fold tau-integral of q^{m-1} (e^{qt} - e^{q tau}), which lies
+        # in [0, e^{qt}]; hence 0 <= S_1(t;m) - S_inf <= e^{-pt} (q tau)^{m-1}/(m-1)!.
+        # tol is the recursion's own error: f_circle sat 5.9e-12 above the
+        # limit at M = 1000, q/p = 10.
+        tol = 1e-11
+        p = 0.01
+        q = ratio * p
+        t = default_time_grid(p, q)
+        past_zero = t > 0
+        rows, f_one, _ = f_line_one_sided(t, p, q, M)
+        f_two = f_line_two_sided(t, p, q, M)[1]
+        f_circ = f_circle(t, p, q, M)[0]
+        f_inf = f_one_dim_limit(t, p, q)
+        assert np.all(f_one[past_zero] < f_two[past_zero])
+        assert np.all(f_two <= f_circ + tol)
+        tau = -np.expm1(-p * t) / p
+        m = np.arange(1, M + 1)[:, None]  # row j of the one-sided line is the j-circle
+        bound = np.exp(-p * t) * np.exp(xlogy(m - 1, q * tau) - gammaln(m))
+        for f, b in ((rows, bound), (f_circ, bound[-1])):  # f_circ <= f_inf closes the chain
+            assert np.all(f <= f_inf + tol)
+            assert np.all(f_inf - f <= b + tol)
 
     def test_circle_fraction_increases_with_size(self):
         # strict only from t ~ 2: at M = 7 the early-time gap scales like

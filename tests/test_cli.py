@@ -167,6 +167,41 @@ class TestVerify:
             assert not {"dt", "steps", "times_a", "times_b"} & set(c)
             assert c["mean_final_fraction_a"] == c["mean_final_fraction_b"] == 1.0
 
+    def test_sidedness_suite_passes_at_its_defaults(self, tmp_path, capsys):
+        out = tmp_path / "sidedness.json"
+        assert run(["verify", "--suite", "sidedness", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "sidedness: 6/6 checks passed\n"
+        (suite,) = json.loads(out.read_text())["suites"]
+        assert [c["name"] for c in suite["cases"]] == [
+            "line_6", "circle_6", "torus_3x3", "torus_4x4", "grid_2d_6", "grid_3d_6"]
+        for c in suite["cases"][4:]:
+            assert c["trials"] == 4000
+            assert c["z"] > 5
+
+    @staticmethod
+    def _sidedness_without_wrap_edges(monkeypatch):
+        # the torus is then the box: the exact rows tie and the coupled rows
+        # differ by noise alone, so a few trials show the failure
+        build_grid = cli.build_grid
+        monkeypatch.setattr(cli, "build_grid",
+                            lambda *args, periodic, **kw: build_grid(*args, periodic=False, **kw))
+        monkeypatch.setattr(cli, "SIDEDNESS_TRIALS", 200)
+
+    def test_sidedness_suite_fails_without_the_wrap_edges(self, tmp_path, monkeypatch, capsys):
+        self._sidedness_without_wrap_edges(monkeypatch)
+        out = tmp_path / "sidedness.json"
+        assert run(["verify", "--suite", "sidedness", "--out", str(out)]) == 1
+        (suite,) = json.loads(out.read_text())["suites"]
+        assert [c["passed"] for c in suite["cases"]] == [True, True, False, False, False, False]
+        assert "sidedness: 2/6 checks passed\n" in capsys.readouterr().err
+
+    def test_sidedness_suite_reruns_byte_for_byte(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SIDEDNESS_TRIALS", 200)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run(["verify", "--suite", "sidedness", "--out", str(a)])
+        run(["verify", "--suite", "sidedness", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_suite_via_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suite": "mystery"}))
@@ -244,6 +279,18 @@ class TestBadInput:
         assert proc.stderr.startswith("basslab: error: ")
         assert "(p+q)*t_max = 9.6e+06 is past the 1e+04 an ODE solve takes" in proc.stderr
         assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--suite", suite] for suite in cli.SUITES]
+                             + [["--preset", "fig3"]])
+    def test_verify_refuses_zero_q(self, tmp_path, args):
+        # every verify case is built from edges of weight q: at q = 0 the
+        # suites named an edge the user never gave or failed 105 appendix
+        # checks
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *args, "-q", "0", "--out", str(out)])
+        assert str(exc.value) == "basslab: error: -q must be positive for verify, got 0.0"
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
@@ -338,7 +385,7 @@ FLAG_HELP = {
     "simulate --preset": (("fig5", "fig11", "fig12"),
                           "named multi-curve run; writes CSVs plus a manifest"),
     "--per-node": (None, "include per-node adoption frequencies as CSV columns"),
-    "--suite": (("indifference", "appendix", "dominance", "all"), "verification suite"),
+    "--suite": (("indifference", "appendix", "dominance", "sidedness", "all"), "verification suite"),
     "verify --preset": (("fig3", "fig4", "fig6", "fig7", "fig8", "fig13", "fig14", "fig15"),
                         "verify a single named transform plan"),
 }
@@ -369,7 +416,7 @@ class TestConfigFiles:
         ("analytic", "sided", "three", "one, two"),
         ("simulate", "preset", "fig3", "fig5, fig11, fig12"),
         ("verify", "preset", "fig5", "fig3, fig4, fig6, fig7, fig8, fig13, fig14, fig15"),
-        ("verify", "suite", "everything", "indifference, appendix, dominance, all"),
+        ("verify", "suite", "everything", "indifference, appendix, dominance, sidedness, all"),
     ])
     def test_config_values_meet_the_flag_choices(self, tmp_path, capsys, command, key, value,
                                                  choices):
@@ -420,6 +467,9 @@ class TestConfigFiles:
         ("verify", ["--suite", "appendix", "--trials", "0", "--t-max", "1", "--seed", "9"],
          {"suite": "appendix", "trials": 0, "t_max": 1, "seed": 9},
          "verify --suite appendix", "seed, t_max, trials"),
+        ("verify", ["--suite", "sidedness", "--trials", "9", "--t-max", "1", "--seed", "9"],
+         {"suite": "sidedness", "trials": 9, "t_max": 1, "seed": 9},
+         "verify --suite sidedness", "seed, t_max, trials"),
         ("verify", ["--preset", "fig3", "--trials", "0"], {"preset": "fig3", "trials": 0},
          "verify --preset fig3", "trials"),
         ("verify", ["--preset", "fig3", "--suite", "dominance"],
@@ -440,7 +490,7 @@ class TestConfigFiles:
          {"topology": "hybrid", "sided": "two"}, "analytic --topology hybrid", "sided"),
         ("analytic", ["--topology", "line", "--ray", "2"], {"topology": "line", "ray": 2},
          "analytic --topology line", "ray"),
-    ], ids=["verify-suite", "verify-preset", "verify-preset-and-suite", "simulate-preset",
+    ], ids=["verify-suite", "verify-sidedness", "verify-preset", "verify-preset-and-suite", "simulate-preset",
             "simulate-circle", "simulate-grid", "simulate-hybrid", "simulate-default-topology",
             "analytic-hybrid", "analytic-line"])
     def test_keys_the_run_does_not_read_are_refused(self, tmp_path, command, flags, config,

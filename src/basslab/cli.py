@@ -238,7 +238,8 @@ def _simulate_network(net: Network, t: np.ndarray, spec: argparse.Namespace) -> 
     config = SimConfig(trials=spec.trials, base_seed=spec.seed)
     if not spec.per_node:
         return run_event_driven(net, config, t_grid=t)
-    times = event_trajectories(net, config)
+    # a time past the grid's end counts as none, so the sampler stops there
+    times = event_trajectories(net, replace(config, t_max=t[-1]))
     return replace(curve_from_times(times, t), per_node=node_frequencies(times, t))
 
 
@@ -390,7 +391,8 @@ def _suite_sidedness(spec: argparse.Namespace) -> dict:
     for D in (2, 3):
         row = {"name": f"grid_{D}d_6", "method": "coupled", "trials": SIDEDNESS_TRIALS}
         for kind, periodic in (("torus", True), ("box", False)):
-            config = SimConfig(trials=SIDEDNESS_TRIALS, base_seed=SIDEDNESS_SEEDS[kind])
+            config = SimConfig(trials=SIDEDNESS_TRIALS, base_seed=SIDEDNESS_SEEDS[kind],
+                               t_max=VERIFY_T_MAX)
             report = run_coupled(build_grid(D, 6, p, q, sided="one", periodic=periodic),
                                  build_grid(D, 6, p, q, sided="two", periodic=periodic), config)
             mean, stderr = _fraction_stats(report["times_b"], t, base=report["times_a"])

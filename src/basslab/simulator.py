@@ -8,16 +8,20 @@ Curves come from one sampler, exact continuous-time sampling as
 first-passage percolation. Hazards add, so each adoption time is a
 shortest-path distance from a virtual source, with an Exp(1)/p_j edge into
 every node and an Exp(1)/w_ij edge along every network edge. One Dijkstra
-call on a block-diagonal graph solves a whole block of trials, at
-O(trials * E * log(trials * E)) cost for E = nodes + edges per trial.
+call on a block-diagonal graph solves a sub-block of B trials, B =
+DIJKSTRA_NODES // nodes per trial (at least 1), so its heap and arrays stay
+in cache, at O(trials * E * log(B * E)) cost for E = nodes + edges per
+trial. Each call stops at a horizon: the grid's last point for a curve,
+config.t_max for the raw times, and a time past it is inf.
 
 `run_coupled` checks pathwise dominance on a pair of networks by the
 standard monotone coupling of first-passage times (Lindvall, *Lectures on
 the Coupling Method*, 1992): each trial draws its Exp(1) clocks once, over
 the union of both networks' clocks, and each network divides the clocks it
-has by its own rates. Both networks then go through one Dijkstra call, so
-the coupling needs no time step; when A's rates are componentwise <= B's,
-every clock is at least as short in B, and so is every first-passage time.
+has by its own rates. Both networks then go through the same Dijkstra
+calls, so the coupling needs no time step; when A's rates are
+componentwise <= B's, every clock is at least as short in B, and so is
+every first-passage time.
 
 Event-driven trials are partitioned into fixed-size blocks, each with its
 own child stream of the base seed, and trial r of a block uses row r of the
@@ -38,6 +42,9 @@ from .curves import AdoptionCurve
 from .network import Network, _check_t_max, _keys, weakly_dominates
 
 TRIAL_BLOCK = 512
+# graph nodes per Dijkstra call: small enough that its heap and arrays stay
+# in cache
+DIJKSTRA_NODES = 8192
 DEFAULT_TRIALS = 4000
 # violation lists are for diagnosis; cap them so a badly ordered pair
 # cannot produce a gigabyte of report
@@ -64,33 +71,80 @@ def _block_seeds(seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
     return [np.random.SeedSequence((int(seed), b)) for b in range(n_blocks)]
 
 
+def _graph(nets: list[Network], seeded: list[np.ndarray], R: int):
+    """Block-diagonal graph of R trials, with its edge lengths left to fill:
+    node 0 the virtual source, then each network's R*M nodes, trial r's
+    node j at r*M + j. Returns the CSR graph and, per network, two (R, .)
+    views of its data: the source's edges into the seeded nodes, and the
+    network's edges in edge order."""
+    from scipy.sparse import csr_matrix
+
+    nodes_per_trial = sum(net.n for net in nets)
+    n_src = sum(s.size for s in seeded)
+    nnz = R * (n_src + sum(net.dst.size for net in nets))
+    # CSR rows: the source's edges first, R*n_p per network, then each
+    # network's node rows, trial r's with node ids offset by r*M and edge
+    # slots by r*E
+    indptr = np.empty(R * nodes_per_trial + 2, dtype=np.int32)
+    indptr[0] = 0
+    indptr[-1] = nnz
+    indices = np.empty(nnz, dtype=np.int32)
+    slots = []
+    node, src_slot, edge_slot = 1, 0, R * n_src
+    for net, s in zip(nets, seeded):
+        M, n_p, E = net.n, s.size, net.dst.size
+        first = node + M * np.arange(R, dtype=np.int32)  # graph id of trial r's node 0
+        rows = indptr[node : node + R * M].reshape(R, M)
+        rows[:] = net.indptr[:M]
+        rows += (edge_slot + E * np.arange(R, dtype=np.int32))[:, None]
+        src = slice(src_slot, src_slot + R * n_p)
+        edge = slice(edge_slot, edge_slot + R * E)
+        np.add(first[:, None], s, out=indices[src].reshape(R, n_p))
+        np.add(first[:, None], net.dst, out=indices[edge].reshape(R, E))
+        slots.append((src, edge, n_p, E))
+        node, src_slot, edge_slot = node + R * M, src.stop, edge.stop
+    graph = csr_matrix((np.empty(nnz), indices, indptr), shape=(R * nodes_per_trial + 1,) * 2)
+    views = [(graph.data[src].reshape(R, n_p), graph.data[edge].reshape(R, E))
+             for src, edge, n_p, E in slots]
+    return graph, views
+
+
 def _first_passage(
-    nets: list[Network], columns: list[np.ndarray | slice], n_clocks: int, config: SimConfig
+    nets: list[Network], columns: list[np.ndarray | slice], n_clocks: int, config: SimConfig,
+    limit: float,
 ) -> list[np.ndarray]:
     """Exact continuous-time adoption times, one (trials, M) array per
-    network of nets, as first-passage distances (see the module docstring).
-    Each trial draws n_clocks Exp(1) clocks, and columns[k] picks network
-    k's: those of its nodes with p_j > 0 in node order, then those of its
-    edges in edge order, each divided by its rate. An index array picks a
-    copy; a slice, for a lone network, picks a view that the division
-    overwrites, which saves copying the draw. A trial block is one
-    block-diagonal graph: node 0 the virtual source, then each network's
-    R*M nodes, trial r's node j at r*M + j."""
+    network of nets, as first-passage distances (see the module docstring),
+    inf for a time past limit. Each trial draws n_clocks Exp(1) clocks, and
+    columns[k] picks network k's: those of its nodes with p_j > 0 in node
+    order, then those of its edges in edge order, each divided by its rate.
+    An index array picks a copy; a slice, for a lone network, picks a view
+    that the division overwrites, which saves copying the draw.
+
+    Each RNG block's rows go to Dijkstra in sub-blocks of B =
+    DIJKSTRA_NODES // nodes_per_trial trials (at least 1), each one
+    block-diagonal graph (see `_graph`), so the heap stays in cache, at
+    O(trials * E * log(B * E)) cost. Trials are disconnected components and
+    a distance is the minimum of d(u) + w over settled predecessors, so the
+    times do not depend on which trials share a call. Dijkstra keeps a
+    distance <= limit and returns inf above it: a node within limit is
+    reached only through nodes within limit, so the result is the unlimited
+    one with every time past limit set to inf."""
     # imported here, not at module level, as every scipy import in the
     # package is: a command pays only for the parts of scipy it runs
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
-    n_lengths = sum(r.size for r in rates)
     nodes_per_trial = sum(net.n for net in nets)
     R_max = min(config.block_size, config.trials)
-    if R_max * max(n_lengths, nodes_per_trial + 1) >= np.iinfo(np.int32).max:
+    if R_max * n_clocks >= 2**31:
         raise ValueError(
-            f"a block of {R_max} trials on this network overflows the graph's int32 "
-            "indices; lower block_size"
+            f"a block of {R_max} trials draws {R_max * n_clocks} clocks at once, "
+            "16 GiB or more; lower block_size"
         )
+    B = max(1, DIJKSTRA_NODES // nodes_per_trial)
+    graphs = {}  # sub-block size -> _graph; at most three sizes per call
     all_times = [np.empty((config.trials, net.n)) for net in nets]
     n_blocks = -(-config.trials // config.block_size)
     done = 0
@@ -103,44 +157,33 @@ def _first_passage(
         del clocks
         for length, rate in zip(lengths, rates):
             length /= rate
-        # CSR rows: the source's edges first, R*n_p per network, then each
-        # network's node rows, trial r's with node ids offset by r*M and
-        # edge slots by r*E
-        nnz_src = R * sum(s.size for s in seeded)
-        indptr = np.empty(R * nodes_per_trial + 2, dtype=np.int32)
-        indptr[0] = 0
-        indptr[-1] = R * n_lengths
-        indices = np.empty(R * n_lengths, dtype=np.int32)
-        data = np.empty(R * n_lengths)
-        node, src_slot, edge_slot = 1, 0, nnz_src
-        for net, s, length in zip(nets, seeded, lengths):
-            M, n_p, E = net.n, s.size, net.dst.size
-            first = node + M * np.arange(R, dtype=np.int32)  # graph id of trial r's node 0
-            rows = indptr[node : node + R * M].reshape(R, M)
-            rows[:] = net.indptr[:M]
-            rows += (edge_slot + E * np.arange(R, dtype=np.int32))[:, None]
-            src = slice(src_slot, src_slot + R * n_p)
-            edge = slice(edge_slot, edge_slot + R * E)
-            np.add(first[:, None], s, out=indices[src].reshape(R, n_p))
-            np.add(first[:, None], net.dst, out=indices[edge].reshape(R, E))
-            data[src].reshape(R, n_p)[:] = length[:, :n_p]
-            data[edge].reshape(R, E)[:] = length[:, n_p:]
-            node, src_slot, edge_slot = node + R * M, src.stop, edge.stop
-        del lengths, length  # freed before Dijkstra allocates its own work arrays
-        graph = csr_matrix((data, indices, indptr), shape=(R * nodes_per_trial + 1,) * 2)
-        dist = dijkstra(graph, directed=True, indices=0)
-        node = 1
-        for net, times in zip(nets, all_times):
-            times[done : done + R] = dist[node : node + R * net.n].reshape(R, net.n)
-            node += R * net.n
+        for lo in range(0, R, B):
+            b = min(B, R - lo)
+            if b not in graphs:
+                graphs[b] = _graph(nets, seeded, b)
+            graph, views = graphs[b]
+            for (src, edge), length in zip(views, lengths):
+                n_p = src.shape[1]
+                src[:] = length[lo : lo + b, :n_p]
+                edge[:] = length[lo : lo + b, n_p:]
+            dist = dijkstra(graph, directed=True, indices=0, limit=limit)
+            node = 1
+            for net, times in zip(nets, all_times):
+                times[done + lo : done + lo + b] = dist[node : node + b * net.n].reshape(b, net.n)
+                node += b * net.n
         done += R
     return all_times
 
 
-def _event_times(net: Network, config: SimConfig) -> np.ndarray:
-    """Exact continuous-time adoption times of net, shape (trials, M)."""
+def _event_times(net: Network, config: SimConfig, limit: float) -> np.ndarray:
+    """Exact continuous-time adoption times of net, shape (trials, M), inf
+    past limit."""
     n_clocks = np.count_nonzero(net.p > 0) + net.dst.size
-    return _first_passage([net], [slice(None)], n_clocks, config)[0]
+    return _first_passage([net], [slice(None)], n_clocks, config, limit)[0]
+
+
+def _horizon(config: SimConfig) -> float:
+    return np.inf if config.t_max is None else config.t_max
 
 
 def _fraction_stats(
@@ -217,20 +260,21 @@ def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
 
 def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
     """Exact continuous-time simulation; Monte Carlo curve on t_grid, with
-    no per-node frequencies (see `curve_from_times`)."""
-    return curve_from_times(_event_times(net, config), t_grid, block=config.block_size)
-
-
-def _clip(times: np.ndarray, t_max: float | None) -> np.ndarray:
-    if t_max is not None:
-        times[times > t_max] = np.inf
-    return times
+    no per-node frequencies (see `curve_from_times`). The sampler stops at
+    the horizon t_grid[-1], since the curve counts a later adoption as none;
+    config.t_max is not read."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    # a grid that is not strictly increasing has no horizon; the curve
+    # refuses it, unless it holds NaN
+    ordered = t_grid.ndim == 1 and t_grid.size > 0 and bool(np.all(np.diff(t_grid) > 0))
+    times = _event_times(net, config, t_grid[-1] if ordered else np.inf)
+    return curve_from_times(times, t_grid, block=config.block_size)
 
 
 def event_trajectories(net: Network, config: SimConfig = SimConfig()) -> np.ndarray:
     """Per-trial adoption times, shape (trials, M), under the exact
     continuous-time scheme; times past config.t_max (if set) are inf."""
-    return _clip(_event_times(net, config), config.t_max)
+    return _event_times(net, config, _horizon(config))
 
 
 def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig()) -> dict:
@@ -264,9 +308,8 @@ def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig())
                         seeded.size + np.searchsorted(keys, _keys(net))])
         for net in (net_a, net_b)
     ]
-    times_a, times_b = (
-        _clip(times, config.t_max)
-        for times in _first_passage([net_a, net_b], columns, seeded.size + keys.size, config)
+    times_a, times_b = _first_passage(
+        [net_a, net_b], columns, seeded.size + keys.size, config, _horizon(config)
     )
     trial, node = np.nonzero(times_a < times_b)  # ordered by trial, then node
     violations = [

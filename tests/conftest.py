@@ -1,4 +1,5 @@
 """Shared hand-derived reference solutions used across test modules."""
+import heapq
 import os
 import subprocess
 import sys
@@ -44,6 +45,50 @@ def two_node_chain_survival(t, p1, p2, w):
     waited = np.exp(-p1 * t)
     fired = p1 * np.exp(-w * t) * (1.0 - np.exp(-(p1 - w) * t)) / (p1 - w)
     return np.exp(-p2 * t) * (waited + fired)
+
+
+def reference_first_passage(nets, cfg):
+    """Adoption times of one network, or of a coupled pair on shared clocks,
+    one trial at a time: trial r of block b reads row r of the Exp(1) draw
+    standard_exponential((R, n_clocks)) of SeedSequence((base_seed, b)).
+    Its columns are the node clocks of every node seeded in any of nets, in
+    node order, then the edge clocks of every edge of any of nets, in
+    (src, dst) order. Each network divides its own clocks by its own rates
+    and runs a heap Dijkstra; times past cfg.t_max, when set, are inf.
+    Returns one (trials, M) array per network."""
+    M = nets[0].n
+    seeded = [j for j in range(M) if any(net.p[j] > 0 for net in nets)]
+    edges = sorted({(int(i), int(j)) for net in nets for i, j in zip(net.src, net.dst)})
+    out = [np.empty((cfg.trials, M)) for _ in nets]
+    done = 0
+    for b in range(-(-cfg.trials // cfg.block_size)):
+        R = min(cfg.block_size, cfg.trials - done)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b)))
+        for row in rng.standard_exponential((R, len(seeded) + len(edges))):
+            node_clock = dict(zip(seeded, row))
+            edge_clock = dict(zip(edges, row[len(seeded):]))
+            for net, times in zip(nets, out):
+                dist = [node_clock[j] / net.p[j] if net.p[j] > 0 else np.inf for j in range(M)]
+                heap = [(d, j) for j, d in enumerate(dist) if d < np.inf]
+                heapq.heapify(heap)
+                settled = set()
+                while heap:
+                    d, i = heapq.heappop(heap)
+                    if i in settled:
+                        continue
+                    settled.add(i)
+                    for e in range(net.indptr[i], net.indptr[i + 1]):
+                        j = int(net.dst[e])
+                        cand = d + edge_clock[i, j] / net.w[e]
+                        if cand < dist[j]:
+                            dist[j] = cand
+                            heapq.heappush(heap, (cand, j))
+                times[done] = dist
+            done += 1
+    if cfg.t_max is not None:
+        for times in out:
+            times[times > cfg.t_max] = np.inf
+    return out
 
 
 def brentq_horizon(p, q):

@@ -181,23 +181,14 @@ def test_event_simulation_tracks_exact_curve():
     assert time.monotonic() - start < 10.0
 
 
-def test_grid_sidedness_matters_only_at_boundaries():
+def test_grid_sidedness_matters_on_the_box():
+    # the torus half of the paper's claim is checked exactly by
+    # test_exact_torus_sidedness_gap_is_small_but_real and on shared clocks
+    # by `verify --suite sidedness`; independent runs lack the power to see
+    # its 1e-3 gap
     cfg = {"trials": 4000}
-    seeds = {"torus_one": 101, "torus_two": 202, "box_one": 303, "box_two": 404}
-    positive = GRID_61 > 0
+    seeds = {"box_one": 303, "box_two": 404}
     for D in (2, 3):
-        torus_one = run_event_driven(
-            build_grid(D, 6, P, Q, sided="one", periodic=True),
-            SimConfig(base_seed=seeds["torus_one"], **cfg), t_grid=GRID_61,
-        )
-        torus_two = run_event_driven(
-            build_grid(D, 6, P, Q, sided="two", periodic=True),
-            SimConfig(base_seed=seeds["torus_two"], **cfg), t_grid=GRID_61,
-        )
-        gap = np.abs(torus_one.f - torus_two.f)
-        comb = 2 * (torus_one.stderr + torus_two.stderr)
-        assert np.all(gap[positive] < comb[positive]), D
-
         box_one = run_event_driven(
             build_grid(D, 6, P, Q, sided="one", periodic=False),
             SimConfig(base_seed=seeds["box_one"], **cfg), t_grid=GRID_61,

@@ -1,4 +1,3 @@
-import heapq
 import json
 import tracemalloc
 import warnings
@@ -6,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from basslab import simulator
+from basslab.analytic import default_time_grid
 from basslab.network import (
     Network,
     build_circle,
@@ -26,7 +27,7 @@ from basslab.simulator import (
     run_coupled,
     run_event_driven,
 )
-from conftest import two_node_chain_survival
+from conftest import reference_first_passage, two_node_chain_survival
 
 
 def _awkward_times(t, trials, M):
@@ -55,46 +56,6 @@ def _boolean_blocked_curve(times, t, block):
     return mean, np.sqrt(np.maximum(var, 0.0) / trials), node_counts / trials
 
 
-def _reference_coupling(net_a, net_b, cfg):
-    """Shared-clock coupling, one trial at a time: trial r of block b reads
-    row r of the block's Exp(1) draw, whose columns are the node clocks of
-    every node seeded in either network, then the edge clocks of either
-    network's edges in key (src*M + dst) order. Each network divides its
-    own clocks by its own rates and runs a heap Dijkstra."""
-    M = net_a.n
-    seeded = [j for j in range(M) if net_a.p[j] > 0 or net_b.p[j] > 0]
-    keys = sorted({int(i) * M + int(j) for net in (net_a, net_b) for i, j in zip(net.src, net.dst)})
-    out = [np.empty((cfg.trials, M)) for _ in range(2)]
-    done = 0
-    for b in range(-(-cfg.trials // cfg.block_size)):
-        R = min(cfg.block_size, cfg.trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b)))
-        for row in rng.standard_exponential((R, len(seeded) + len(keys))):
-            node_clock = dict(zip(seeded, row))
-            edge_clock = dict(zip(keys, row[len(seeded):]))
-            for net, times in zip((net_a, net_b), out):
-                dist = [node_clock[j] / net.p[j] if net.p[j] > 0 else np.inf for j in range(M)]
-                heap = [(d, j) for j, d in enumerate(dist) if d < np.inf]
-                heapq.heapify(heap)
-                settled = set()
-                while heap:
-                    d, i = heapq.heappop(heap)
-                    if i in settled:
-                        continue
-                    settled.add(i)
-                    for e in range(net.indptr[i], net.indptr[i + 1]):
-                        j = int(net.dst[e])
-                        cand = d + edge_clock[i * M + j] / net.w[e]
-                        if cand < dist[j]:
-                            dist[j] = cand
-                            heapq.heappush(heap, (cand, j))
-                times[done] = dist
-            done += 1
-    for times in out:
-        times[times > cfg.t_max] = np.inf
-    return out
-
-
 def _crossed_pair():
     """Neither network above the other: each seeds nodes and has edges the
     other lacks; A's nodes 3 and 4 and B's node 1 can never adopt."""
@@ -103,6 +64,20 @@ def _crossed_pair():
     b = Network(5, np.array([0.0, 0.0, 0.2, 0.3, 0.0]),
                 [(1, 2, 0.6), (2, 3, 0.2), (4, 0, 0.7), (3, 4, 0.1)])
     return a, b
+
+
+def _silent_net():
+    """Nodes 1 and 3 are silent (p = 0) but reachable; node 5 is silent
+    with no in-edges, so it never adopts."""
+    return Network(6, np.array([0.1, 0.0, 0.2, 0.0, 0.15, 0.0]),
+                   [(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 3, 0.6), (5, 4, 0.3)])
+
+
+def _attained_time(times):
+    """A finite adoption time the run reaches: a horizon exactly at it keeps
+    that time and cuts the later ones."""
+    finite = np.sort(times[np.isfinite(times)])
+    return float(finite[finite.size // 2])
 
 
 def _scaled(net, factor):
@@ -211,6 +186,46 @@ class TestEventDriven:
         finite = times[np.isfinite(times)]
         assert 0 < finite.size < 200
         assert max(finite) <= 1.0
+
+    # DIJKSTRA_NODES 40 puts 6 trials of a 6-node network, 2 of a 16-node
+    # one, in each Dijkstra call; blocks of 16 then split 6 + 6 + 4, and
+    # 45 trials leave a last RNG block of 13. None keeps the module's value:
+    # 8 trials of the 32x32 torus per call, 20 trials in blocks of 16.
+    @pytest.mark.parametrize("net, dijkstra_nodes, trials, block_size", [
+        (_silent_net(), 40, 45, 16),
+        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16),
+        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512),
+        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16),
+    ], ids=["silent", "torus4", "line", "torus32"])
+    @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
+    def test_sampler_matches_reference_bit_for_bit(
+        self, monkeypatch, net, dijkstra_nodes, trials, block_size, horizon
+    ):
+        if dijkstra_nodes is not None:
+            monkeypatch.setattr(simulator, "DIJKSTRA_NODES", dijkstra_nodes)
+        cfg = SimConfig(trials=trials, base_seed=21, block_size=block_size)
+        (free,) = reference_first_passage([net], cfg)
+        t_max = {"none": None, "attained": _attained_time(free), "early": 0.5}[horizon]
+        cfg = SimConfig(trials=trials, base_seed=21, block_size=block_size, t_max=t_max)
+        (ref,) = reference_first_passage([net], cfg)
+        assert np.array_equal(event_trajectories(net, cfg), ref)
+        if t_max is not None:  # the horizon cuts some times and keeps others
+            assert np.isinf(free).sum() < np.isinf(ref).sum() < ref.size
+        if horizon == "attained":
+            assert np.any(ref == t_max)
+
+    @pytest.mark.parametrize("t", [np.linspace(0, 4, 9), np.array([3.0]),
+                                   np.array([0.0, 1.0, np.nan])],
+                             ids=["short", "one-point", "nan-end"])
+    def test_curve_of_times_cut_at_the_grid_end_is_unchanged(self, t):
+        # the sampler stops at t[-1], and every later time lands past the
+        # grid as inf does; a grid ending in NaN has no horizon
+        net = build_circle(5, 0.1, 0.3)
+        cfg = SimConfig(trials=300, base_seed=2)
+        want = curve_from_times(event_trajectories(net, cfg), t)
+        got = run_event_driven(net, cfg, t_grid=t)
+        assert np.array_equal(got.f, want.f)
+        assert np.array_equal(got.stderr, want.stderr)
 
     def test_oversized_block_is_refused_before_any_work(self):
         net = build_circle(4, 0.05, 0.3)
@@ -399,13 +414,32 @@ class TestCoupled:
         }[case]
         cfg = SimConfig(trials=trials, base_seed=13, t_max=t_max, block_size=block_size)
         rep = run_coupled(net_a, net_b, cfg)
-        ref_a, ref_b = _reference_coupling(net_a, net_b, cfg)
+        ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
         assert np.array_equal(rep["times_a"], ref_a)
         assert np.array_equal(rep["times_b"], ref_b)
         late = ref_a < ref_b
         assert rep["violation_count"] == np.count_nonzero(late)
         assert rep["mean_final_fraction_a"] == np.isfinite(ref_a).mean()
         assert rep["mean_final_fraction_b"] == np.isfinite(ref_b).mean()
+
+    @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
+    def test_shared_clock_times_match_reference_across_sub_blocks(self, monkeypatch, horizon):
+        # 12 nodes per trial: 3 trials per Dijkstra call, so blocks of 16
+        # split 3 x 5 + 1, and 45 trials leave a last RNG block of 13
+        monkeypatch.setattr(simulator, "DIJKSTRA_NODES", 40)
+        net_a, net_b = _silent_net(), _scaled(_silent_net(), 1.5)
+        cfg = SimConfig(trials=45, base_seed=4, block_size=16)
+        free_a, _ = reference_first_passage([net_a, net_b], cfg)
+        t_max = {"none": None, "attained": _attained_time(free_a), "early": 2.0}[horizon]
+        cfg = SimConfig(trials=45, base_seed=4, block_size=16, t_max=t_max)
+        rep = run_coupled(net_a, net_b, cfg)
+        ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
+        assert np.array_equal(rep["times_a"], ref_a)
+        assert np.array_equal(rep["times_b"], ref_b)
+        if t_max is not None:  # the horizon cuts some times and keeps others
+            assert np.isinf(free_a).sum() < np.isinf(ref_a).sum() < ref_a.size
+        if horizon == "attained":
+            assert np.any(ref_a == t_max)
 
     def test_clocks_a_network_lacks_divide_nothing(self):
         # a node clock whose p_j is 0, or an edge clock whose edge is absent,
@@ -531,3 +565,20 @@ def test_large_network_needs_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < bound, name
+
+
+def test_event_sampler_holds_little_beyond_its_draw():
+    """On the 32x32 two-sided torus at 200 trials, the clock draw is 8.2 MB
+    (200 x 5120 float64) and the adoption times 1.6 MB. Dijkstra graphs of
+    8 trials each add about 0.6 MB: the run peaked at 10.5 MB, where one
+    graph of the whole 200-trial block peaked at 23 MB."""
+    net = build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True)
+    t = default_time_grid(0.01, 0.1)
+    run_event_driven(net, SimConfig(trials=2), t)  # keep scipy's first-call set-up out
+    tracemalloc.start()
+    try:
+        run_event_driven(net, SimConfig(trials=200, base_seed=1), t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6

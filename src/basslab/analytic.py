@@ -21,9 +21,12 @@ sums to cancel. It feeds the circle (where the closed form is not trusted),
 the one-sided line (node j is a j-circle) and the hybrid (circle nodes are
 C-circles, ray node k a (C+k)-circle). The two-sided line adds its M-2
 interior non-adoption probabilities to the M half-rate survivals: 2M-2
-states. The rows k >= 2 of the hierarchy are read off the same table by
-the general shift S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1), so the diagnostics
-beta, gamma and psi are algebra on the tables at q and q/2.
+states. Lines of several sizes share one solve: the half-rate recursion
+up to the largest size and every size's interior unknowns. The rows
+k >= 2 of the hierarchy are read off the same table by the general shift
+S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1), so the diagnostics beta, gamma and
+psi are algebra on the tables at q and q/2; the q/2 table comes with the
+two-sided lines.
 
 scipy.integrate is imported at the first ODE solve, through this module's
 solve_ivp, so the closed form and default_time_grid run without it: the
@@ -275,18 +278,52 @@ def f_line_one_sided(t_grid, p: float, q: float, M: int):
     return per_node, per_node.mean(axis=0), "ode"
 
 
-def f_line_two_sided(t_grid, p: float, q: float, M: int):
-    """Per-node and aggregate adoption on the two-sided line.
+def _two_sided_lines(t_grid: np.ndarray, p: float, q: float, sizes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The half-rate table S_1(t;p,q/2,m), m = 1..max(sizes), shape
+    (max(sizes), T), and the per-node non-adoption probabilities of the
+    two-sided line of every size M >= 2 in sizes, one (M, T) array each in
+    the order of sizes, from one solve.
 
-    The boundary nodes are (q/2)-circles of size M; interior node j solves
+    The boundary nodes are half-rate M-circles; interior node j solves
 
         u_j' = -(p+q) u_j + (q/2) [S(j-1) S(M-j+1) + S(j) S(M-j)],
 
     fed by the pair survivals Prob(X_{j-1}=0, X_j=0) = S(j-1) S(M-j+1),
-    products of half-rate circle survivals S(m) = S_1(t;p,q/2,m). The M
-    survivals (the S_1 recursion) and the M-2 interior unknowns are
-    integrated as one system of 2M-2 states, so no interpolation error
-    enters.
+    products of half-rate circle survivals S(m). The max(sizes) survivals
+    (the S_1 recursion) come first, then the M-2 interior unknowns of each
+    size in turn, all integrated as one system, so no interpolation error
+    enters. A single size M is the 2M-2 states of its line alone."""
+    _check_pq(p, q)
+    sizes = [int(M) for M in sizes]
+    if not sizes or min(sizes) < 2:
+        raise ValueError(f"two-sided line sizes must be >= 2, got {sizes}")
+    N = max(sizes)
+    h = q / 2
+    # every interior node's 1-based label j and line size L, sizes in turn,
+    # and the S indices of its two pair survivals
+    j = np.concatenate([np.arange(2, M) for M in sizes])
+    L = np.concatenate([np.full(M - 2, M) for M in sizes])
+    a, b, c, d = j - 2, L - j, j - 1, L - j - 1
+
+    def rhs(t, y):
+        S, u = y[:N], y[N:]
+        du = -(p + q) * u + h * (S[a] * S[b] + S[c] * S[d])
+        return np.concatenate([_survival_rates(t, S, p, h), du])
+
+    y = _integrate(rhs, t_grid, np.ones(N + j.size), "two-sided line", p + q)
+    lines = []
+    start = N
+    for M in sizes:
+        lines.append(np.vstack([y[M - 1], y[start : start + M - 2], y[M - 1]]))
+        start += M - 2
+    return y[:N], lines
+
+
+def f_line_two_sided(t_grid, p: float, q: float, M: int):
+    """Per-node and aggregate adoption on the two-sided line: its ends are
+    half-rate M-circles and its interior nodes are driven by products of
+    half-rate circle survivals, integrated with them as one system of
+    2M-2 states (see _two_sided_lines).
 
     Returns (per_node (M,T), f (T,), source="ode").
     """
@@ -298,16 +335,8 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
         S, _ = survival_circle(t_grid, p, q / 2, 1)
         per_node = (1.0 - S)[None, :]
         return per_node, per_node.mean(axis=0), "ode"
-    h = q / 2
-    j = np.arange(2, M)  # 1-based interior node labels
-
-    def rhs(t, y):
-        S, u = y[:M], y[M:]
-        du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
-        return np.concatenate([_survival_rates(t, S, p, h), du])
-
-    y = _integrate(rhs, t_grid, np.ones(2 * M - 2), "two-sided line", p + q)
-    per_node = 1.0 - np.vstack([y[M - 1], y[M:], y[M - 1]])
+    _, (survivals,) = _two_sided_lines(t_grid, p, q, (M,))
+    per_node = 1.0 - survivals
     return per_node, per_node.mean(axis=0), "ode"
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from .analytic import (
     _alpha_table,
     _circle_survivals,
+    _two_sided_lines,
     beta_diag,
     default_time_grid,
     f_circle,
@@ -313,24 +314,23 @@ def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
 
 
 def _suite_appendix(spec: argparse.Namespace) -> dict:
-    """Positivity of alpha..psi at M <= 9. beta, gamma, psi and the
-    one-sided line of nu read every S_k off two S_1 tables, at q and q/2;
-    alpha reads every k off one solve of its difference system, and nu's
-    two-sided line is one solve per M."""
+    """Positivity of alpha..psi at M <= 9, from three ODE solves. beta,
+    gamma, psi and the one-sided line of nu read every S_k off two S_1
+    tables, at q and q/2; alpha reads every k off one solve of its
+    difference system. The q/2 table and the two-sided lines of nu, every
+    M = 2..9, come from one joint solve."""
     p, q = spec.p, spec.q
     t = np.linspace(1.5, VERIFY_T_MAX, 20)
     s1 = _circle_survivals(t, p, q, 9)
-    s1_half = _circle_survivals(t, p, q / 2, 9)
+    s1_half, lines = _two_sided_lines(t, p, q, range(2, 10))
     entries = [_diag_entry("alpha", k, 0, row)
                for k, row in enumerate(_alpha_table(t, p, q, 9), start=1)]
     entries += [_diag_entry("beta", k, M, beta_diag(t, p, k, M, s1, s1_half))
                 for M in range(2, 10) for k in range(1, M)]
     entries += [_diag_entry("gamma", k, M, gamma_diag(t, p, k, M, s1))
                 for M in range(3, 10) for k in range(1, M - 1)]
-    for M in range(2, 10):
-        s_two = 1.0 - f_line_two_sided(t, p, q, M)[0]
-        entries += [_diag_entry("nu", k, M, nu_from_node_survivals(s1[:M], s_two, k))
-                    for k in range(1, M + 1)]
+    entries += [_diag_entry("nu", k, M, nu_from_node_survivals(s1[:M], s_two, k))
+                for M, s_two in zip(range(2, 10), lines) for k in range(1, M + 1)]
     entries += [_diag_entry("psi", k, M, psi_diag(t, p, k, M, s1, s1_half))
                 for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)]
     return {"suite": "appendix", "t_min": 1.5, "t_max": VERIFY_T_MAX, "points": 20,

@@ -9,7 +9,14 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from basslab.analytic import _exponent_sum, _trusted_coefficients, f_one_dim_limit, survival_circle
+from basslab.analytic import (
+    _exponent_sum,
+    _integrate,
+    _survival_rates,
+    _trusted_coefficients,
+    f_one_dim_limit,
+    survival_circle,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -200,3 +207,20 @@ def f_line_two_sided_quadrature(t_grid, p, q, M):
         A = a_j_quadrature(t_grid, p, q, M, j)
         per_node[j - 1] = 1.0 - np.exp(-(p + q) * t_grid) * (1.0 + (q / 2) * A)
     return per_node, per_node.mean(axis=0), "quadrature"
+
+
+def line_two_sided_single_solve(t_grid, p, q, M):
+    """Per-node non-adoption probabilities (M, T) of the two-sided line,
+    M >= 2, from a solve of that line alone: M half-rate survivals, then
+    the M-2 interior unknowns, through the library's _integrate call.
+    f_line_two_sided must match it bit for bit."""
+    h = q / 2
+    j = np.arange(2, M)  # 1-based interior node labels
+
+    def rhs(t, y):
+        S, u = y[:M], y[M:]
+        du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
+        return np.concatenate([_survival_rates(t, S, p, h), du])
+
+    y = _integrate(rhs, np.asarray(t_grid, dtype=float), np.ones(2 * M - 2), "two-sided line", p + q)
+    return np.vstack([y[M - 1], y[M:], y[M - 1]])

@@ -12,6 +12,7 @@ from basslab.analytic import (
     _alpha_table,
     _block_survival,
     _circle_survivals,
+    _two_sided_lines,
     alpha_diag,
     beta_diag,
     circle_coefficients,
@@ -36,6 +37,7 @@ from conftest import (
     brentq_horizon,
     f_line_two_sided_quadrature,
     hierarchy_survivals,
+    line_two_sided_single_solve,
     shift_identity_residual,
     survival_interpolant,
 )
@@ -197,13 +199,18 @@ class TestHierarchyOde:
         assert np.max(np.abs(f1(T_GRID) - h[0])) < 1e-9
         assert np.max(np.abs(f2(T_GRID) - h[2])) < 1e-9
 
-    def test_tables_match_high_precision_hierarchy(self):
+    @pytest.mark.parametrize("half_table", [
+        lambda t, p, q: _circle_survivals(t, p, q / 2, 9),
+        lambda t, p, q: _two_sided_lines(t, p, q, range(2, 10))[0],
+    ], ids=["circle_recursion", "two_sided_lines"])
+    def test_tables_match_high_precision_hierarchy(self, half_table):
         # every S_k(t;m), k <= m <= 9, that the appendix suite reads off the
         # S_1 tables at q and q/2, and its worst-conditioned entry: psi(5,9)
-        # at the suite's first grid point, where psi is ~1e-7 of terms ~1
+        # at the suite's first grid point, where psi is ~1e-7 of terms ~1.
+        # The suite takes its q/2 table from the joint two-sided line solve.
         p, q = 0.01, 0.1
         t = np.array([1.5, 10.0, 30.0])
-        tables = {rate: _circle_survivals(t, p, rate, 9) for rate in (q, q / 2)}
+        tables = {q: _circle_survivals(t, p, q, 9), q / 2: half_table(t, p, q)}
         rows = {}
         for rate, s1 in tables.items():
             for m in range(1, 10):
@@ -312,6 +319,32 @@ class TestLines:
     def test_two_nodes_have_no_interior(self):
         per_node, _, _ = f_line_two_sided(T_GRID, 0.03, 0.27, 2)
         assert np.array_equal(per_node[0], per_node[1])
+
+    @pytest.mark.parametrize("ratio", [10, 45])
+    @pytest.mark.parametrize("M", [2, 3, 7, 60])
+    def test_single_size_is_the_single_line_solve_bit_for_bit(self, M, ratio):
+        p = 0.01
+        q = ratio * p
+        t = default_time_grid(p, q)
+        per_node, _, _ = f_line_two_sided(t, p, q, M)
+        assert np.array_equal(per_node, 1.0 - line_two_sided_single_solve(t, p, q, M))
+
+    def test_joint_lines_match_quadrature_and_their_single_solves(self):
+        # the appendix suite's grid and sizes, in one solve
+        p, q = 0.01, 0.1
+        t = np.linspace(1.5, 30.0, 20)
+        s1_half, lines = _two_sided_lines(t, p, q, range(2, 10))
+        assert s1_half.shape == (9, t.size)
+        assert [s.shape for s in lines] == [(M, t.size) for M in range(2, 10)]
+        for M, s in zip(range(2, 10), lines):
+            quad, _, _ = f_line_two_sided_quadrature(t, p, q, M)
+            assert np.max(np.abs((1.0 - s) - quad)) < 1e-8, M
+            assert np.max(np.abs(s - line_two_sided_single_solve(t, p, q, M))) < 1e-10, M
+
+    def test_joint_lines_need_sizes_of_two_or_more(self):
+        for sizes in ((), (1, 3), (0,)):
+            with pytest.raises(ValueError, match="sizes must be >= 2"):
+                _two_sided_lines(T_GRID, 0.01, 0.1, sizes)
 
     def test_reflection_symmetry(self):
         # mirrored interior nodes assemble commuted copies of the same

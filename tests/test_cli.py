@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import basslab.analytic as analytic
 import basslab.cli as cli
 from basslab.curves import read_curve_csv
 from basslab.network import build_line
@@ -226,6 +227,20 @@ class TestVerify:
         assert all(e["passed"] and e["min_value"] > 0 for e in cases)
         assert run(["verify", "--suite", "appendix", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_appendix_suite_makes_three_ode_solves(self, tmp_path, monkeypatch):
+        # the S_1 table at q, alpha's difference system, and one joint solve
+        # of the q/2 table with every two-sided line M = 2..9
+        sizes = []
+        solve = analytic.solve_ivp
+
+        def counted(fun, t_span, y0, **kwargs):
+            sizes.append(len(y0))
+            return solve(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(analytic, "solve_ivp", counted)
+        assert run(["verify", "--suite", "appendix", "--out", str(tmp_path / "a.json")]) == 0
+        assert sorted(sizes) == [9, 9, 9 + sum(M - 2 for M in range(2, 10))]
 
 
 class TestBadInput:

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basslab.principles as principles
 from basslab.network import Network, build_circle, build_line, weakly_dominates
 from basslab.oracle import solve_master, survival
 from basslab.principles import (
@@ -230,6 +233,28 @@ class TestDominanceCorollaries:
         for entry in report:
             assert entry["passed"], entry["name"]
             assert entry["max_order_violation"] <= 1e-10
+
+    def test_oracle_report_solves_each_network_once(self, monkeypatch):
+        # the one-sided circle is one object in four pairs: 7 distinct
+        # networks in 10 slots. Copying every slot's network solves all 10,
+        # and the report must not change.
+        t = np.linspace(0.0, 30.0, 11)
+        solved = []
+        exact = principles.exact_marginals
+
+        def counted(net, t_grid):
+            solved.append(net)
+            return exact(net, t_grid)
+
+        monkeypatch.setattr(principles, "exact_marginals", counted)
+        shared = oracle_dominance_report(t_grid=t)
+        assert len(solved) == 7
+        pairs = principles.dominance_pairs
+        monkeypatch.setattr(principles, "dominance_pairs", lambda p, q: [
+            (name, copy.copy(lo), copy.copy(hi)) for name, lo, hi in pairs(p, q)])
+        solved.clear()
+        assert oracle_dominance_report(t_grid=t) == shared
+        assert len(solved) == 10
 
     def test_closing_the_line_strictly_helps(self):
         base = build_line(6, 0.01, 0.1, sided="one")

@@ -162,15 +162,6 @@ def _config_value(s: Setting, value):
     return float(value) if s.kind is float else value
 
 
-class _JSONEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
-
-
 def _time_grid(spec: argparse.Namespace) -> np.ndarray:
     if spec.grid < 2:
         raise ValueError("--grid must be at least 2 points")
@@ -279,7 +270,7 @@ def cmd_simulate(spec: argparse.Namespace) -> int:
         write_curve_csv(path, curve)
         manifest["files"].append(str(path))
     with open(out_dir / f"{spec.preset}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, cls=_JSONEncoder)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return 0
 
@@ -295,9 +286,6 @@ def _indifference_reports(names: tuple[str, ...], spec: argparse.Namespace) -> l
     for name in names:
         for case in figure_plan(name, p=spec.p, q=spec.q):
             report = verify_indifference(case.network, case.plan)
-            # survival series stay out of the report files; gaps summarize them
-            for key in ("t", "survival_before", "survival_after"):
-                report.pop(key)
             reports.append({"name": case.name, "label": case.label, "note": case.note, **report})
     return reports
 
@@ -452,7 +440,7 @@ def cmd_verify(spec: argparse.Namespace) -> int:
         report = {"command": "verify", "suites": suites,
                   "passed": all(s["passed"] for s in suites)}
     _write_summary(report)
-    text = json.dumps(report, indent=2, cls=_JSONEncoder) + "\n"
+    text = json.dumps(report, indent=2) + "\n"
     if spec.out is None:
         sys.stdout.write(text)
     else:
@@ -551,6 +539,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"basslab: error: {exc}") from None
     except MemoryError as exc:  # an array too large to allocate, e.g. from --trials
         raise SystemExit(f"basslab: error: out of memory: {exc}") from None
+    except RuntimeError as exc:  # an internal check failed, e.g. probability conservation
+        raise SystemExit(f"basslab: error: internal check failed: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -32,8 +32,7 @@ class AdoptionCurve:
         f = np.asarray(self.f, dtype=float)
         if t.ndim != 1 or t.shape != f.shape:
             raise ValueError("t and f must be 1D arrays of equal length")
-        if t.size == 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be non-empty and strictly increasing")
+        _check_time_grid(t)
         if self.source not in CURVE_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if t[0] == 0.0 and abs(f[0]) > _SLACK:
@@ -60,6 +59,17 @@ class AdoptionCurve:
             if se.shape != f.shape:
                 raise ValueError("stderr must match f in shape")
             object.__setattr__(self, "stderr", se)
+
+
+def _check_time_grid(t) -> np.ndarray:
+    """t as a float array, refused unless it is a non-empty, finite and
+    strictly increasing 1D grid."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time grid must hold only finite times")
+    if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be non-empty and strictly increasing")
+    return t
 
 
 def _snap(x: np.ndarray) -> np.ndarray:

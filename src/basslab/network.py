@@ -9,9 +9,8 @@ labels.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,8 +63,6 @@ class Network:
     n: int
     p: np.ndarray
     edges: tuple[Edge, ...] = _EdgeTriples()
-    tag: str = "general"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -108,27 +105,13 @@ class Network:
         k = int(np.searchsorted(row, j))
         return bool(k < row.size and row[k] == j)
 
-    def to_json(self) -> str:
-        doc = {
-            "nodes": self.n,
-            "p": [float(x) for x in self.p],
-            "edges": [[i, j, w] for i, j, w in self.edges],
-            "tag": self.tag,
-        }
-        if self.meta:
-            doc["meta"] = self.meta
-        return json.dumps(doc)
+    def to_dict(self) -> dict:
+        """The network as plain JSON types; `from_dict` reads it back."""
+        return {"nodes": self.n, "p": self.p.tolist(), "edges": [list(e) for e in self.edges]}
 
     @staticmethod
-    def from_json(text: str) -> "Network":
-        doc = json.loads(text)
-        return Network(
-            n=int(doc["nodes"]),
-            p=np.asarray(doc["p"], dtype=float),
-            edges=doc["edges"],
-            tag=doc.get("tag", "general"),
-            meta=doc.get("meta", {}),
-        )
+    def from_dict(doc: dict) -> "Network":
+        return Network(n=int(doc["nodes"]), p=doc["p"], edges=doc["edges"])
 
 
 def _keys(net: Network) -> np.ndarray:
@@ -205,8 +188,6 @@ def build_circle(M: int, p: float, q: float, sided: str = "one") -> Network:
         n=M,
         p=np.full(M, float(p)),
         edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=True),
-        tag=f"circle_{sided}_sided",
-        meta={"p": p, "q": q, "sided": sided},
     )
 
 
@@ -217,8 +198,6 @@ def build_line(M: int, p: float, q: float, sided: str = "one") -> Network:
         n=M,
         p=np.full(M, float(p)),
         edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=False),
-        tag=f"line_{sided}_sided",
-        meta={"p": p, "q": q, "sided": sided},
     )
 
 
@@ -245,8 +224,6 @@ def build_grid(
         n=M,
         p=np.full(M, float(p)),
         edges=_lattice_edges(D, side, q, _sided_ok(sided), periodic),
-        tag="torus" if periodic else "box",
-        meta={"D": D, "side": side, "p": p, "q": q, "sided": sided, "periodic": periodic},
     )
 
 
@@ -264,8 +241,6 @@ def build_hybrid_circle_ray(circle_size: int, ray_size: int, p: float, q: float)
         p=np.full(C + K, float(p)),
         edges=_merge_edges(C + K, np.concatenate(((circle - 1) % C, C - 1 + ray)),
                            np.concatenate((circle, C + ray)), q),
-        tag="hybrid_circle_ray",
-        meta={"circle_size": C, "ray_size": K, "p": p, "q": q},
     )
 
 
@@ -312,8 +287,7 @@ def remove_edges(net: Network, pairs: Sequence[tuple[int, int]]) -> Network:
         if not net.has_edge(i, j):
             raise ValueError(f"edge {i}->{j} not present")
     kept = ~np.isin(_keys(net), [i * net.n + j for i, j in gone])
-    return Network(n=net.n, p=net.p, edges=_edge_array(net)[kept], tag="general",
-                   meta=dict(net.meta))
+    return Network(n=net.n, p=net.p, edges=_edge_array(net)[kept])
 
 
 def add_edges(net: Network, new: Sequence[Edge]) -> Network:
@@ -324,6 +298,4 @@ def add_edges(net: Network, new: Sequence[Edge]) -> Network:
         n=net.n,
         p=net.p,
         edges=np.concatenate([_edge_array(net), np.asarray(new, dtype=float).reshape(-1, 3)]),
-        tag="general",
-        meta=dict(net.meta),
     )

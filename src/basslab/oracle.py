@@ -194,8 +194,7 @@ def _symmetries(net: Network) -> _Symmetry | None:
     """The largest group of grid maps that sends p and every weighted edge
     onto themselves, over the layouts (side,)*D with side**D == n and
     side >= 2, the first layout winning a tie; None when no layout has a
-    map but the identity. Only p and the edges are read, never tag or
-    meta."""
+    map but the identity."""
     n = net.n
     W = np.zeros((n, n))
     W[net.src, net.dst] = net.w
@@ -325,6 +324,8 @@ def _check_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1D array")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must hold only finite times")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must ascend from a non-negative start")
     return t_grid

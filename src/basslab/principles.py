@@ -164,11 +164,8 @@ def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID) -
         "max_gap": max_gap,
         "tol": VERIFY_TOL,
         "passed": bool(all_safe and max_gap <= VERIFY_TOL),
-        "t": t_grid,
-        "survival_before": before,
-        "survival_after": after,
-        "network_before": net.to_json(),
-        "network_after": transformed.to_json(),
+        "network_before": net.to_dict(),
+        "network_after": transformed.to_dict(),
     }
 
 

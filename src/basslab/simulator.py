@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AdoptionCurve
+from .curves import AdoptionCurve, _check_time_grid
 from .network import Network, _check_t_max, _keys, weakly_dominates
 
 TRIAL_BLOCK = 512
@@ -262,12 +262,10 @@ def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
     """Exact continuous-time simulation; Monte Carlo curve on t_grid, with
     no per-node frequencies (see `curve_from_times`). The sampler stops at
     the horizon t_grid[-1], since the curve counts a later adoption as none;
-    config.t_max is not read."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    # a grid that is not strictly increasing has no horizon; the curve
-    # refuses it, unless it holds NaN
-    ordered = t_grid.ndim == 1 and t_grid.size > 0 and bool(np.all(np.diff(t_grid) > 0))
-    times = _event_times(net, config, t_grid[-1] if ordered else np.inf)
+    config.t_max is not read. The grid is checked as the curve checks it,
+    before any sampling."""
+    t_grid = _check_time_grid(t_grid)
+    times = _event_times(net, config, t_grid[-1])
     return curve_from_times(times, t_grid, block=config.block_size)
 
 

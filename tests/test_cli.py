@@ -10,8 +10,8 @@ import pytest
 import basslab.analytic as analytic
 import basslab.cli as cli
 from basslab.curves import read_curve_csv
-from basslab.network import build_line
-from basslab.principles import PlanCase, TransformPlan
+from basslab.network import Network, build_line
+from basslab.principles import PlanCase, TransformPlan, apply_transform, figure_plan
 from conftest import fresh_python
 
 
@@ -22,6 +22,24 @@ WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.
 
 def run(args):
     return cli.main(args)
+
+
+def _strings(doc):
+    """Every string value in a parsed JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
+    elif isinstance(doc, str):
+        yield doc
+
+
+def _holds_json(text: str) -> bool:
+    try:
+        return isinstance(json.loads(text), (dict, list))
+    except ValueError:
+        return False
 
 
 class TestAnalytic:
@@ -125,6 +143,30 @@ class TestVerify:
         assert report["passed"] is True
         assert report["cases"][0]["max_gap"] <= 1e-10
         assert "survival_before" not in report["cases"][0]
+
+    @pytest.mark.parametrize("args, written, n_networks", [
+        (["verify", "--suite", "all", "--trials", "200"], "out", 9),
+        (["verify", "--preset", "fig13"], "out", 1),
+        (["simulate", "--preset", "fig5", "--trials", "30", "--t-max", "20", "--grid", "6"],
+         "out/fig5_manifest.json", 0),
+    ], ids=["verify-all", "verify-fig13", "fig5-manifest"])
+    def test_json_is_plain_and_networks_read_back(self, tmp_path, args, written, n_networks):
+        # no value is JSON inside a string, and each indifference case's
+        # networks are the plan's network before and after its transform
+        run(args + ["--out", str(tmp_path / "out")])
+        doc = json.loads((tmp_path / written).read_text())
+        assert not any(_holds_json(text) for text in _strings(doc))
+        cases = [case for suite in doc.get("suites", [doc]) for case in suite.get("cases", [])
+                 if "network_before" in case]
+        assert len(cases) == n_networks
+        for case in cases:
+            (plan,) = [c for c in figure_plan(case["name"]) if c.label == case["label"]]
+            for key, want in (("network_before", plan.network),
+                              ("network_after", apply_transform(plan.network, plan.plan))):
+                got = Network.from_dict(case[key])
+                assert got.n == want.n
+                for field in ("p", "src", "dst", "w"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (key, field)
 
     def test_preset_report_to_stdout(self, capsys):
         assert run(["verify", "--preset", "fig6"]) == 0
@@ -306,6 +348,25 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             run(["verify", *args, "-q", "0", "--out", str(out)])
         assert str(exc.value) == "basslab: error: -q must be positive for verify, got 0.0"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "all", "-q", "300"],
+        ["--suite", "indifference", "-q", "300"],
+        ["--preset", "fig3", "-q", "300"],
+        ["--suite", "dominance", "-q", "250"],
+    ], ids=["all", "indifference", "fig3", "dominance"])
+    def test_failed_internal_check_is_one_error_line(self, tmp_path, capsys, args):
+        # at these rates the oracle's probability conservation defect,
+        # 1.1e-12 to 1.4e-12, is past CONSERVATION_TOL
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *args, "--out", str(out)])
+        message = str(exc.value)
+        assert message.startswith("basslab: error: internal check failed: "
+                                   "probability conservation violated: defect ")
+        assert "\n" not in message
+        assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -18,6 +18,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             AdoptionCurve(t=np.array([0.0, 1.0, 1.0]), f=np.zeros(3), source="ode")
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid(self, bad):
+        t = np.array([0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="only finite times"):
+            AdoptionCurve(t=t, f=np.zeros(3), source="ode")
+
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             AdoptionCurve(t=np.zeros(0), f=np.zeros(0), source="ode")

@@ -214,18 +214,27 @@ class TestEventDriven:
         if horizon == "attained":
             assert np.any(ref == t_max)
 
-    @pytest.mark.parametrize("t", [np.linspace(0, 4, 9), np.array([3.0]),
-                                   np.array([0.0, 1.0, np.nan])],
-                             ids=["short", "one-point", "nan-end"])
+    @pytest.mark.parametrize("t", [np.linspace(0, 4, 9), np.array([3.0])],
+                             ids=["short", "one-point"])
     def test_curve_of_times_cut_at_the_grid_end_is_unchanged(self, t):
         # the sampler stops at t[-1], and every later time lands past the
-        # grid as inf does; a grid ending in NaN has no horizon
+        # grid as inf does
         net = build_circle(5, 0.1, 0.3)
         cfg = SimConfig(trials=300, base_seed=2)
         want = curve_from_times(event_trajectories(net, cfg), t)
         got = run_event_driven(net, cfg, t_grid=t)
         assert np.array_equal(got.f, want.f)
         assert np.array_equal(got.stderr, want.stderr)
+
+    @pytest.mark.parametrize("t", [np.array([0.0, 1.0, np.nan]), np.array([0.0, 1.0, np.inf]),
+                                   np.array([0.0, 2.0, 1.0])],
+                             ids=["nan-end", "inf-end", "descending"])
+    def test_grid_the_curve_refuses_is_refused_before_sampling(self, monkeypatch, t):
+        # such a grid has no horizon at which the sampler could stop
+        monkeypatch.setattr(simulator, "_event_times", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="time grid"):
+            run_event_driven(build_circle(5, 0.1, 0.3), SimConfig(trials=300, base_seed=2),
+                             t_grid=t)
 
     def test_oversized_block_is_refused_before_any_work(self):
         net = build_circle(4, 0.05, 0.3)

@@ -37,7 +37,7 @@ def test_exported_names():
 @pytest.mark.parametrize("cls, fields", [
     (SimConfig, ["trials", "base_seed", "t_max", "block_size"]),
     (AdoptionCurve, ["t", "f", "source", "per_node", "stderr"]),
-    (Network, ["n", "p", "edges", "tag", "meta"]),
+    (Network, ["n", "p", "edges"]),
     (CircleCoefficients, ["M", "p", "q", "A", "B"]),
 ], ids=["SimConfig", "AdoptionCurve", "Network", "CircleCoefficients"])
 def test_fields(cls, fields):

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import AdoptionCurve
+from .curves import AdoptionCurve, _check_time_grid
 from .network import Network, validate_node_set
 
 if TYPE_CHECKING:
@@ -499,8 +499,9 @@ def _lumped_marginals(net: Network, t_grid, sym: _Symmetry) -> np.ndarray:
 
 
 def exact_f(net: Network, t_grid) -> AdoptionCurve:
-    """Expected adopter fraction on the grid, with per-node probabilities."""
-    t_grid = _check_grid(t_grid)
+    """Expected adopter fraction on the grid, with per-node probabilities.
+    The grid is also checked as the curve checks it, before any solve."""
+    t_grid = _check_time_grid(_check_grid(t_grid))
     per_node = exact_marginals(net, t_grid)
     return AdoptionCurve(
         t=t_grid, f=per_node.mean(axis=0), source="oracle", per_node=per_node

@@ -359,9 +359,9 @@ def corollary_monotonicity_suite(base: Network, added_edges, t_grid=VERIFY_GRID)
     return {
         "n_added": len(added),
         "relation": relation.value,
-        "t": t_grid,
-        "f_base": f_base,
-        "f_augmented": f_aug,
+        "t": t_grid.tolist(),
+        "f_base": f_base.tolist(),
+        "f_augmented": f_aug.tolist(),
         "min_gap": min_gap,
         "max_abs_gap": max_abs_gap,
         "strict": bool(added),

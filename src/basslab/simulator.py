@@ -7,19 +7,25 @@ Monte Carlo curve, and `node_frequencies` into per-node frequencies.
 Curves come from one sampler, exact continuous-time sampling as
 first-passage percolation. Hazards add, so each adoption time is a
 shortest-path distance from a virtual source, with an Exp(1)/p_j edge into
-every node and an Exp(1)/w_ij edge along every network edge. One Dijkstra
-call on a block-diagonal graph solves a sub-block of B trials, B =
-DIJKSTRA_NODES // nodes per trial (at least 1), so its heap and arrays stay
-in cache, at O(trials * E * log(B * E)) cost for E = nodes + edges per
-trial. Each call stops at a horizon: the grid's last point for a curve,
-config.t_max for the raw times, and a time past it is inf.
+every node and an Exp(1)/w_ij edge along every network edge. The distances
+take one of two exact routes, with the same floats. An acyclic network
+(every one-sided line and box) is swept once per block of trials in
+topological order, one vectorised gather-add-min over the trials per level
+(DAG-SHORTEST-PATHS, Cormen et al., *Introduction to Algorithms*, 24.2),
+when that pays: SWEEP_LEVEL_COST * levels <= trials per block * E, for E =
+nodes + edges per trial. Every other network goes to Dijkstra: one call on
+a block-diagonal graph solves a sub-block of B trials, B = DIJKSTRA_NODES
+// nodes per trial (at least 1), so its heap and arrays stay in cache, at
+O(trials * E * log(B * E)) cost. Both stop at a horizon: the grid's last
+point for a curve, config.t_max for the raw times, and a time past it is
+inf.
 
 `run_coupled` checks pathwise dominance on a pair of networks by the
 standard monotone coupling of first-passage times (Lindvall, *Lectures on
 the Coupling Method*, 1992): each trial draws its Exp(1) clocks once, over
 the union of both networks' clocks, and each network divides the clocks it
-has by its own rates. Both networks then go through the same Dijkstra
-calls, so the coupling needs no time step; when A's rates are
+has by its own rates. Each network then takes its own route on those
+clocks, so the coupling needs no time step; when A's rates are
 componentwise <= B's, every clock is at least as short in B, and so is
 every first-passage time.
 
@@ -45,6 +51,12 @@ TRIAL_BLOCK = 512
 # graph nodes per Dijkstra call: small enough that its heap and arrays stay
 # in cache
 DIJKSTRA_NODES = 8192
+# the time of one level of the acyclic sweep over that of one node or edge
+# of one trial in Dijkstra. On 2 vCPUs a level of a one-sided line took
+# 6-15 us and Dijkstra 150-270 ns per node or edge, and the sweep overtook
+# Dijkstra on such lines at 16-24 trials per block, a ratio of 32-48; 64
+# leans towards Dijkstra where the two are close
+SWEEP_LEVEL_COST = 64
 DEFAULT_TRIALS = 4000
 # violation lists are for diagnosis; cap them so a badly ordered pair
 # cannot produce a gigabyte of report
@@ -109,6 +121,107 @@ def _graph(nets: list[Network], seeded: list[np.ndarray], R: int):
     return graph, views
 
 
+def _levels(net: Network, max_levels: int) -> list[list[int]] | None:
+    """Topological levels of net's influence graph by Kahn's algorithm: level
+    0 holds the nodes without in-edges, and level l the nodes whose last
+    in-neighbour is on level l - 1. None for a cyclic graph, and as soon as
+    a level past max_levels would be needed, so a graph the sweep would not
+    pay for costs at most max_levels levels here."""
+    indeg = np.bincount(net.dst, minlength=net.n)
+    level = np.flatnonzero(indeg == 0).tolist()
+    if not level:  # every circle, torus, hybrid and two-sided network
+        return None
+    indeg, indptr, dst = indeg.tolist(), net.indptr.tolist(), net.dst.tolist()
+    levels = []
+    while level:
+        if len(levels) == max_levels:
+            return None
+        levels.append(level)
+        level = []
+        for u in levels[-1]:
+            for v in dst[indptr[u] : indptr[u + 1]]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    level.append(v)
+    return levels if sum(map(len, levels)) == net.n else None
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Padded in-edge tables of an acyclic network of M nodes, renumbered in
+    topological order: row pos[j] of the sweep's (M + 1, R) time array
+    holds node j, and row M the virtual source at time 0. Each in-edge, the
+    source's edge into a seeded node included, is a slot: `rows` holds its
+    tail's row and `cols` its length's column in the network's clocks (its
+    node clocks, then its edge clocks). A level's nodes are rows a:b and
+    its slots lo:hi, the same number k per node; a node with fewer in-edges
+    is padded with the source and the dummy column n_clocks, whose length
+    is inf."""
+
+    pos: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    levels: tuple[tuple[int, int, int, int], ...]  # (a, b, lo, hi) per level
+
+
+def _sweep_plan(net: Network, seeded: np.ndarray, max_levels: int) -> _Sweep | None:
+    """The sweep's tables of net, or None when its graph is cyclic or has
+    more than max_levels levels."""
+    levels = _levels(net, max_levels)
+    if levels is None:
+        return None
+    M, n_p, E = net.n, seeded.size, net.dst.size
+    pos = np.empty(M, dtype=np.intp)
+    pos[np.concatenate(levels)] = np.arange(M)
+    # every slot's head row, tail row and length column, grouped by head
+    head = pos[np.concatenate([seeded, net.dst])]
+    by_head = np.argsort(head, kind="stable")
+    head = head[by_head]
+    tail = np.concatenate([np.full(n_p, M), pos[net.src]])[by_head]
+    indeg = np.bincount(head, minlength=M)
+    size = np.array([len(level) for level in levels])
+    first = np.cumsum(size) - size  # row of each level's first node
+    width = np.maximum(np.maximum.reduceat(indeg, first), 1)  # k of each level
+    hi = np.cumsum(size * width)
+    lo = hi - size * width
+    which = np.repeat(np.arange(len(levels)), size)  # level of each row
+    # a row's first slot: its level's lo, then k per earlier row of the
+    # level; a head's i-th in-edge takes the i-th slot from there
+    start = lo[which] + (np.arange(M) - first[which]) * width[which]
+    slot = start[head] + np.arange(head.size) - (np.cumsum(indeg) - indeg)[head]
+    rows = np.full(hi[-1], M, dtype=np.intp)
+    cols = np.full(hi[-1], n_p + E, dtype=np.intp)
+    rows[slot] = tail
+    cols[slot] = by_head
+    bounds = zip(first.tolist(), (first + size).tolist(), lo.tolist(), hi.tolist())
+    return _Sweep(pos, rows, cols, tuple(bounds))
+
+
+def _sweep(plan: _Sweep, length: np.ndarray, limit: float, out: np.ndarray) -> None:
+    """Adoption times of R trials of an acyclic network into out, shape
+    (R, M), from its (R, n_clocks) edge lengths: one gather-add-min over
+    the trials per level, in topological order. Every tail of a level's
+    slots is on an earlier level, or is the source, so its time is final,
+    and a node's time is the minimum of fl(d(u) + l_uv) over its in-edges,
+    the same floats Dijkstra compares. A time past limit is then inf, as
+    Dijkstra's limit makes it."""
+    R, n_clocks = length.shape
+    padded = np.empty((n_clocks + 1, R))
+    padded[:n_clocks] = length.T
+    padded[n_clocks] = np.inf
+    slots = padded[plan.cols]
+    del padded
+    times = np.empty((plan.pos.size + 1, R))
+    times[-1] = 0.0
+    for a, b, lo, hi in plan.levels:
+        cand = slots[lo:hi]
+        cand += times[plan.rows[lo:hi]]
+        cand.reshape(b - a, -1, R).min(axis=1, out=times[a:b])
+    out[:] = times[plan.pos].T
+    if limit < np.inf:
+        out[out > limit] = np.inf
+
+
 def _first_passage(
     nets: list[Network], columns: list[np.ndarray | slice], n_clocks: int, config: SimConfig,
     limit: float,
@@ -121,29 +234,38 @@ def _first_passage(
     An index array picks a copy; a slice, for a lone network, picks a view
     that the division overwrites, which saves copying the draw.
 
-    Each RNG block's rows go to Dijkstra in sub-blocks of B =
-    DIJKSTRA_NODES // nodes_per_trial trials (at least 1), each one
-    block-diagonal graph (see `_graph`), so the heap stays in cache, at
-    O(trials * E * log(B * E)) cost. Trials are disconnected components and
-    a distance is the minimum of d(u) + w over settled predecessors, so the
-    times do not depend on which trials share a call. Dijkstra keeps a
-    distance <= limit and returns inf above it: a node within limit is
-    reached only through nodes within limit, so the result is the unlimited
-    one with every time past limit set to inf."""
-    # imported here, not at module level, as every scipy import in the
-    # package is: a command pays only for the parts of scipy it runs
-    from scipy.sparse.csgraph import dijkstra
-
+    Each network takes one of two exact routes over the same lengths. An
+    acyclic network (a one-sided line or box) sweeps its topological levels
+    once per RNG block of R trials (see `_sweep`), when
+    SWEEP_LEVEL_COST * levels <= R * (nodes + edges); the sweep's cost
+    grows with levels, Dijkstra's with R * (nodes + edges). Every other
+    network goes to Dijkstra: each RNG block's rows in sub-blocks of B =
+    DIJKSTRA_NODES // nodes_per_trial trials (at least 1), nodes_per_trial
+    over the networks that take it, each one block-diagonal graph (see
+    `_graph`), so the heap stays in cache, at O(trials * E * log(B * E))
+    cost. Trials are disconnected components and a distance is the minimum
+    of d(u) + w over settled predecessors, so the times do not depend on
+    which trials share a call. Dijkstra keeps a distance <= limit and
+    returns inf above it: a node within limit is reached only through nodes
+    within limit, so the result is the unlimited one with every time past
+    limit set to inf. Both routes thus give the same floats."""
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
-    nodes_per_trial = sum(net.n for net in nets)
     R_max = min(config.block_size, config.trials)
     if R_max * n_clocks >= 2**31:
         raise ValueError(
             f"a block of {R_max} trials draws {R_max * n_clocks} clocks at once, "
             "16 GiB or more; lower block_size"
         )
-    B = max(1, DIJKSTRA_NODES // nodes_per_trial)
+    plans = [_sweep_plan(net, s, R_max * (net.n + net.dst.size) // SWEEP_LEVEL_COST)
+             for net, s in zip(nets, seeded)]
+    heap = [k for k, plan in enumerate(plans) if plan is None]  # the networks Dijkstra solves
+    if heap:
+        # imported here, not at module level, as every scipy import in the
+        # package is: a command pays only for the parts of scipy it runs
+        from scipy.sparse.csgraph import dijkstra
+
+        B = max(1, DIJKSTRA_NODES // sum(nets[k].n for k in heap))
     graphs = {}  # sub-block size -> _graph; at most three sizes per call
     all_times = [np.empty((config.trials, net.n)) for net in nets]
     n_blocks = -(-config.trials // config.block_size)
@@ -157,20 +279,24 @@ def _first_passage(
         del clocks
         for length, rate in zip(lengths, rates):
             length /= rate
-        for lo in range(0, R, B):
+        for plan, length, times in zip(plans, lengths, all_times):
+            if plan is not None:
+                _sweep(plan, length, limit, times[done : done + R])
+        for lo in range(0, R, B) if heap else ():
             b = min(B, R - lo)
             if b not in graphs:
-                graphs[b] = _graph(nets, seeded, b)
+                graphs[b] = _graph([nets[k] for k in heap], [seeded[k] for k in heap], b)
             graph, views = graphs[b]
-            for (src, edge), length in zip(views, lengths):
+            for (src, edge), k in zip(views, heap):
                 n_p = src.shape[1]
-                src[:] = length[lo : lo + b, :n_p]
-                edge[:] = length[lo : lo + b, n_p:]
+                src[:] = lengths[k][lo : lo + b, :n_p]
+                edge[:] = lengths[k][lo : lo + b, n_p:]
             dist = dijkstra(graph, directed=True, indices=0, limit=limit)
             node = 1
-            for net, times in zip(nets, all_times):
-                times[done + lo : done + lo + b] = dist[node : node + b * net.n].reshape(b, net.n)
-                node += b * net.n
+            for k in heap:
+                M = nets[k].n
+                all_times[k][done + lo : done + lo + b] = dist[node : node + b * M].reshape(b, M)
+                node += b * M
         done += R
     return all_times
 
@@ -199,8 +325,10 @@ def _fraction_stats(
     T = t_grid.size
 
     def fractions(x: np.ndarray) -> np.ndarray:
-        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T
-        k = np.searchsorted(t_grid, x, side="left")
+        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T.
+        # A trial's counts do not depend on its nodes' order, and the search
+        # is faster on sorted keys
+        k = np.searchsorted(t_grid, np.sort(x, axis=1), side="left")
         R = k.shape[0]
         per_trial = np.bincount(
             (k + (T + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (T + 1)

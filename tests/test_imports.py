@@ -38,3 +38,14 @@ def test_closed_form_and_event_commands_skip_integrate_and_optimize(tmp_path):
     assert "scipy.sparse.csgraph" in loaded  # the event sampler ran
     assert "scipy.integrate" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_one_sided_line_and_box_load_no_scipy(tmp_path):
+    # both are acyclic, so the sampler sweeps them and calls no Dijkstra
+    assert loaded_after("""
+        import basslab.cli
+        assert basslab.cli.main(["simulate", "--topology", "line", "--sided", "one",
+                                 "--out", "line.csv"]) == 0
+        assert basslab.cli.main(["simulate", "--topology", "grid", "--sided", "one",
+                                 "--out", "box.csv"]) == 0
+    """, tmp_path) == []

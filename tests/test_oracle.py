@@ -269,6 +269,12 @@ class TestUniformization:
         assert origin.f.tolist() == [0.0] and np.all(origin.per_node == 0.0)
         assert survival(net, [1], [0.0]).tolist() == [1.0]
 
+    def test_grid_the_curve_refuses_is_refused_before_solving(self, monkeypatch):
+        # the master equation is never solved on a grid with a repeated time
+        monkeypatch.setattr(oracle, "_uniformized", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            exact_f(build_circle(16, 0.01, 0.1, sided="two"), [0.0, 50.0, 50.0, 100.0])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_times_are_refused(self, bad):
         net = build_line(4, 0.05, 0.3, sided="two")

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ class TestDominanceCorollaries:
         assert report["min_gap"] > 0
         circle_f = solve_master(build_circle(6, 0.01, 0.1), T).marginals().mean(axis=0)
         assert np.max(np.abs(report["f_augmented"] - circle_f)) < 1e-12
+
+    def test_report_is_plain_json(self):
+        base = build_circle(4, 0.01, 0.1)
+        report = corollary_monotonicity_suite(base, [(0, 2, 0.1)], t_grid=T)
+        assert json.loads(json.dumps(report)) == report
+        assert report["t"] == list(T)
 
     def test_long_range_edge_strictly_helps(self):
         base = build_line(5, 0.01, 0.1, sided="one")

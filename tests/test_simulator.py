@@ -73,6 +73,35 @@ def _silent_net():
                    [(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 3, 0.6), (5, 4, 0.3)])
 
 
+def _acyclic_silent_net():
+    """_silent_net without its cycle: node 1 is silent and reachable, and
+    node 5 is silent with no in-edges, so its row of the sweep is all
+    padding."""
+    return Network(6, np.array([0.1, 0.0, 0.2, 0.0, 0.15, 0.0]),
+                   [(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.4), (4, 3, 0.6), (5, 4, 0.3)])
+
+
+def _backward_line(M, p, q):
+    """A one-sided line whose influence runs from node j + 1 to node j, so
+    its topological order is the reverse of its node ids."""
+    return Network(M, np.full(M, p), [(j + 1, j, q) for j in range(M - 1)])
+
+
+def _count_dijkstra(monkeypatch):
+    """Count the sampler's Dijkstra calls from here on."""
+    from scipy.sparse import csgraph
+
+    calls = []
+    dijkstra = csgraph.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    return calls
+
+
 def _attained_time(times):
     """A finite adoption time the run reaches: a horizon exactly at it keeps
     that time and cuts the later ones."""
@@ -190,16 +219,20 @@ class TestEventDriven:
     # DIJKSTRA_NODES 40 puts 6 trials of a 6-node network, 2 of a 16-node
     # one, in each Dijkstra call; blocks of 16 then split 6 + 6 + 4, and
     # 45 trials leave a last RNG block of 13. None keeps the module's value:
-    # 8 trials of the 32x32 torus per call, 20 trials in blocks of 16.
-    @pytest.mark.parametrize("net, dijkstra_nodes, trials, block_size", [
-        (_silent_net(), 40, 45, 16),
-        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16),
-        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512),
-        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16),
-    ], ids=["silent", "torus4", "line", "torus32"])
+    # 8 trials of the 32x32 torus per call, 20 trials in blocks of 16. The
+    # acyclic networks sweep their levels and call no Dijkstra.
+    @pytest.mark.parametrize("net, dijkstra_nodes, trials, block_size, sweeps", [
+        (_silent_net(), 40, 45, 16, False),
+        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16, False),
+        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512, True),
+        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16, False),
+        (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False), None, 45, 16, True),
+        (_backward_line(7, 0.05, 0.3), None, 45, 512, True),
+        (_acyclic_silent_net(), None, 45, 512, True),
+    ], ids=["silent", "torus4", "line", "torus32", "box3", "backward-line", "acyclic-silent"])
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_sampler_matches_reference_bit_for_bit(
-        self, monkeypatch, net, dijkstra_nodes, trials, block_size, horizon
+        self, monkeypatch, net, dijkstra_nodes, trials, block_size, sweeps, horizon
     ):
         if dijkstra_nodes is not None:
             monkeypatch.setattr(simulator, "DIJKSTRA_NODES", dijkstra_nodes)
@@ -208,7 +241,9 @@ class TestEventDriven:
         t_max = {"none": None, "attained": _attained_time(free), "early": 0.5}[horizon]
         cfg = SimConfig(trials=trials, base_seed=21, block_size=block_size, t_max=t_max)
         (ref,) = reference_first_passage([net], cfg)
+        calls = _count_dijkstra(monkeypatch)
         assert np.array_equal(event_trajectories(net, cfg), ref)
+        assert (len(calls) == 0) == sweeps
         if t_max is not None:  # the horizon cuts some times and keeps others
             assert np.isinf(free).sum() < np.isinf(ref).sum() < ref.size
         if horizon == "attained":
@@ -410,6 +445,7 @@ class TestCoupled:
         ("crossed", 200, 64, 30.0),
         ("short-horizon", 150, 512, 3.0),
         ("one-trial-blocks", 20, 1, 30.0),
+        ("box-sides", 300, 128, 40.0),
     ])
     def test_report_matches_reference(self, case, trials, block_size, t_max):
         _, lo, hi = dominance_pairs()[2]
@@ -420,6 +456,9 @@ class TestCoupled:
             "short-horizon": (build_circle(4, 0.05, 0.3, sided="one"),
                               build_circle(4, 0.05, 0.3, sided="two")),
             "one-trial-blocks": (lo, hi),
+            # the one-sided box sweeps, the two-sided box takes Dijkstra
+            "box-sides": (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
+                          build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False)),
         }[case]
         cfg = SimConfig(trials=trials, base_seed=13, t_max=t_max, block_size=block_size)
         rep = run_coupled(net_a, net_b, cfg)
@@ -433,22 +472,27 @@ class TestCoupled:
 
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_shared_clock_times_match_reference_across_sub_blocks(self, monkeypatch, horizon):
-        # 12 nodes per trial: 3 trials per Dijkstra call, so blocks of 16
-        # split 3 x 5 + 1, and 45 trials leave a last RNG block of 13
+        # silent pair: 12 nodes per trial, 3 trials per Dijkstra call, so
+        # blocks of 16 split 3 x 5 + 1, and 45 trials leave a last RNG block
+        # of 13. Box pair: the one-sided box sweeps each block, and the
+        # two-sided box alone takes Dijkstra, one trial per call.
         monkeypatch.setattr(simulator, "DIJKSTRA_NODES", 40)
-        net_a, net_b = _silent_net(), _scaled(_silent_net(), 1.5)
-        cfg = SimConfig(trials=45, base_seed=4, block_size=16)
-        free_a, _ = reference_first_passage([net_a, net_b], cfg)
-        t_max = {"none": None, "attained": _attained_time(free_a), "early": 2.0}[horizon]
-        cfg = SimConfig(trials=45, base_seed=4, block_size=16, t_max=t_max)
-        rep = run_coupled(net_a, net_b, cfg)
-        ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
-        assert np.array_equal(rep["times_a"], ref_a)
-        assert np.array_equal(rep["times_b"], ref_b)
-        if t_max is not None:  # the horizon cuts some times and keeps others
-            assert np.isinf(free_a).sum() < np.isinf(ref_a).sum() < ref_a.size
-        if horizon == "attained":
-            assert np.any(ref_a == t_max)
+        pairs = [(_silent_net(), _scaled(_silent_net(), 1.5)),
+                 (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
+                  build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False))]
+        for net_a, net_b in pairs:
+            cfg = SimConfig(trials=45, base_seed=4, block_size=16)
+            free_a, _ = reference_first_passage([net_a, net_b], cfg)
+            t_max = {"none": None, "attained": _attained_time(free_a), "early": 2.0}[horizon]
+            cfg = SimConfig(trials=45, base_seed=4, block_size=16, t_max=t_max)
+            rep = run_coupled(net_a, net_b, cfg)
+            ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
+            assert np.array_equal(rep["times_a"], ref_a)
+            assert np.array_equal(rep["times_b"], ref_b)
+            if t_max is not None:  # the horizon cuts some times and keeps others
+                assert np.isinf(free_a).sum() < np.isinf(ref_a).sum() < ref_a.size
+            if horizon == "attained":
+                assert np.any(ref_a == t_max)
 
     def test_clocks_a_network_lacks_divide_nothing(self):
         # a node clock whose p_j is 0, or an edge clock whose edge is absent,
@@ -587,6 +631,35 @@ def test_event_sampler_holds_little_beyond_its_draw():
     tracemalloc.start()
     try:
         run_event_driven(net, SimConfig(trials=200, base_seed=1), t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("net, trials, dijkstra", [
+    (build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False), 2000, False),
+    (build_circle(6, 0.01, 0.1, sided="one"), 2000, True),
+    # 20,000 levels against 1 trial of 39,999 nodes and edges
+    (build_line(20000, 0.01, 0.1, sided="one"), 1, True),
+], ids=["one-sided-box", "one-sided-circle", "thin-line"])
+def test_route_of_each_network(monkeypatch, net, trials, dijkstra):
+    calls = _count_dijkstra(monkeypatch)
+    event_trajectories(net, SimConfig(trials=trials, base_seed=1))
+    assert (len(calls) > 0) == dijkstra
+
+
+def test_level_sweep_holds_little_beyond_its_draw():
+    """On the one-sided 6x6x6 box at 512 trials, the clock draw is 3.1 MB
+    (512 x 756 float64) and the adoption times 0.9 MB. The sweep adds a
+    transposed copy of the draw (3.1 MB), which it drops once it has
+    gathered its 849 padded slots (3.5 MB) from it: the run peaked at
+    10.6 MB. The Dijkstra route peaked at 4.8 MB."""
+    net = build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False)
+    event_trajectories(net, SimConfig(trials=2))
+    tracemalloc.start()
+    try:
+        event_trajectories(net, SimConfig(trials=512, base_seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

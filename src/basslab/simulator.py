@@ -389,11 +389,12 @@ def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
 def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
     """Exact continuous-time simulation; Monte Carlo curve on t_grid, with
     no per-node frequencies (see `curve_from_times`). The sampler stops at
-    the horizon t_grid[-1], since the curve counts a later adoption as none;
+    the horizon t_grid[-1], since the curve counts a later adoption as none,
+    or at 0 for a grid that ends before 0, since nobody adopts at t <= 0;
     config.t_max is not read. The grid is checked as the curve checks it,
     before any sampling."""
     t_grid = _check_time_grid(t_grid)
-    times = _event_times(net, config, t_grid[-1])
+    times = _event_times(net, config, max(t_grid[-1], 0.0))
     return curve_from_times(times, t_grid, block=config.block_size)
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import _check_time_grid
 from .network import _check_pq
 
 # Degeneracy detection: the closed form excludes q = jp, j = 1..M-1.
@@ -162,11 +163,20 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _integrate(rhs, t_grid: np.ndarray, y0: np.ndarray, what: str, rate: float,
+def _check_grid(t_grid) -> np.ndarray:
+    """t_grid as a curve takes it, refused if it starts before 0."""
+    t_grid = _check_time_grid(t_grid)
+    if t_grid[0] < 0:
+        raise ValueError(f"time grid must start at t >= 0, got {t_grid[0]}")
+    return t_grid
+
+
+def _integrate(rhs, t_grid, y0: np.ndarray, what: str, rate: float,
                rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
-    (len(y0), T). rate is the system's largest decay rate; a solve past
-    MAX_DECAY_SPAN decay times is refused before it starts."""
+    (len(y0), T). rate is the system's largest decay rate; a bad grid, or
+    a solve past MAX_DECAY_SPAN decay times, is refused before it starts."""
+    t_grid = _check_grid(t_grid)
     span = rate * float(t_grid[-1])
     if not span <= MAX_DECAY_SPAN:  # NaN fails too
         raise ValueError(
@@ -213,7 +223,7 @@ def survival_circle(t_grid, p: float, q: float, M: int):
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_grid(t_grid)
     coef = _trusted_coefficients(p, q, M)
     if coef is not None:
         return _exponent_sum(t_grid, coef), "closed_form"
@@ -274,7 +284,7 @@ def f_line_one_sided(t_grid, p: float, q: float, M: int):
 
     Returns (per_node (M,T), f (T,), source="ode").
     """
-    per_node = 1.0 - _circle_survivals(np.asarray(t_grid, dtype=float), p, q, M)
+    per_node = 1.0 - _circle_survivals(t_grid, p, q, M)
     return per_node, per_node.mean(axis=0), "ode"
 
 
@@ -330,7 +340,6 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
     _check_pq(p, q)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    t_grid = np.asarray(t_grid, dtype=float)
     if M == 1:
         S, _ = survival_circle(t_grid, p, q / 2, 1)
         per_node = (1.0 - S)[None, :]
@@ -345,7 +354,6 @@ def pair_survival_two_sided_line(t_grid, p: float, q: float, M: int, j: int) -> 
     of the two one-sided circle survivals at internal rate q/2."""
     if not 2 <= j <= M:
         raise ValueError(f"j must be in 2..{M}, got {j}")
-    t_grid = np.asarray(t_grid, dtype=float)
     left, _ = survival_circle(t_grid, p, q / 2, j - 1)
     right, _ = survival_circle(t_grid, p, q / 2, M - j + 1)
     return left * right
@@ -364,7 +372,7 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
     if circle_size < 1 or ray_size < 1:
         raise ValueError("circle_size and ray_size must be >= 1")
     C, K = circle_size, ray_size
-    f = 1.0 - _circle_survivals(np.asarray(t_grid, dtype=float), p, q, C + K)
+    f = 1.0 - _circle_survivals(t_grid, p, q, C + K)
     per_node = np.vstack([np.repeat(f[C - 1 : C], C, axis=0), f[C:]])
     return per_node, per_node.mean(axis=0), "ode"
 
@@ -387,8 +395,7 @@ def _alpha_table(t_grid: np.ndarray, p: float, q: float, k: int) -> np.ndarray:
         d[1:] += drive * a[:-1]
         return d
 
-    return _integrate(rhs, np.asarray(t_grid, dtype=float), np.zeros(k), "difference system",
-                      p + q, ODE_RTOL, 1e-18)
+    return _integrate(rhs, t_grid, np.zeros(k), "difference system", p + q, ODE_RTOL, 1e-18)
 
 
 def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:

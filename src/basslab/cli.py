@@ -100,9 +100,8 @@ SETTINGS = (
     Setting("out", "--out", str, None, "output path (CSV or JSON)", _ALL, _EVERY_RUN),
     Setting("p", "-p", float, 0.01, "intrinsic adoption rate", _ALL, _EVERY_RUN),
     Setting("q", "-q", float, 0.1, "total internal influence rate", _ALL, _EVERY_RUN),
-    Setting("t_max", "--t-max", float, None,
-            "time horizon (default: time for the 1D limit curve to reach 0.99)",
-            _ALL, _CURVE_RUNS + _COUPLED_SUITES),
+    Setting("t_max", "--t-max", float, None, "time horizon (default: time for the 1D limit curve "
+            f"to reach 0.99; {VERIFY_T_MAX:g} for verify)", _ALL, _CURVE_RUNS + _COUPLED_SUITES),
     Setting("topology", "--topology", str, "circle", "network topology",
             _CURVE_COMMANDS, TOPOLOGIES, choices=TOPOLOGIES),
     Setting("sided", "--sided", str, "one",

@@ -391,10 +391,10 @@ def _uniformized(Q: sparse.csr_matrix, t_grid, observe, width: int, route: str) 
     later v_n is within twice that mass of the current one, so the sweep
     stops and the Poisson weight of the terms left goes to that vector.
 
-    Raises RuntimeError when the observed total mass is more than
-    CONSERVATION_TOL off 1 at any grid time.
+    t_grid is one `_check_grid` has passed. Raises RuntimeError when the
+    observed total mass is more than CONSERVATION_TOL off 1 at any grid
+    time.
     """
-    t_grid = _check_grid(t_grid)
     outflow = -Q.diagonal()
     lam = float(outflow.max())
     means = lam * t_grid
@@ -472,6 +472,7 @@ def exact_marginals(net: Network, t_grid) -> np.ndarray:
     A network that a group of grid maps sends onto itself is solved on the
     orbits of its adopter sets (see `_lumped_marginals`).
     """
+    t_grid = _check_grid(t_grid)
     _check_size(net.n)
     sym = _symmetries(net)
     if sym is None:
@@ -510,6 +511,7 @@ def exact_f(net: Network, t_grid) -> AdoptionCurve:
 
 def survival(net: Network, omega, t_grid) -> np.ndarray:
     """Prob(no node of omega has adopted by t) on the grid."""
+    t_grid = _check_grid(t_grid)
     masks = _survival_masks(net, [omega])
     route = f"unlumped: set survival, {1 << net.n} states"
     return _uniformized(build_generator(net), t_grid, lambda v: masks @ v, 1, route)[:, 0]

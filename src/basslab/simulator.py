@@ -8,17 +8,13 @@ Curves come from one sampler, exact continuous-time sampling as
 first-passage percolation. Hazards add, so each adoption time is a
 shortest-path distance from a virtual source, with an Exp(1)/p_j edge into
 every node and an Exp(1)/w_ij edge along every network edge. The distances
-take one of two exact routes, with the same floats. An acyclic network
-(every one-sided line and box) is swept once per block of trials in
-topological order, one vectorised gather-add-min over the trials per level
-(DAG-SHORTEST-PATHS, Cormen et al., *Introduction to Algorithms*, 24.2),
-when that pays: SWEEP_LEVEL_COST * levels <= trials per block * E, for E =
-nodes + edges per trial. Every other network goes to Dijkstra: one call on
-a block-diagonal graph solves a sub-block of B trials, B = DIJKSTRA_NODES
-// nodes per trial (at least 1), so its heap and arrays stay in cache, at
-O(trials * E * log(B * E)) cost. Both stop at a horizon: the grid's last
-point for a curve, config.t_max for the raw times, and a time past it is
-inf.
+take one of two exact routes, with the same floats (see `_first_passage`):
+an acyclic network (every one-sided line and box) is swept once per block
+of trials in topological order (DAG-SHORTEST-PATHS, Cormen et al.,
+*Introduction to Algorithms*, 24.2) when that pays, and every other network
+goes to Dijkstra on a block-diagonal graph of a sub-block of trials. Both
+stop at a horizon: the grid's last point for a curve, config.t_max for the
+raw times, and a time past it is inf.
 
 `run_coupled` checks pathwise dominance on a pair of networks by the
 standard monotone coupling of first-passage times (Lindvall, *Lectures on
@@ -29,13 +25,10 @@ clocks, so the coupling needs no time step; when A's rates are
 componentwise <= B's, every clock is at least as short in B, and so is
 every first-passage time.
 
-Event-driven trials are partitioned into fixed-size blocks, each with its
-own child stream of the base seed, and trial r of a block uses row r of the
+Event-driven trials are partitioned into blocks of TRIAL_BLOCK, each with
+its own child stream of the base seed, and trial r of a block uses row r of the
 block's draw, so results are reproducible for a given seed and a trial does
-not depend on how many trials share its block. This stream is new in
-basslab 0.2.0, where it replaced the step-by-step Gillespie loop:
-event-driven curves and `simulate` CSVs for a given seed differ from 0.1.0,
-and reruns with the same seed stay byte-identical. Coupled runs use the same
+not depend on how many trials share its block. Coupled runs use the same
 blocks and child streams.
 """
 from __future__ import annotations
@@ -47,6 +40,8 @@ import numpy as np
 from .curves import AdoptionCurve, _check_time_grid
 from .network import Network, _check_t_max, _keys, weakly_dominates
 
+# trials per RNG block: block b draws from SeedSequence((seed, b)), so this
+# fixes the random stream; the aggregation sums its counts per block too
 TRIAL_BLOCK = 512
 # graph nodes per Dijkstra call: small enough that its heap and arrays stay
 # in cache
@@ -68,19 +63,16 @@ class SimConfig:
     trials: int = DEFAULT_TRIALS
     base_seed: int = 0
     t_max: float | None = None
-    block_size: int = TRIAL_BLOCK
 
     def __post_init__(self):
+        if not isinstance(self.trials, (int, np.integer)):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.base_seed!r}")
         if self.t_max is not None:
             _check_t_max(self.t_max)
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-
-
-def _block_seeds(seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
-    return [np.random.SeedSequence((int(seed), b)) for b in range(n_blocks)]
 
 
 def _graph(nets: list[Network], seeded: list[np.ndarray], R: int):
@@ -149,14 +141,14 @@ def _levels(net: Network, max_levels: int) -> list[list[int]] | None:
 @dataclass(frozen=True)
 class _Sweep:
     """Padded in-edge tables of an acyclic network of M nodes, renumbered in
-    topological order: row pos[j] of the sweep's (M + 1, R) time array
-    holds node j, and row M the virtual source at time 0. Each in-edge, the
-    source's edge into a seeded node included, is a slot: `rows` holds its
-    tail's row and `cols` its length's column in the network's clocks (its
-    node clocks, then its edge clocks). A level's nodes are rows a:b and
-    its slots lo:hi, the same number k per node; a node with fewer in-edges
-    is padded with the source and the dummy column n_clocks, whose length
-    is inf."""
+    topological order: row pos[j] of the sweep's (M + 2, R) time array
+    holds node j, row M the virtual source at time 0, and row M + 1 a
+    dummy node at time inf. Each in-edge, the source's edge into a seeded
+    node included, is a slot: `rows` holds its tail's row and `cols` its
+    length's column in the network's clocks (its node clocks, then its
+    edge clocks). A level's nodes are rows a:b and its slots lo:hi, the
+    same number k per node; a node with fewer in-edges is padded with
+    slots from the dummy node, which read column 0."""
 
     pos: np.ndarray
     rows: np.ndarray
@@ -165,12 +157,12 @@ class _Sweep:
 
 
 def _sweep_plan(net: Network, seeded: np.ndarray, max_levels: int) -> _Sweep | None:
-    """The sweep's tables of net, or None when its graph is cyclic or has
-    more than max_levels levels."""
+    """The sweep's tables of net, or None when its graph is cyclic, has
+    more than max_levels levels or has no clock, so no column to read."""
     levels = _levels(net, max_levels)
-    if levels is None:
-        return None
     M, n_p, E = net.n, seeded.size, net.dst.size
+    if levels is None or n_p + E == 0:
+        return None
     pos = np.empty(M, dtype=np.intp)
     pos[np.concatenate(levels)] = np.arange(M)
     # every slot's head row, tail row and length column, grouped by head
@@ -189,8 +181,8 @@ def _sweep_plan(net: Network, seeded: np.ndarray, max_levels: int) -> _Sweep | N
     # level; a head's i-th in-edge takes the i-th slot from there
     start = lo[which] + (np.arange(M) - first[which]) * width[which]
     slot = start[head] + np.arange(head.size) - (np.cumsum(indeg) - indeg)[head]
-    rows = np.full(hi[-1], M, dtype=np.intp)
-    cols = np.full(hi[-1], n_p + E, dtype=np.intp)
+    rows = np.full(hi[-1], M + 1, dtype=np.intp)
+    cols = np.zeros(hi[-1], dtype=np.intp)
     rows[slot] = tail
     cols[slot] = by_head
     bounds = zip(first.tolist(), (first + size).tolist(), lo.tolist(), hi.tolist())
@@ -200,19 +192,17 @@ def _sweep_plan(net: Network, seeded: np.ndarray, max_levels: int) -> _Sweep | N
 def _sweep(plan: _Sweep, length: np.ndarray, limit: float, out: np.ndarray) -> None:
     """Adoption times of R trials of an acyclic network into out, shape
     (R, M), from its (R, n_clocks) edge lengths: one gather-add-min over
-    the trials per level, in topological order. Every tail of a level's
-    slots is on an earlier level, or is the source, so its time is final,
-    and a node's time is the minimum of fl(d(u) + l_uv) over its in-edges,
-    the same floats Dijkstra compares. A time past limit is then inf, as
+    the trials per level, in topological order, its slots gathered from
+    the lengths with no copy of them. Every tail of a level's slots is on
+    an earlier level, the source or the dummy, so its time is final, and a
+    node's time is the minimum of fl(d(u) + l_uv) over its in-edges, the
+    same floats Dijkstra compares. A time past limit is then inf, as
     Dijkstra's limit makes it."""
-    R, n_clocks = length.shape
-    padded = np.empty((n_clocks + 1, R))
-    padded[:n_clocks] = length.T
-    padded[n_clocks] = np.inf
-    slots = padded[plan.cols]
-    del padded
-    times = np.empty((plan.pos.size + 1, R))
-    times[-1] = 0.0
+    R = len(length)
+    slots = length.T[plan.cols]
+    times = np.empty((plan.pos.size + 2, R))
+    times[-2] = 0.0
+    times[-1] = np.inf
     for a, b, lo, hi in plan.levels:
         cand = slots[lo:hi]
         cand += times[plan.rows[lo:hi]]
@@ -240,22 +230,25 @@ def _first_passage(
     SWEEP_LEVEL_COST * levels <= R * (nodes + edges); the sweep's cost
     grows with levels, Dijkstra's with R * (nodes + edges). Every other
     network goes to Dijkstra: each RNG block's rows in sub-blocks of B =
-    DIJKSTRA_NODES // nodes_per_trial trials (at least 1), nodes_per_trial
-    over the networks that take it, each one block-diagonal graph (see
-    `_graph`), so the heap stays in cache, at O(trials * E * log(B * E))
-    cost. Trials are disconnected components and a distance is the minimum
-    of d(u) + w over settled predecessors, so the times do not depend on
-    which trials share a call. Dijkstra keeps a distance <= limit and
-    returns inf above it: a node within limit is reached only through nodes
-    within limit, so the result is the unlimited one with every time past
-    limit set to inf. Both routes thus give the same floats."""
+    DIJKSTRA_NODES // nodes_per_trial trials (at least 1, at most R),
+    nodes_per_trial over the networks that take it, so the heap stays in
+    cache, at O(trials * E * log(B * E)) cost. One block-diagonal graph of
+    B trials (see `_graph`) serves every sub-block; a short one of b trials
+    gives the source's edges into the other B - b length inf, so Dijkstra
+    reaches none of their nodes. Trials are disconnected components and a
+    distance is the minimum of d(u) + w over settled predecessors, so the
+    times do not depend on which trials share a call. Dijkstra keeps a
+    distance <= limit and returns inf above it: a node within limit is
+    reached only through nodes within limit, so the result is the
+    unlimited one with every time past limit set to inf. Both routes thus
+    give the same floats."""
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
-    R_max = min(config.block_size, config.trials)
+    R_max = min(TRIAL_BLOCK, config.trials)
     if R_max * n_clocks >= 2**31:
         raise ValueError(
             f"a block of {R_max} trials draws {R_max * n_clocks} clocks at once, "
-            "16 GiB or more; lower block_size"
+            "16 GiB or more; use fewer trials or a smaller network"
         )
     plans = [_sweep_plan(net, s, R_max * (net.n + net.dst.size) // SWEEP_LEVEL_COST)
              for net, s in zip(nets, seeded)]
@@ -265,16 +258,15 @@ def _first_passage(
         # package is: a command pays only for the parts of scipy it runs
         from scipy.sparse.csgraph import dijkstra
 
-        B = max(1, DIJKSTRA_NODES // sum(nets[k].n for k in heap))
-    graphs = {}  # sub-block size -> _graph; at most three sizes per call
+        B = min(R_max, max(1, DIJKSTRA_NODES // sum(nets[k].n for k in heap)))
+        graph, views = _graph([nets[k] for k in heap], [seeded[k] for k in heap], B)
     all_times = [np.empty((config.trials, net.n)) for net in nets]
-    n_blocks = -(-config.trials // config.block_size)
-    done = 0
-    for ss in _block_seeds(config.base_seed, n_blocks):
-        R = min(config.block_size, config.trials - done)
+    for block, done in enumerate(range(0, config.trials, TRIAL_BLOCK)):
+        R = min(TRIAL_BLOCK, config.trials - done)
         # row r holds trial r's clocks, so a trial's draws do not depend on
         # how many trials share its block
-        clocks = np.random.default_rng(ss).standard_exponential((R, n_clocks))
+        rng = np.random.default_rng(np.random.SeedSequence((int(config.base_seed), block)))
+        clocks = rng.standard_exponential((R, n_clocks))
         lengths = [clocks[:, col] for col in columns]
         del clocks
         for length, rate in zip(lengths, rates):
@@ -284,20 +276,17 @@ def _first_passage(
                 _sweep(plan, length, limit, times[done : done + R])
         for lo in range(0, R, B) if heap else ():
             b = min(B, R - lo)
-            if b not in graphs:
-                graphs[b] = _graph([nets[k] for k in heap], [seeded[k] for k in heap], b)
-            graph, views = graphs[b]
             for (src, edge), k in zip(views, heap):
                 n_p = src.shape[1]
-                src[:] = lengths[k][lo : lo + b, :n_p]
-                edge[:] = lengths[k][lo : lo + b, n_p:]
+                src[:b] = lengths[k][lo : lo + b, :n_p]
+                src[b:] = np.inf
+                edge[:b] = lengths[k][lo : lo + b, n_p:]
             dist = dijkstra(graph, directed=True, indices=0, limit=limit)
             node = 1
             for k in heap:
                 M = nets[k].n
                 all_times[k][done + lo : done + lo + b] = dist[node : node + b * M].reshape(b, M)
-                node += b * M
-        done += R
+                node += B * M
     return all_times
 
 
@@ -312,9 +301,8 @@ def _horizon(config: SimConfig) -> float:
     return np.inf if config.t_max is None else config.t_max
 
 
-def _fraction_stats(
-    times: np.ndarray, t_grid: np.ndarray, block: int = TRIAL_BLOCK, base: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _fraction_stats(times: np.ndarray, t_grid: np.ndarray,
+                    base: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean over trials, and its stderr, of each trial's adopter fraction on
     t_grid, from adoption times of shape (trials, M). With base, adoption
     times of the same shape on the same trials (a coupled run), of each
@@ -337,10 +325,10 @@ def _fraction_stats(
 
     sum_f = np.zeros(T)
     sum_f2 = np.zeros(T)
-    for lo in range(0, trials, block):
-        frac = fractions(times[lo : lo + block])
+    for lo in range(0, trials, TRIAL_BLOCK):
+        frac = fractions(times[lo : lo + TRIAL_BLOCK])
         if base is not None:
-            frac -= fractions(base[lo : lo + block])
+            frac -= fractions(base[lo : lo + TRIAL_BLOCK])
         sum_f += frac.sum(axis=0)
         sum_f2 += (frac**2).sum(axis=0)
     mean = sum_f / trials
@@ -352,17 +340,18 @@ def _fraction_stats(
     return mean, stderr
 
 
-def curve_from_times(times: np.ndarray, t_grid, block: int = TRIAL_BLOCK) -> AdoptionCurve:
+def curve_from_times(times: np.ndarray, t_grid) -> AdoptionCurve:
     """Empirical mean adopter fraction, with stderr, from per-trial adoption
-    times, shape (trials, M). Per-node frequencies come from
-    `node_frequencies`; the curve carries none, since they cost (M, T)
-    arrays that a large network's mean curve does not need.
+    times, shape (trials, M), summed per block of TRIAL_BLOCK trials.
+    Per-node frequencies come from `node_frequencies`; the curve carries
+    none, since they cost (M, T) arrays that a large network's mean curve
+    does not need.
 
     Adoption times must be > 0 (inf for a node that never adopts): nobody
     has adopted at t = 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    mean, stderr = _fraction_stats(times, t_grid, block)
+    mean, stderr = _fraction_stats(times, t_grid)
     return AdoptionCurve(t=t_grid, f=mean, source="monte_carlo", stderr=stderr)
 
 
@@ -395,7 +384,7 @@ def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
     before any sampling."""
     t_grid = _check_time_grid(t_grid)
     times = _event_times(net, config, max(t_grid[-1], 0.0))
-    return curve_from_times(times, t_grid, block=config.block_size)
+    return curve_from_times(times, t_grid)
 
 
 def event_trajectories(net: Network, config: SimConfig = SimConfig()) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+from basslab import simulator
 from basslab.analytic import (
     _exponent_sum,
     _integrate,
@@ -56,7 +57,8 @@ def two_node_chain_survival(t, p1, p2, w):
 
 def reference_first_passage(nets, cfg):
     """Adoption times of one network, or of a coupled pair on shared clocks,
-    one trial at a time: trial r of block b reads row r of the Exp(1) draw
+    one trial at a time: trial r of block b, in blocks of
+    simulator.TRIAL_BLOCK trials, reads row r of the Exp(1) draw
     standard_exponential((R, n_clocks)) of SeedSequence((base_seed, b)).
     Its columns are the node clocks of every node seeded in any of nets, in
     node order, then the edge clocks of every edge of any of nets, in
@@ -68,8 +70,8 @@ def reference_first_passage(nets, cfg):
     edges = sorted({(int(i), int(j)) for net in nets for i, j in zip(net.src, net.dst)})
     out = [np.empty((cfg.trials, M)) for _ in nets]
     done = 0
-    for b in range(-(-cfg.trials // cfg.block_size)):
-        R = min(cfg.block_size, cfg.trials - done)
+    for b in range(-(-cfg.trials // simulator.TRIAL_BLOCK)):
+        R = min(simulator.TRIAL_BLOCK, cfg.trials - done)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b)))
         for row in rng.standard_exponential((R, len(seeded) + len(edges))):
             node_clock = dict(zip(seeded, row))

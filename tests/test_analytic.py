@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
+from basslab import analytic
 from basslab.analytic import (
     CLOSED_FORM_MAX_M,
     MAX_DECAY_SPAN,
@@ -557,6 +558,23 @@ class TestDecaySpan:
         # grid's horizon is 9.6e7
         with pytest.raises(ValueError, match="past"):
             f_circle(default_time_grid(1e-14, 0.1), 1e-14, 0.1, 6)
+
+
+@pytest.mark.parametrize("t", [[-1.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, np.nan]],
+                         ids=["negative-start", "descending", "repeated", "nan"])
+@pytest.mark.parametrize("solve", [
+    lambda t: f_circle(t, 0.01, 0.1, 6),  # closed form
+    lambda t: f_circle(t, 0.01, 0.1, CLOSED_FORM_MAX_M + 1),  # the S_1 recursion
+    lambda t: f_line_one_sided(t, 0.01, 0.1, 6),
+    lambda t: f_line_two_sided(t, 0.01, 0.1, 6),
+    lambda t: f_hybrid(t, 0.01, 0.1, 4, 2),
+    lambda t: alpha_diag(t, 0.01, 0.1, 3),
+], ids=["circle", "circle-ode", "line-one-sided", "line-two-sided", "hybrid", "alpha"])
+def test_bad_grid_is_refused_before_solving(monkeypatch, solve, t):
+    # f_circle once read f = -0.0095 at t = -1, outside [0, 1]
+    monkeypatch.setattr(analytic, "solve_ivp", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="time grid"):
+        solve(np.array(t))
 
 
 class TestTimeGrid:

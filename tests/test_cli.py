@@ -407,9 +407,10 @@ class TestBadInput:
          "flag/config conflict for: M (pass --override to let flags win)"),
         (["verify", "--suite", "appendix", "--seed", "9"], None,
          "`verify --suite appendix` does not read seed"),
+        (["simulate", "--seed", "-1"], None, "seed must be an integer >= 0, got -1"),
     ], ids=["config-type", "config-choice", "grid", "ray-analytic", "ray-simulate",
             "no-analytic-curve", "config-unreadable", "config-not-object", "config-key",
-            "conflict", "unread-key"])
+            "conflict", "unread-key", "negative-seed"])
     def test_each_refusal_is_one_error_line(self, tmp_path, args, config, message):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -446,7 +447,8 @@ FLAG_HELP = {
     "--out": (None, "output path (CSV or JSON)"),
     "-p": (None, "intrinsic adoption rate"),
     "-q": (None, "total internal influence rate"),
-    "--t-max": (None, "time horizon (default: time for the 1D limit curve to reach 0.99)"),
+    "--t-max": (None, "time horizon (default: time for the 1D limit curve to reach 0.99; "
+                      "30 for verify)"),
     "--topology": (("circle", "line", "grid", "hybrid"), "network topology"),
     "--sided": (("one", "two"),
                 "influence from one neighbour per axis direction (weight q) or both (q/2 each)"),

@@ -275,6 +275,19 @@ class TestUniformization:
         with pytest.raises(ValueError, match="strictly increasing"):
             exact_f(build_circle(16, 0.01, 0.1, sided="two"), [0.0, 50.0, 50.0, 100.0])
 
+    @pytest.mark.parametrize("solve", [
+        lambda net, t: survival(net, [0], t),
+        lambda net, t: exact_marginals(net, t),
+    ], ids=["survival", "exact_marginals"])
+    @pytest.mark.parametrize("net", [build_line(18, 0.01, 0.1, sided="one"),
+                                     build_circle(6, 0.01, 0.1)], ids=["line", "circle"])
+    def test_descending_grid_is_refused_before_any_build(self, monkeypatch, solve, net):
+        # the circle is lumped by its symmetries, the line is not
+        for name in ("build_generator", "_orbits"):
+            monkeypatch.setattr(oracle, name, lambda *args: pytest.fail("built"))
+        with pytest.raises(ValueError, match="t_grid must ascend"):
+            solve(net, [0.0, 2.0, 1.0])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_times_are_refused(self, bad):
         net = build_line(4, 0.05, 0.3, sided="two")

@@ -125,13 +125,21 @@ class TestSimConfig:
             {"t_max": -1.0},
             {"t_max": float("nan")},
             {"t_max": float("inf")},
-            {"block_size": 0},
             {"t_max": 0.0},
+            {"trials": 2.5},
+            {"trials": "3"},
+            {"base_seed": -1},
+            {"base_seed": 1.5},
+            {"base_seed": np.int64(-2)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = SimConfig(trials=np.int64(7), base_seed=np.uint32(3))
+        assert event_trajectories(build_circle(3, 0.1, 0.4), cfg).shape == (7, 3)
 
 
 class TestEventDriven:
@@ -147,10 +155,11 @@ class TestEventDriven:
         c = run_event_driven(net, SimConfig(trials=300, base_seed=10), t_grid=t)
         assert not np.array_equal(a.f, c.f)
 
-    def test_leading_block_independent_of_trial_count(self):
+    def test_leading_block_independent_of_trial_count(self, monkeypatch):
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 8)
         net = build_circle(3, 0.1, 0.4)
-        short = SimConfig(trials=16, base_seed=5, block_size=8, t_max=10.0)
-        long = SimConfig(trials=24, base_seed=5, block_size=8, t_max=10.0)
+        short = SimConfig(trials=16, base_seed=5, t_max=10.0)
+        long = SimConfig(trials=24, base_seed=5, t_max=10.0)
         assert np.array_equal(event_trajectories(net, short), event_trajectories(net, long)[:16])
 
     def test_trials_do_not_depend_on_block_mates(self):
@@ -208,6 +217,12 @@ class TestEventDriven:
         assert times.shape == (50, 2)
         assert np.all(np.isfinite(times[:, 0]))
         assert np.all(np.isinf(times[:, 1]))
+        # no clock at all, alone or beside a network that has some; at 40
+        # trials an acyclic network of 2 nodes would pass the sweep's rule
+        silent = Network(n=2, p=np.zeros(2), edges=())
+        assert np.all(np.isinf(event_trajectories(silent, SimConfig(trials=40))))
+        rep = run_coupled(silent, net, SimConfig(trials=40))
+        assert np.all(np.isinf(rep["times_a"])) and np.all(np.isfinite(rep["times_b"][:, 0]))
 
     def test_horizon_truncates_to_inf(self):
         net = Network(n=1, p=np.array([0.5]), edges=())
@@ -217,11 +232,12 @@ class TestEventDriven:
         assert max(finite) <= 1.0
 
     # DIJKSTRA_NODES 40 puts 6 trials of a 6-node network, 2 of a 16-node
-    # one, in each Dijkstra call; blocks of 16 then split 6 + 6 + 4, and
-    # 45 trials leave a last RNG block of 13. None keeps the module's value:
-    # 8 trials of the 32x32 torus per call, 20 trials in blocks of 16. The
-    # acyclic networks sweep their levels and call no Dijkstra.
-    @pytest.mark.parametrize("net, dijkstra_nodes, trials, block_size, sweeps", [
+    # one, in each Dijkstra call; TRIAL_BLOCK 16 then splits 6 + 6 + 4, and
+    # 45 trials leave a last RNG block of 13, split 6 + 6 + 1. None keeps
+    # the module's value: 8 trials of the 32x32 torus per call, 20 trials
+    # in blocks of 16, split 8 + 8 and 4. The acyclic networks sweep their
+    # levels and call no Dijkstra.
+    @pytest.mark.parametrize("net, dijkstra_nodes, trials, trial_block, sweeps", [
         (_silent_net(), 40, 45, 16, False),
         (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16, False),
         (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512, True),
@@ -232,14 +248,15 @@ class TestEventDriven:
     ], ids=["silent", "torus4", "line", "torus32", "box3", "backward-line", "acyclic-silent"])
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_sampler_matches_reference_bit_for_bit(
-        self, monkeypatch, net, dijkstra_nodes, trials, block_size, sweeps, horizon
+        self, monkeypatch, net, dijkstra_nodes, trials, trial_block, sweeps, horizon
     ):
         if dijkstra_nodes is not None:
             monkeypatch.setattr(simulator, "DIJKSTRA_NODES", dijkstra_nodes)
-        cfg = SimConfig(trials=trials, base_seed=21, block_size=block_size)
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", trial_block)
+        cfg = SimConfig(trials=trials, base_seed=21)
         (free,) = reference_first_passage([net], cfg)
         t_max = {"none": None, "attained": _attained_time(free), "early": 0.5}[horizon]
-        cfg = SimConfig(trials=trials, base_seed=21, block_size=block_size, t_max=t_max)
+        cfg = SimConfig(trials=trials, base_seed=21, t_max=t_max)
         (ref,) = reference_first_passage([net], cfg)
         calls = _count_dijkstra(monkeypatch)
         assert np.array_equal(event_trajectories(net, cfg), ref)
@@ -281,10 +298,11 @@ class TestEventDriven:
         assert curve.f.tolist() == [0.0, 0.0]
         assert curve.stderr.tolist() == [0.0, 0.0]
 
-    def test_oversized_block_is_refused_before_any_work(self):
+    def test_oversized_block_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 2**30)
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=2**30, block_size=2**30, t_max=1.0)
-        with pytest.raises(ValueError, match="block_size"):
+        cfg = SimConfig(trials=2**30, t_max=1.0)
+        with pytest.raises(ValueError, match="16 GiB or more; use fewer trials or a smaller network"):
             event_trajectories(net, cfg)
 
     def test_circle_sidedness_is_statistically_invisible(self):
@@ -312,23 +330,26 @@ class TestEventDriven:
 
 
 class TestCurveAssembly:
-    def test_blocked_accumulation_matches_direct(self):
+    def test_blocked_accumulation_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(0)
         times = rng.exponential(2.0, size=(97, 5))
         t = np.linspace(0, 6, 7)
-        a = curve_from_times(times, t, block=8)
-        b = curve_from_times(times, t, block=1000)
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 8)
+        a = curve_from_times(times, t)
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 1000)
+        b = curve_from_times(times, t)
         assert np.allclose(a.f, b.f, atol=1e-14)
         assert np.allclose(a.stderr, b.stderr, atol=1e-14)
         hit = (times[:, :, None] <= t[None, None, :]).mean(axis=(0, 1))
         assert np.allclose(a.f, hit, atol=1e-14)
 
-    def test_binned_counts_equal_direct_formula_exactly(self):
+    def test_binned_counts_equal_direct_formula_exactly(self, monkeypatch):
         # M = 8 keeps every per-trial fraction a binary fraction, so the
         # blocked sums are exact and equality is the contract
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
         t = np.linspace(0.0, 6.0, 13)
         times = _awkward_times(t, 101, 8)
-        curve = curve_from_times(times, t, block=16)
+        curve = curve_from_times(times, t)
         hit = times[:, :, None] <= t
         n = times.shape[0]
         f = hit.mean(axis=(0, 1))
@@ -338,12 +359,13 @@ class TestCurveAssembly:
         assert np.array_equal(curve.stderr, np.sqrt(np.maximum(var, 0.0) / n))
         assert np.array_equal(node_frequencies(times, t), hit.mean(axis=0))
 
-    def test_binned_counts_match_boolean_accumulation_bytewise(self):
+    def test_binned_counts_match_boolean_accumulation_bytewise(self, monkeypatch):
         # any M: the same per-trial counts summed in the same order as the
         # (R, M, T) boolean accumulation give the same bytes
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
         t = np.linspace(0.0, 6.0, 13)
         times = _awkward_times(t, 101, 5)
-        curve = curve_from_times(times, t, block=16)
+        curve = curve_from_times(times, t)
         f, stderr, per_node = _boolean_blocked_curve(times, t, block=16)
         assert np.array_equal(curve.f, f)
         assert np.array_equal(curve.stderr, stderr)
@@ -405,10 +427,11 @@ class TestCurveAssembly:
 
 
 class TestCoupled:
-    def test_self_coupling_is_the_event_sampler(self):
+    def test_self_coupling_is_the_event_sampler(self, monkeypatch):
         # both sides draw the clocks event_trajectories draws, in its blocks
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 64)
         net = build_circle(4, 0.05, 0.3)
-        cfg = SimConfig(trials=200, base_seed=17, t_max=10.0, block_size=64)
+        cfg = SimConfig(trials=200, base_seed=17, t_max=10.0)
         rep = run_coupled(net, net, cfg)
         assert rep["applicable"] and rep["verdict"] == "pass"
         assert rep["violation_count"] == 0 and rep["violations"] == []
@@ -449,7 +472,7 @@ class TestCoupled:
         assert np.array_equal(rep["times_b"], rep["times_a"] / 2)
         assert rep["verdict"] == "pass"
 
-    @pytest.mark.parametrize("case, trials, block_size, t_max", [
+    @pytest.mark.parametrize("case, trials, trial_block, t_max", [
         ("dominated", 300, 128, 40.0),
         ("reversed", 300, 128, 20.0),
         ("crossed", 200, 64, 30.0),
@@ -457,7 +480,8 @@ class TestCoupled:
         ("one-trial-blocks", 20, 1, 30.0),
         ("box-sides", 300, 128, 40.0),
     ])
-    def test_report_matches_reference(self, case, trials, block_size, t_max):
+    def test_report_matches_reference(self, monkeypatch, case, trials, trial_block, t_max):
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", trial_block)
         _, lo, hi = dominance_pairs()[2]
         net_a, net_b = {
             "dominated": (lo, hi),
@@ -470,7 +494,7 @@ class TestCoupled:
             "box-sides": (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
                           build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False)),
         }[case]
-        cfg = SimConfig(trials=trials, base_seed=13, t_max=t_max, block_size=block_size)
+        cfg = SimConfig(trials=trials, base_seed=13, t_max=t_max)
         rep = run_coupled(net_a, net_b, cfg)
         ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
         assert np.array_equal(rep["times_a"], ref_a)
@@ -487,14 +511,15 @@ class TestCoupled:
         # of 13. Box pair: the one-sided box sweeps each block, and the
         # two-sided box alone takes Dijkstra, one trial per call.
         monkeypatch.setattr(simulator, "DIJKSTRA_NODES", 40)
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
         pairs = [(_silent_net(), _scaled(_silent_net(), 1.5)),
                  (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
                   build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False))]
         for net_a, net_b in pairs:
-            cfg = SimConfig(trials=45, base_seed=4, block_size=16)
+            cfg = SimConfig(trials=45, base_seed=4)
             free_a, _ = reference_first_passage([net_a, net_b], cfg)
             t_max = {"none": None, "attained": _attained_time(free_a), "early": 2.0}[horizon]
-            cfg = SimConfig(trials=45, base_seed=4, block_size=16, t_max=t_max)
+            cfg = SimConfig(trials=45, base_seed=4, t_max=t_max)
             rep = run_coupled(net_a, net_b, cfg)
             ref_a, ref_b = reference_first_passage([net_a, net_b], cfg)
             assert np.array_equal(rep["times_a"], ref_a)
@@ -518,10 +543,11 @@ class TestCoupled:
         assert np.all(np.isfinite(rep["times_b"][:, [0, 2, 3, 4]]))
         assert not rep["applicable"]
 
-    def test_trials_do_not_depend_on_trial_count(self):
+    def test_trials_do_not_depend_on_trial_count(self, monkeypatch):
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 64)
         _, lo, hi = dominance_pairs()[0]
-        short = run_coupled(lo, hi, SimConfig(trials=100, base_seed=6, t_max=30.0, block_size=64))
-        long = run_coupled(lo, hi, SimConfig(trials=200, base_seed=6, t_max=30.0, block_size=64))
+        short = run_coupled(lo, hi, SimConfig(trials=100, base_seed=6, t_max=30.0))
+        long = run_coupled(lo, hi, SimConfig(trials=200, base_seed=6, t_max=30.0))
         assert np.array_equal(short["times_a"], long["times_a"][:100])
         assert np.array_equal(short["times_b"], long["times_b"][:100])
 
@@ -661,10 +687,11 @@ def test_route_of_each_network(monkeypatch, net, trials, dijkstra):
 
 def test_level_sweep_holds_little_beyond_its_draw():
     """On the one-sided 6x6x6 box at 512 trials, the clock draw is 3.1 MB
-    (512 x 756 float64) and the adoption times 0.9 MB. The sweep adds a
-    transposed copy of the draw (3.1 MB), which it drops once it has
-    gathered its 849 padded slots (3.5 MB) from it: the run peaked at
-    10.6 MB. The Dijkstra route peaked at 4.8 MB."""
+    (512 x 756 float64) and the adoption times 0.9 MB. The sweep gathers
+    its 849 padded slots (3.5 MB) straight from the draw: the run peaked
+    at 9.3 MB. Up to 0.20.0 the sweep gathered them from a transposed
+    copy of the draw (3.1 MB more), and the run peaked at 10.6 MB. The
+    Dijkstra route peaked at 4.8 MB."""
     net = build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False)
     event_trajectories(net, SimConfig(trials=2))
     tracemalloc.start()
@@ -673,4 +700,4 @@ def test_level_sweep_holds_little_beyond_its_draw():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 10e6

@@ -2,6 +2,8 @@
 to a public object has to be added here too, on purpose. The objects that
 hold arrays compare by identity, as the code compares them."""
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +31,19 @@ PUBLIC_NAMES = [
 ]
 
 
+def test_one_version_number():
+    # read with a regex: requires-python is >= 3.10, which has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', text, flags=re.M) == [basslab.__version__]
+
+
 def test_exported_names():
     assert basslab.__all__ == PUBLIC_NAMES
     assert all(hasattr(basslab, name) for name in basslab.__all__)
 
 
 @pytest.mark.parametrize("cls, fields", [
-    (SimConfig, ["trials", "base_seed", "t_max", "block_size"]),
+    (SimConfig, ["trials", "base_seed", "t_max"]),
     (AdoptionCurve, ["t", "f", "source", "per_node", "stderr"]),
     (Network, ["n", "p", "edges"]),
     (CircleCoefficients, ["M", "p", "q", "A", "B"]),

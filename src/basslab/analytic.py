@@ -57,7 +57,10 @@ ODE_RTOL = 1e-11
 # Tolerances of the S_1 recursion over circle sizes. Its M sizes are chained
 # and DOP853's error norm is an RMS over all of them, so one size can drift
 # well past rtol: at ODE_RTOL the one-sided line at q/p = 45 ran 2.6e-10 off
-# the master equation (M = 16). At these the lines stay within 1e-10.
+# the master equation (M = 16). At these, f_line_one_sided's rows 1-10 on
+# the default grid at p = 0.01, q = 0.1 ran at most 1.03e-11 off the lumped
+# oracle's m-circles at M = 16, 4.53e-11 at M = 60, 1.35e-10 at M = 200 and
+# 4.34e-10 at M = 1000: the error grows with M (ROADMAP item 2).
 RECURSION_RTOL = 1e-12
 RECURSION_ATOL = 1e-13
 # Largest (p+q)*t_max an ODE solve takes. DOP853's steps are bounded by its
@@ -65,8 +68,10 @@ RECURSION_ATOL = 1e-13
 # horizon: at 1e4 the two-sided line of 200 nodes takes about 1.4 s and
 # the 6-circle at q/p = 1e13 about 0.6 s, at 1e5 about 12 s and 5 s.
 MAX_DECAY_SPAN = 1e4
-# Fraction of the infinite-line curve reached at the default grid's horizon.
+# Fraction of the infinite-line curve reached at the default grid's horizon,
+# and the default grid's number of points.
 GRID_COVERAGE = 0.99
+DEFAULT_GRID_POINTS = 200
 
 
 class DegenerateParameters(ValueError):
@@ -150,7 +155,9 @@ def survival_circle_closed_form(t, p: float, q: float, M: int) -> np.ndarray:
     """S_1(t;M) on the circle via the explicit exponent sum.
 
     Raises DegenerateParameters when q is within tolerance of jp (j < M).
+    A scalar t is a one-point grid.
     """
+    t = _check_time_grid(np.atleast_1d(t))
     return _exponent_sum(t, circle_coefficients(p, q, M))
 
 
@@ -163,20 +170,12 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    """t_grid as a curve takes it, refused if it starts before 0."""
-    t_grid = _check_time_grid(t_grid)
-    if t_grid[0] < 0:
-        raise ValueError(f"time grid must start at t >= 0, got {t_grid[0]}")
-    return t_grid
-
-
 def _integrate(rhs, t_grid, y0: np.ndarray, what: str, rate: float,
                rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
     (len(y0), T). rate is the system's largest decay rate; a bad grid, or
     a solve past MAX_DECAY_SPAN decay times, is refused before it starts."""
-    t_grid = _check_grid(t_grid)
+    t_grid = _check_time_grid(t_grid)
     span = rate * float(t_grid[-1])
     if not span <= MAX_DECAY_SPAN:  # NaN fails too
         raise ValueError(
@@ -223,7 +222,7 @@ def survival_circle(t_grid, p: float, q: float, M: int):
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
-    t_grid = _check_grid(t_grid)
+    t_grid = _check_time_grid(t_grid)
     coef = _trusted_coefficients(p, q, M)
     if coef is not None:
         return _exponent_sum(t_grid, coef), "closed_form"
@@ -240,13 +239,14 @@ def f_circle(t_grid, p: float, q: float, M: int):
 
 
 def f_one_dim_limit(t, p: float, q: float) -> np.ndarray:
-    """Infinite-line / infinite-circle adoption fraction."""
+    """Infinite-line / infinite-circle adoption fraction. A scalar t is a
+    one-point grid."""
+    t = _check_time_grid(np.atleast_1d(t))
     _check_pq(p, q)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     return 1.0 - np.exp(-(p + q) * t + (q / p) * (1.0 - np.exp(-p * t)))
 
 
-def default_time_grid(p: float, q: float, points: int = 200) -> np.ndarray:
+def default_time_grid(p: float, q: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Uniform grid on [0, T] with T chosen so the infinite-line fraction
     reaches GRID_COVERAGE at T.
 
@@ -333,17 +333,19 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
     """Per-node and aggregate adoption on the two-sided line: its ends are
     half-rate M-circles and its interior nodes are driven by products of
     half-rate circle survivals, integrated with them as one system of
-    2M-2 states (see _two_sided_lines).
+    2M-2 states (see _two_sided_lines). A single node is the half-rate
+    1-circle.
 
-    Returns (per_node (M,T), f (T,), source="ode").
+    Returns (per_node (M,T), f (T,), source): source "ode", or for M = 1
+    the route survival_circle took.
     """
     _check_pq(p, q)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if M == 1:
-        S, _ = survival_circle(t_grid, p, q / 2, 1)
+        S, source = survival_circle(t_grid, p, q / 2, 1)
         per_node = (1.0 - S)[None, :]
-        return per_node, per_node.mean(axis=0), "ode"
+        return per_node, per_node.mean(axis=0), source
     _, (survivals,) = _two_sided_lines(t_grid, p, q, (M,))
     per_node = 1.0 - survivals
     return per_node, per_node.mean(axis=0), "ode"
@@ -430,7 +432,7 @@ def beta_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray, s1_half: np.ndar
     t_grid, with at least M sizes."""
     if not (M >= 2 and 1 <= k <= M - 1):
         raise ValueError(f"beta needs M >= 2 and 1 <= k <= M-1, got k={k}, M={M}")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
 
     def drop(table: np.ndarray) -> np.ndarray:
         return _block_survival(table, t_grid, p, k, M) - _block_survival(table, t_grid, p, k + 1, M)
@@ -443,7 +445,7 @@ def gamma_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray) -> np.ndarray:
     k = 1..M-2. s1 is the S_1 table at q on t_grid, with at least M sizes."""
     if not (M >= 3 and 1 <= k <= M - 2):
         raise ValueError(f"gamma needs M >= 3 and 1 <= k <= M-2, got k={k}, M={M}")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     S = [_block_survival(s1, t_grid, p, j, M) for j in (k, k + 1, k + 2)]
     return S[0] - 2 * S[1] + S[2]
 
@@ -485,7 +487,7 @@ def psi_diag(
     """
     if not (k >= 2 and M >= 2 * k - 1):
         raise ValueError(f"psi needs k >= 2 and M >= 2k-1, got k={k}, M={M}")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
 
     def pair(j: int) -> np.ndarray:
         left = _block_survival(s1_half, t_grid, p, 1, j - 1)

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    DEFAULT_GRID_POINTS,
     _alpha_table,
     _circle_survivals,
     _two_sided_lines,
@@ -41,8 +42,8 @@ from .analytic import (
     nu_from_node_survivals,
     psi_diag,
 )
-from .curves import AdoptionCurve, write_curve_csv
-from .network import Network, _check_t_max, build_circle, build_grid, build_hybrid_circle_ray, build_line
+from .curves import AdoptionCurve, _check_t_max, write_curve_csv
+from .network import Network, build_circle, build_grid, build_hybrid_circle_ray, build_line
 from .oracle import exact_f
 from .principles import (
     FIGURE_PLAN_NAMES,
@@ -73,7 +74,6 @@ COMMANDS = {
 TOPOLOGIES = ("circle", "line", "grid", "hybrid")
 SIMULATE_PRESETS = ("fig5", "fig11", "fig12")
 SUITES = ("indifference", "appendix", "dominance", "sidedness", "all")
-DEFAULT_GRID_POINTS = 200
 
 # The runs a key can be read by: a single run per topology (analytic or
 # simulate), "simulate preset", "verify preset" and each verify suite.

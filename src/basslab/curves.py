@@ -1,6 +1,8 @@
-"""Adoption-curve container and CSV export shared by the solvers and the CLI."""
+"""Adoption-curve container and CSV export shared by the solvers and the CLI,
+and the package's one rule for a valid time grid and horizon."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import IO
@@ -28,11 +30,10 @@ class AdoptionCurve:
     stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
+        t = _check_time_grid(self.t)
         f = np.asarray(self.f, dtype=float)
-        if t.ndim != 1 or t.shape != f.shape:
+        if t.shape != f.shape:
             raise ValueError("t and f must be 1D arrays of equal length")
-        _check_time_grid(t)
         if self.source not in CURVE_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if t[0] == 0.0 and abs(f[0]) > _SLACK:
@@ -62,14 +63,24 @@ class AdoptionCurve:
 
 
 def _check_time_grid(t) -> np.ndarray:
-    """t as a float array, refused unless it is a non-empty, finite and
-    strictly increasing 1D grid."""
+    """t as a float array, refused unless it is a non-empty 1D grid of
+    finite, strictly increasing times from t >= 0. Every public function
+    that takes a grid applies this rule before any work."""
     t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"time grid must be a non-empty 1D array, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("time grid must hold only finite times")
-    if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be non-empty and strictly increasing")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    if t[0] < 0:
+        raise ValueError(f"time grid must start at t >= 0, got {t[0]}")
     return t
+
+
+def _check_t_max(t_max: float) -> None:
+    if not (t_max > 0 and math.isfinite(t_max)):  # NaN fails the comparison
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
 
 def _snap(x: np.ndarray) -> np.ndarray:

@@ -143,11 +143,6 @@ def _check_pq(p: float, q: float) -> None:
         raise ValueError(f"q must be non-negative and finite, got {q}")
 
 
-def _check_t_max(t_max: float) -> None:
-    if not (t_max > 0 and math.isfinite(t_max)):  # NaN-safe, as in _check_pq
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-
-
 def _check_rates(M: int, p: float, q: float) -> None:
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")

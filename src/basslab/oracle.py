@@ -82,7 +82,7 @@ class MasterSolution:
 
     def __init__(self, network: Network, t: np.ndarray, probs: np.ndarray):
         self.network = network
-        self.t = np.asarray(t, dtype=float)
+        self.t = _check_time_grid(t)
         self.probs = np.asarray(probs, dtype=float)
         if self.probs.shape != (self.t.size, 1 << network.n):
             raise ValueError("probs must have shape (len(t), 2^M)")
@@ -320,17 +320,6 @@ def _lumped_generator(net: Network, reps: np.ndarray, label: np.ndarray) -> spar
     return Q
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a non-empty 1D array")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must hold only finite times")
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must ascend from a non-negative start")
-    return t_grid
-
-
 def _poisson_terms(top: float) -> int:
     """Number of terms n = 0..N-1 after which the right tail of Pois(top)
     is below POISSON_TAIL, from Bernstein's bound
@@ -391,7 +380,7 @@ def _uniformized(Q: sparse.csr_matrix, t_grid, observe, width: int, route: str) 
     later v_n is within twice that mass of the current one, so the sweep
     stops and the Poisson weight of the terms left goes to that vector.
 
-    t_grid is one `_check_grid` has passed. Raises RuntimeError when the
+    t_grid is one `_check_time_grid` has passed. Raises RuntimeError when the
     observed total mass is more than CONSERVATION_TOL off 1 at any grid
     time.
     """
@@ -460,7 +449,7 @@ def _survival_masks(net: Network, omegas) -> np.ndarray:
 def solve_master(net: Network, t_grid) -> MasterSolution:
     """Whole distribution over adopter sets on the grid, from the
     all-susceptible state."""
-    t_grid = _check_grid(t_grid)
+    t_grid = _check_time_grid(t_grid)
     route = f"unlumped: whole distribution, {1 << net.n} states"
     probs = _uniformized(build_generator(net), t_grid, lambda v: v, 1 << net.n, route)
     return MasterSolution(network=net, t=t_grid, probs=probs)
@@ -472,7 +461,7 @@ def exact_marginals(net: Network, t_grid) -> np.ndarray:
     A network that a group of grid maps sends onto itself is solved on the
     orbits of its adopter sets (see `_lumped_marginals`).
     """
-    t_grid = _check_grid(t_grid)
+    t_grid = _check_time_grid(t_grid)
     _check_size(net.n)
     sym = _symmetries(net)
     if sym is None:
@@ -501,8 +490,7 @@ def _lumped_marginals(net: Network, t_grid, sym: _Symmetry) -> np.ndarray:
 
 def exact_f(net: Network, t_grid) -> AdoptionCurve:
     """Expected adopter fraction on the grid, with per-node probabilities.
-    The grid is also checked as the curve checks it, before any solve."""
-    t_grid = _check_time_grid(_check_grid(t_grid))
+    exact_marginals checks the grid before any solve."""
     per_node = exact_marginals(net, t_grid)
     return AdoptionCurve(
         t=t_grid, f=per_node.mean(axis=0), source="oracle", per_node=per_node
@@ -511,7 +499,7 @@ def exact_f(net: Network, t_grid) -> AdoptionCurve:
 
 def survival(net: Network, omega, t_grid) -> np.ndarray:
     """Prob(no node of omega has adopted by t) on the grid."""
-    t_grid = _check_grid(t_grid)
+    t_grid = _check_time_grid(t_grid)
     masks = _survival_masks(net, [omega])
     route = f"unlumped: set survival, {1 << net.n} states"
     return _uniformized(build_generator(net), t_grid, lambda v: masks @ v, 1, route)[:, 0]

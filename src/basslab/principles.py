@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network as net_mod
+from .curves import _check_time_grid
 from .network import Network, add_edges, build_circle, build_hybrid_circle_ray, build_line, dominates, remove_edges
 from .oracle import exact_marginals, survival
 
@@ -149,7 +150,7 @@ def apply_transform(net: Network, plan: TransformPlan) -> Network:
 def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID) -> dict:
     """Check that the plan leaves Prob(omega untouched) invariant, by exact
     master-equation solves of both networks."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     transformed, records = _apply_with_records(net, plan, strict=False)
     before = survival(net, plan.omega, t_grid)
     after = survival(transformed, plan.omega, t_grid)
@@ -307,7 +308,7 @@ def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=VERIFY_GRID)
     """Exact check that componentwise-larger parameters give pointwise
     larger per-node adoption probabilities (strictly, past t=0). Each
     distinct network object of dominance_pairs is solved once."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     pairs = dominance_pairs(p, q)
     marginals = {}
     for _, lo, hi in pairs:
@@ -337,7 +338,7 @@ def corollary_monotonicity_suite(base: Network, added_edges, t_grid=VERIFY_GRID)
     """Exact check that adding positive-weight edges can only speed adoption:
     the expected adopter fraction after the additions is strictly larger at
     every sampled t > 0 (and exactly equal when nothing is added)."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     added = tuple((int(i), int(j), float(w)) for i, j, w in added_edges)
     for i, j, w in added:
         if w <= 0:

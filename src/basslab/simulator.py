@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AdoptionCurve, _check_time_grid
-from .network import Network, _check_t_max, _keys, weakly_dominates
+from .curves import AdoptionCurve, _check_t_max, _check_time_grid
+from .network import Network, _keys, weakly_dominates
 
 # trials per RNG block: block b draws from SeedSequence((seed, b)), so this
 # fixes the random stream; the aggregation sums its counts per block too
@@ -350,7 +350,7 @@ def curve_from_times(times: np.ndarray, t_grid) -> AdoptionCurve:
     Adoption times must be > 0 (inf for a node that never adopts): nobody
     has adopted at t = 0.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     mean, stderr = _fraction_stats(times, t_grid)
     return AdoptionCurve(t=t_grid, f=mean, source="monte_carlo", stderr=stderr)
 
@@ -361,7 +361,7 @@ def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
     `curve_from_times`. The adoption counts of every block go into one
     (M, T + 1) float array, which the cumulative sum and the division
     overwrite."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_time_grid(t_grid)
     trials, M = times.shape
     T = t_grid.size
     counts = np.zeros(M * (T + 1))
@@ -378,12 +378,11 @@ def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
 def run_event_driven(net: Network, config: SimConfig, t_grid) -> AdoptionCurve:
     """Exact continuous-time simulation; Monte Carlo curve on t_grid, with
     no per-node frequencies (see `curve_from_times`). The sampler stops at
-    the horizon t_grid[-1], since the curve counts a later adoption as none,
-    or at 0 for a grid that ends before 0, since nobody adopts at t <= 0;
-    config.t_max is not read. The grid is checked as the curve checks it,
-    before any sampling."""
+    the horizon t_grid[-1], since the curve counts a later adoption as none;
+    config.t_max is not read. The grid is checked by the rule the curve
+    applies, before any sampling."""
     t_grid = _check_time_grid(t_grid)
-    times = _event_times(net, config, max(t_grid[-1], 0.0))
+    times = _event_times(net, config, t_grid[-1])
     return curve_from_times(times, t_grid)
 
 

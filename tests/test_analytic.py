@@ -310,6 +310,14 @@ class TestLines:
         assert per_node.shape == (1, T_GRID.size)
         assert np.allclose(per_node[0], 1.0 - np.exp(-0.1 * T_GRID), atol=1e-12)
 
+    def test_single_node_reports_the_route_of_its_circle(self):
+        # a one-node line is the half-rate 1-circle, which the closed form
+        # gives; the line once reported "ode" for it
+        p, q = 0.01, 0.1
+        *_, source = f_line_two_sided(T_GRID, p, q, 1)
+        _, circle_source = survival_circle(T_GRID, p, q / 2, 1)
+        assert source == circle_source == "closed_form"
+
     def test_two_sided_boundary_is_half_rate_circle(self):
         p, q, M = 0.03, 0.27, 5
         per_node, _, _ = f_line_two_sided(T_GRID, p, q, M)

@@ -1,9 +1,15 @@
+import inspect
 import io
 
 import numpy as np
 import pytest
 
+import basslab
+from basslab import analytic, oracle, principles, simulator
+from basslab.analytic import CLOSED_FORM_MAX_M
 from basslab.curves import AdoptionCurve, read_curve_csv, write_curve_csv
+from basslab.network import build_circle, build_line
+from basslab.simulator import SimConfig
 
 T = np.linspace(0.0, 10.0, 6)
 F = np.array([0.0, 0.2, 0.35, 0.5, 0.6, 0.65])
@@ -157,3 +163,97 @@ def test_row_writer_matches_the_cell_writer_bytewise(stderr, per_node):
     buf = io.StringIO()
     write_curve_csv(buf, curve)
     assert buf.getvalue() == _write_cell_by_cell(curve)
+
+
+# ---------------------------------------------------------------------------
+# The time-grid rule: every public name that takes a grid refuses the same
+# grids, with one message, before any work.
+
+BAD_GRIDS = {
+    "negative-start": [-1.0, 0.0, 1.0],
+    "descending": [3.0, 2.0, 1.0],
+    "repeated": [0.0, 1.0, 1.0, 2.0],
+    "nan": [1.0, np.nan],
+    "inf": [0.0, 1.0, np.inf],
+    "empty": [],
+    "2d": [[0.0, 1.0], [2.0, 3.0]],
+    "scalar": -1.0,  # a one-point grid where a scalar is taken, so before 0
+}
+P, Q = 0.01, 0.1
+_LINE = build_line(4, P, Q)  # no symmetry: the oracle builds the full generator
+_CIRCLE = build_circle(6, P, Q)  # lumped: the oracle labels orbits
+_S1 = np.ones((4, 3))  # an S_1 table; the grid is refused before it is read
+_TIMES = np.ones((2, 4))  # adoption times of 2 trials of 4 nodes
+
+# (public name, route, call on a grid); a name may take several routes
+GRID_TAKERS = [
+    ("AdoptionCurve", "curve", lambda t: AdoptionCurve(t=t, f=np.zeros(np.shape(t)), source="ode")),
+    ("MasterSolution", "container",
+     lambda t: oracle.MasterSolution(_LINE, t, np.zeros((np.size(t), 1 << _LINE.n)))),
+    ("alpha_diag", "ode", lambda t: analytic.alpha_diag(t, P, Q, 3)),
+    ("beta_diag", "table", lambda t: analytic.beta_diag(t, P, 1, 4, _S1, _S1)),
+    ("corollary_monotonicity_suite", "oracle",
+     lambda t: principles.corollary_monotonicity_suite(_LINE, [(3, 0, 0.1)], t)),
+    ("curve_from_times", "aggregate", lambda t: simulator.curve_from_times(_TIMES, t)),
+    ("exact_f", "lumped", lambda t: oracle.exact_f(_CIRCLE, t)),
+    ("exact_marginals", "unlumped", lambda t: oracle.exact_marginals(_LINE, t)),
+    ("exact_marginals", "lumped", lambda t: oracle.exact_marginals(_CIRCLE, t)),
+    ("f_circle", "closed-form", lambda t: analytic.f_circle(t, P, Q, 6)),
+    ("f_circle", "ode", lambda t: analytic.f_circle(t, P, Q, CLOSED_FORM_MAX_M + 1)),
+    ("f_hybrid", "ode", lambda t: analytic.f_hybrid(t, P, Q, 4, 2)),
+    ("f_line_one_sided", "ode", lambda t: analytic.f_line_one_sided(t, P, Q, 6)),
+    ("f_line_two_sided", "ode", lambda t: analytic.f_line_two_sided(t, P, Q, 6)),
+    ("f_line_two_sided", "one-node", lambda t: analytic.f_line_two_sided(t, P, Q, 1)),
+    ("f_one_dim_limit", "closed-form", lambda t: analytic.f_one_dim_limit(t, P, Q)),
+    ("gamma_diag", "table", lambda t: analytic.gamma_diag(t, P, 1, 4, _S1)),
+    ("node_frequencies", "aggregate", lambda t: simulator.node_frequencies(_TIMES, t)),
+    ("nu_diag", "ode", lambda t: analytic.nu_diag(t, P, Q, 1, 4)),
+    ("oracle_dominance_report", "oracle", lambda t: principles.oracle_dominance_report(P, Q, t)),
+    ("pair_survival_two_sided_line", "closed-form",
+     lambda t: analytic.pair_survival_two_sided_line(t, P, Q, 4, 2)),
+    ("psi_diag", "table", lambda t: analytic.psi_diag(t, P, 2, 4, _S1, _S1)),
+    ("run_event_driven", "dijkstra",
+     lambda t: simulator.run_event_driven(build_circle(5, 0.1, 0.3), SimConfig(trials=300), t)),
+    ("run_event_driven", "sweep",
+     lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=300), t)),
+    ("solve_master", "unlumped", lambda t: oracle.solve_master(_LINE, t)),
+    ("survival", "unlumped", lambda t: oracle.survival(_LINE, [0], t)),
+    ("survival", "circle", lambda t: oracle.survival(_CIRCLE, [0], t)),
+    ("survival_circle", "closed-form", lambda t: analytic.survival_circle(t, P, Q, 6)),
+    ("survival_circle", "ode", lambda t: analytic.survival_circle(t, P, Q, CLOSED_FORM_MAX_M + 1)),
+    ("survival_circle_closed_form", "closed-form",
+     lambda t: analytic.survival_circle_closed_form(t, P, Q, 6)),
+    ("verify_indifference", "oracle",
+     lambda t: principles.verify_indifference(
+         _LINE, principles.TransformPlan(omega=(1,), removals=((1, 2),)), t)),
+]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+@pytest.mark.parametrize("call", [call for _, _, call in GRID_TAKERS],
+                         ids=[f"{name}-{route}" for name, route, _ in GRID_TAKERS])
+def test_bad_grid_is_refused(monkeypatch, call, grid):
+    # every stage a grid could start is patched to fail, so the refusal
+    # must come before any work. f_one_dim_limit once read f = -0.0095 at
+    # t = -1, outside [0, 1], and node_frequencies 0.268 at every point of
+    # a descending grid
+    for module, name in ((analytic, "solve_ivp"), (oracle, "_uniformized"),
+                         (oracle, "build_generator"), (oracle, "_orbits"),
+                         (simulator, "_event_times"), (simulator, "_fraction_stats")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("worked"))
+    with pytest.raises(ValueError, match="time grid"):
+        call(np.array(grid))
+
+
+def test_every_grid_taking_name_is_in_the_table():
+    takers = set()
+    for name in basslab.__all__:
+        obj = getattr(basslab, name)
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue  # an exception takes a message, not a grid
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and {"t", "t_grid"} & set(
+            inspect.signature(obj).parameters
+        ):
+            takers.add(name)
+    assert takers == {name for name, _, _ in GRID_TAKERS}
+

@@ -260,8 +260,6 @@ class TestUniformization:
     def test_grid_shapes(self):
         net = build_line(4, 0.05, 0.3, sided="two")
         ref = exact_marginals(net, np.array([0.0, 0.5, 1.0, 2.0]))
-        repeated = exact_marginals(net, np.array([0.0, 1.0, 1.0, 2.0, 2.0]))
-        assert np.max(np.abs(repeated - ref[:, [0, 2, 2, 3, 3]])) < 1e-15
         late = exact_f(net, np.array([0.5, 1.0, 2.0]))
         assert np.max(np.abs(late.per_node - ref[:, 1:])) < 1e-15
         assert late.f[0] > 0
@@ -285,7 +283,7 @@ class TestUniformization:
         # the circle is lumped by its symmetries, the line is not
         for name in ("build_generator", "_orbits"):
             monkeypatch.setattr(oracle, name, lambda *args: pytest.fail("built"))
-        with pytest.raises(ValueError, match="t_grid must ascend"):
+        with pytest.raises(ValueError, match="time grid must be strictly increasing"):
             solve(net, [0.0, 2.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -294,7 +292,7 @@ class TestUniformization:
         t = np.array([0.0, 1.0, bad])
         for solve in (lambda: exact_f(net, t), lambda: survival(net, [1], t),
                       lambda: solve_master(net, t)):
-            with pytest.raises(ValueError, match="t_grid must hold only finite times"):
+            with pytest.raises(ValueError, match="time grid must hold only finite times"):
                 solve()
 
     def test_folded_marginals_match_bit_table(self):

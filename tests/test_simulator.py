@@ -288,16 +288,6 @@ class TestEventDriven:
             run_event_driven(build_circle(5, 0.1, 0.3), SimConfig(trials=300, base_seed=2),
                              t_grid=t)
 
-    @pytest.mark.parametrize("net", [build_circle(5, 0.1, 0.3), build_line(5, 0.1, 0.3)],
-                             ids=["dijkstra", "sweep"])
-    def test_grid_before_time_zero_reads_no_adopter(self, net):
-        # both routes stop at 0 for such a grid; Dijkstra refused a
-        # negative limit
-        curve = run_event_driven(net, SimConfig(trials=300, base_seed=2),
-                                 t_grid=np.array([-2.0, -1.0]))
-        assert curve.f.tolist() == [0.0, 0.0]
-        assert curve.stderr.tolist() == [0.0, 0.0]
-
     def test_oversized_block_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", 2**30)
         net = build_circle(4, 0.05, 0.3)

@@ -24,9 +24,10 @@ interior non-adoption probabilities to the M half-rate survivals: 2M-2
 states. Lines of several sizes share one solve: the half-rate recursion
 up to the largest size and every size's interior unknowns. The rows
 k >= 2 of the hierarchy are read off the same table by the general shift
-S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1), so the diagnostics beta, gamma and
-psi are algebra on the tables at q and q/2; the q/2 table comes with the
-two-sided lines.
+S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1). Each appendix diagnostic has one
+function: alpha_diag is the one solve beyond the S_1 tables at q and q/2
+(the q/2 table comes with the two-sided lines), and beta_diag, gamma_diag,
+psi_diag, nu_diag and pair_survival_two_sided_line are algebra on them.
 
 scipy.integrate is imported at the first ODE solve, through this module's
 solve_ivp, so the closed form and default_time_grid run without it: the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _check_time_grid
-from .network import _check_pq
+from .network import _check_pq, _check_sizes
 
 # Degeneracy detection: the closed form excludes q = jp, j = 1..M-1.
 DEGENERACY_TOL = 1e-9
@@ -102,6 +103,7 @@ class CircleCoefficients:
 
 
 def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
+    _check_sizes(M=M)
     _check_pq(p, q)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -207,6 +209,7 @@ def _survival_rates(t: float, u: np.ndarray, p: float, q: float) -> np.ndarray:
 def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndarray:
     """S_1(t;m) of the m-circle for every m = 1..M, shape (M, T), from one
     solve of the recursion."""
+    _check_sizes(M=M)
     _check_pq(p, q)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -222,6 +225,7 @@ def survival_circle(t_grid, p: float, q: float, M: int):
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
+    _check_sizes(M=M)
     t_grid = _check_time_grid(t_grid)
     coef = _trusted_coefficients(p, q, M)
     if coef is not None:
@@ -256,6 +260,7 @@ def default_time_grid(p: float, q: float, points: int = DEFAULT_GRID_POINTS) -> 
     falls monotonically onto the root; it stops at the first iterate that
     does not decrease. At q = 0 it returns L/p.
     """
+    _check_sizes(points=points)
     _check_pq(p, q)
     L = -math.log1p(-GRID_COVERAGE)
     r = q / p
@@ -304,7 +309,7 @@ def _two_sided_lines(t_grid: np.ndarray, p: float, q: float, sizes) -> tuple[np.
     size in turn, all integrated as one system, so no interpolation error
     enters. A single size M is the 2M-2 states of its line alone."""
     _check_pq(p, q)
-    sizes = [int(M) for M in sizes]
+    sizes = list(sizes)
     if not sizes or min(sizes) < 2:
         raise ValueError(f"two-sided line sizes must be >= 2, got {sizes}")
     N = max(sizes)
@@ -339,6 +344,7 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
     Returns (per_node (M,T), f (T,), source): source "ode", or for M = 1
     the route survival_circle took.
     """
+    _check_sizes(M=M)
     _check_pq(p, q)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -351,16 +357,6 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
     return per_node, per_node.mean(axis=0), "ode"
 
 
-def pair_survival_two_sided_line(t_grid, p: float, q: float, M: int, j: int) -> np.ndarray:
-    """Prob(X_{j-1}=0, X_j=0) on the two-sided line, j = 2..M: the product
-    of the two one-sided circle survivals at internal rate q/2."""
-    if not 2 <= j <= M:
-        raise ValueError(f"j must be in 2..{M}, got {j}")
-    left, _ = survival_circle(t_grid, p, q / 2, j - 1)
-    right, _ = survival_circle(t_grid, p, q / 2, M - j + 1)
-    return left * right
-
-
 # ---------------------------------------------------------------------------
 # Hybrid circle + ray
 
@@ -371,6 +367,7 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
 
     Returns (per_node (C+K,T), f (T,), source="ode").
     """
+    _check_sizes(circle_size=circle_size, ray_size=ray_size)
     if circle_size < 1 or ray_size < 1:
         raise ValueError("circle_size and ray_size must be >= 1")
     C, K = circle_size, ray_size
@@ -383,9 +380,22 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
 # Diagnostic quantities
 
 
-def _alpha_table(t_grid: np.ndarray, p: float, q: float, k: int) -> np.ndarray:
-    """alpha(t,j) for every j = 1..k, shape (k, T), from one solve of the
-    difference system (see alpha_diag)."""
+def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
+    """alpha(t,j) = S_1(t;j) - S_1(t;j+1) for every j = 1..k, shape (k, T);
+    positive for t > 0.
+
+    For j beyond ~6 the plain subtraction cancels catastrophically (the
+    true value decays like (qt)^j / j! at small t, below round-off of the
+    two survivals), so the difference is integrated directly: combining the
+    S_1 evolution with the block-shift identity gives the triangular system
+
+        alpha_j' = -(p+q) alpha_j + q e^{-pt} alpha_{j-1},
+        alpha_0  = 1 - e^{-pt},  alpha_j(0) = 0,
+
+    which is positivity-preserving and carries no cancellation. One solve
+    gives every row.
+    """
+    _check_sizes(k=k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_pq(p, q)
@@ -398,23 +408,6 @@ def _alpha_table(t_grid: np.ndarray, p: float, q: float, k: int) -> np.ndarray:
         return d
 
     return _integrate(rhs, t_grid, np.zeros(k), "difference system", p + q, ODE_RTOL, 1e-18)
-
-
-def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
-    """alpha(t,k) = S_1(t;k) - S_1(t;k+1); positive for t > 0.
-
-    For k beyond ~6 the plain subtraction cancels catastrophically (the
-    true value decays like (qt)^k / k! at small t, below round-off of the
-    two survivals), so the difference is integrated directly: combining the
-    S_1 evolution with the block-shift identity gives the triangular system
-
-        alpha_j' = -(p+q) alpha_j + q e^{-pt} alpha_{j-1},
-        alpha_0  = 1 - e^{-pt},  alpha_j(0) = 0,
-
-    which is positivity-preserving and carries no cancellation.
-    _alpha_table gives every row j <= k from the same solve.
-    """
-    return _alpha_table(t_grid, p, q, k)[k - 1]
 
 
 def _block_survival(s1: np.ndarray, t_grid: np.ndarray, p: float, k: int, m: int) -> np.ndarray:
@@ -430,6 +423,7 @@ def beta_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray, s1_half: np.ndar
     """beta(t,k,M) = [S_k - S_{k+1}](q/2) - [S_k - S_{k+1}](q); positive for
     t > 0, k = 1..M-1. s1 and s1_half are the S_1 tables at q and q/2 on
     t_grid, with at least M sizes."""
+    _check_sizes(k=k, M=M)
     if not (M >= 2 and 1 <= k <= M - 1):
         raise ValueError(f"beta needs M >= 2 and 1 <= k <= M-1, got k={k}, M={M}")
     t_grid = _check_time_grid(t_grid)
@@ -443,6 +437,7 @@ def beta_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray, s1_half: np.ndar
 def gamma_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray) -> np.ndarray:
     """gamma(t,k,M) = S_k - 2 S_{k+1} + S_{k+2}; positive for t > 0,
     k = 1..M-2. s1 is the S_1 table at q on t_grid, with at least M sizes."""
+    _check_sizes(k=k, M=M)
     if not (M >= 3 and 1 <= k <= M - 2):
         raise ValueError(f"gamma needs M >= 3 and 1 <= k <= M-2, got k={k}, M={M}")
     t_grid = _check_time_grid(t_grid)
@@ -450,23 +445,31 @@ def gamma_diag(t_grid, p: float, k: int, M: int, s1: np.ndarray) -> np.ndarray:
     return S[0] - 2 * S[1] + S[2]
 
 
-def nu_from_node_survivals(s_one: np.ndarray, s_two: np.ndarray, k: int) -> np.ndarray:
-    """nu(t,k,M) from per-node non-adoption probabilities of the one- and
-    two-sided lines (rows are nodes 1..M)."""
+def nu_diag(s_one: np.ndarray, s_two: np.ndarray, k: int) -> np.ndarray:
+    """nu(t,k,M) from the per-node non-adoption probabilities of the one- and
+    two-sided lines of M nodes (rows are nodes 1..M): the first is rows
+    1..M of the S_1 table at q, the second a line of _two_sided_lines."""
     M = s_one.shape[0]
     if s_two.shape != s_one.shape:
         raise ValueError("survival arrays must have equal shapes")
+    _check_sizes(k=k)
     if not 1 <= k <= M:
         raise ValueError(f"k must be in 1..{M}, got {k}")
     mirror = M - k + 1
     return (s_one[k - 1] + s_one[mirror - 1]) - (s_two[k - 1] + s_two[mirror - 1])
 
 
-def nu_diag(t_grid, p: float, q: float, k: int, M: int) -> np.ndarray:
-    """nu(t,k,M) computed from the analytic line formulas."""
-    per_one, _, _ = f_line_one_sided(t_grid, p, q, M)
-    per_two, _, _ = f_line_two_sided(t_grid, p, q, M)
-    return nu_from_node_survivals(1.0 - per_one, 1.0 - per_two, k)
+def pair_survival_two_sided_line(s1_half: np.ndarray, M: int, j: int) -> np.ndarray:
+    """Prob(X_{j-1}=0, X_j=0) on the two-sided line of M nodes, j = 2..M:
+    the product S(j-1) S(M-j+1) of two half-rate circle survivals, read off
+    the S_1 table at q/2 (s1_half[m-1] = S_1(t;p,q/2,m))."""
+    _check_sizes(M=M, j=j)
+    if not 2 <= j <= M:
+        raise ValueError(f"j must be in 2..{M}, got {j}")
+    m = max(j - 1, M - j + 1)
+    if m > s1_half.shape[0]:
+        raise ValueError(f"the pair needs circle sizes up to {m}; the table has {s1_half.shape[0]}")
+    return s1_half[j - 2] * s1_half[M - j]
 
 
 def psi_diag(
@@ -480,19 +483,15 @@ def psi_diag(
     """psi(t,k,M) = S_2(t;q,k) + S_2(t;q,M-k+1)
     - Prob(X_{k-1}=0, X_k=0) - Prob(X_k=0, X_{k+1}=0) on the two-sided line;
     positive for t > 0, k >= 2, M >= 2k-1. s1 and s1_half are the S_1
-    tables at q and q/2 on t_grid, with at least M-k+1 sizes.
-
-    The pair probabilities are products of half-rate survivals read off
-    s1_half, as pair_survival_two_sided_line forms them.
+    tables at q and q/2 on t_grid, with at least M-k+1 sizes. The S_2
+    terms are read off s1 by the block shift, the pair probabilities come
+    from pair_survival_two_sided_line on s1_half.
     """
+    _check_sizes(k=k, M=M)
     if not (k >= 2 and M >= 2 * k - 1):
         raise ValueError(f"psi needs k >= 2 and M >= 2k-1, got k={k}, M={M}")
     t_grid = _check_time_grid(t_grid)
-
-    def pair(j: int) -> np.ndarray:
-        left = _block_survival(s1_half, t_grid, p, 1, j - 1)
-        return left * _block_survival(s1_half, t_grid, p, 1, M - j + 1)
-
     s2_left = _block_survival(s1, t_grid, p, 2, k)
     s2_right = _block_survival(s1, t_grid, p, 2, M - k + 1)
-    return s2_left + s2_right - pair(k) - pair(k + 1)
+    return (s2_left + s2_right - pair_survival_two_sided_line(s1_half, M, k)
+            - pair_survival_two_sided_line(s1_half, M, k + 1))

@@ -29,9 +29,9 @@ import numpy as np
 
 from .analytic import (
     DEFAULT_GRID_POINTS,
-    _alpha_table,
     _circle_survivals,
     _two_sided_lines,
+    alpha_diag,
     beta_diag,
     default_time_grid,
     f_circle,
@@ -39,7 +39,7 @@ from .analytic import (
     f_line_one_sided,
     f_line_two_sided,
     gamma_diag,
-    nu_from_node_survivals,
+    nu_diag,
     psi_diag,
 )
 from .curves import AdoptionCurve, _check_t_max, write_curve_csv
@@ -311,12 +311,12 @@ def _suite_appendix(spec: argparse.Namespace) -> dict:
     s1 = _circle_survivals(t, p, q, 9)
     s1_half, lines = _two_sided_lines(t, p, q, range(2, 10))
     entries = [_diag_entry("alpha", k, 0, row)
-               for k, row in enumerate(_alpha_table(t, p, q, 9), start=1)]
+               for k, row in enumerate(alpha_diag(t, p, q, 9), start=1)]
     entries += [_diag_entry("beta", k, M, beta_diag(t, p, k, M, s1, s1_half))
                 for M in range(2, 10) for k in range(1, M)]
     entries += [_diag_entry("gamma", k, M, gamma_diag(t, p, k, M, s1))
                 for M in range(3, 10) for k in range(1, M - 1)]
-    entries += [_diag_entry("nu", k, M, nu_from_node_survivals(s1[:M], s_two, k))
+    entries += [_diag_entry("nu", k, M, nu_diag(s1[:M], s_two, k))
                 for M, s_two in zip(range(2, 10), lines) for k in range(1, M + 1)]
     entries += [_diag_entry("psi", k, M, psi_diag(t, p, k, M, s1, s1_half))
                 for M in range(3, 10) for k in range(2, (M + 1) // 2 + 1)]

@@ -143,23 +143,32 @@ def _check_pq(p: float, q: float) -> None:
         raise ValueError(f"q must be non-negative and finite, got {q}")
 
 
+def _check_sizes(**sizes) -> None:
+    """Refuse a node count or index that is not an integer, naming it;
+    numpy integers pass, as SimConfig's trials do."""
+    for name, value in sizes.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_rates(M: int, p: float, q: float) -> None:
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
     _check_pq(p, q)
 
 
-def _sided_ok(sided: str) -> str:
+def _sided_ok(sided: str) -> None:
     if sided not in ("one", "two"):
         raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
-    return sided
 
 
-def _lattice_edges(D: int, side: int, q: float, sided: str, periodic: bool) -> np.ndarray:
-    """Edges of the D-dimensional grid of side^D nodes in C order: one
-    in-edge per coordinate from the left neighbor at q/D (one-sided), or
-    both neighbors at q/(2D) (two-sided). periodic wraps coordinates;
-    otherwise out-of-box neighbors are omitted with weights unchanged."""
+def _lattice(D: int, side: int, p: float, q: float, sided: str, periodic: bool) -> Network:
+    """The D-dimensional grid of side^D nodes in C order: one in-edge per
+    coordinate from the left neighbor at q/D (one-sided), or both neighbors
+    at q/(2D) (two-sided). periodic wraps coordinates; otherwise out-of-box
+    neighbors are omitted with weights unchanged."""
+    _check_rates(side, p, q)
+    _sided_ok(sided)
     M = side**D
     shape = (side,) * D
     coords = np.indices(shape).reshape(D, M)
@@ -172,28 +181,21 @@ def _lattice_edges(D: int, side: int, q: float, sided: str, periodic: bool) -> n
             src.append(np.ravel_multi_index(nb[:, valid], shape, mode="wrap"))
             dst.append(np.flatnonzero(valid))
     w = q / D if sided == "one" else q / (2 * D)
-    return _merge_edges(M, np.concatenate(src), np.concatenate(dst), w)
+    return Network(n=M, p=np.full(M, float(p)),
+                   edges=_merge_edges(M, np.concatenate(src), np.concatenate(dst), w))
 
 
 def build_circle(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Circle of M nodes; one-sided: edge (j-1)->j weight q; two-sided adds
     both neighbors at q/2 each."""
-    _check_rates(M, p, q)
-    return Network(
-        n=M,
-        p=np.full(M, float(p)),
-        edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=True),
-    )
+    _check_sizes(M=M)
+    return _lattice(1, M, p, q, sided, periodic=True)
 
 
 def build_line(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Line of M nodes (missing neighbors act as permanent non-adopters)."""
-    _check_rates(M, p, q)
-    return Network(
-        n=M,
-        p=np.full(M, float(p)),
-        edges=_lattice_edges(1, M, q, _sided_ok(sided), periodic=False),
-    )
+    _check_sizes(M=M)
+    return _lattice(1, M, p, q, sided, periodic=False)
 
 
 def build_grid(
@@ -211,21 +213,17 @@ def build_grid(
     coordinates; otherwise out-of-box neighbors are omitted with weights
     unchanged.
     """
+    _check_sizes(D=D, side=side)
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    _check_rates(side, p, q)
-    M = side**D
-    return Network(
-        n=M,
-        p=np.full(M, float(p)),
-        edges=_lattice_edges(D, side, q, _sided_ok(sided), periodic),
-    )
+    return _lattice(D, side, p, q, sided, periodic)
 
 
 def build_hybrid_circle_ray(circle_size: int, ray_size: int, p: float, q: float) -> Network:
     """One-sided circle of circle_size nodes from which a one-sided ray of
     ray_size nodes issues (all weights q). Circle nodes are 0..C-1, ray nodes
     C..C+K-1; the ray issues from circle node C-1."""
+    _check_sizes(circle_size=circle_size, ray_size=ray_size)
     if circle_size < 1 or ray_size < 1:
         raise ValueError("circle_size and ray_size must be >= 1")
     _check_rates(circle_size + ray_size, p, q)

@@ -18,7 +18,7 @@ from basslab.analytic import (
     f_line_one_sided,
     f_line_two_sided,
     gamma_diag,
-    nu_from_node_survivals,
+    nu_diag,
     psi_diag,
 )
 from basslab.network import (
@@ -110,7 +110,7 @@ def test_large_line_end_effects_and_center_ordering():
     assert s_two[0, -1] < s_one[0, -1]
     assert s_two[M - 1, -1] > s_one[M - 1, -1]
     for k in range(1, M + 1):
-        nu = nu_from_node_survivals(s_one, s_two, k)
+        nu = nu_diag(s_one, s_two, k)
         assert nu[-1] > 0, k
     assert time.monotonic() - start < 60.0
 
@@ -118,8 +118,8 @@ def test_large_line_end_effects_and_center_ordering():
 def test_diagnostic_series_positive_with_oracle_pairs():
     t = np.linspace(1.5, 30.0, 20)
     s1, s1_half = _circle_survivals(t, P, Q, 9), _circle_survivals(t, P, Q / 2, 9)
-    for k in range(1, 10):
-        assert np.all(alpha_diag(t, P, Q, k) > 0), ("alpha", k)
+    for k, row in enumerate(alpha_diag(t, P, Q, 9), start=1):
+        assert np.all(row > 0), ("alpha", k)
     for M in range(2, 10):
         for k in range(1, M):
             assert np.all(beta_diag(t, P, k, M, s1, s1_half) > 0), ("beta", k, M)

@@ -10,7 +10,6 @@ from basslab.analytic import (
     CLOSED_FORM_MAX_M,
     MAX_DECAY_SPAN,
     DegenerateParameters,
-    _alpha_table,
     _block_survival,
     _circle_survivals,
     _two_sided_lines,
@@ -26,13 +25,17 @@ from basslab.analytic import (
     gamma_diag,
     is_degenerate,
     nu_diag,
-    nu_from_node_survivals,
     pair_survival_two_sided_line,
     psi_diag,
     survival_circle,
     survival_circle_closed_form,
 )
-from basslab.network import build_hybrid_circle_ray, build_line
+from basslab.network import (
+    build_circle,
+    build_grid,
+    build_hybrid_circle_ray,
+    build_line,
+)
 from basslab.oracle import exact_f, solve_master
 from conftest import (
     brentq_horizon,
@@ -376,16 +379,20 @@ class TestLines:
         net = build_line(M, p, q, sided="two")
         t = np.linspace(0.0, 20.0, 11)
         sol = solve_master(net, t)
+        s1_half = _circle_survivals(t, p, q / 2, M)
         for j in range(2, M + 1):
-            closed = pair_survival_two_sided_line(t, p, q, M, j)
+            pair = pair_survival_two_sided_line(s1_half, M, j)
             ref = sol.survival([j - 2, j - 1])
-            assert np.max(np.abs(closed - ref)) < 1e-10
+            assert np.max(np.abs(pair - ref)) < 1e-10
 
     def test_pair_survival_bounds(self):
-        with pytest.raises(ValueError):
-            pair_survival_two_sided_line(T_GRID, 0.05, 0.3, 6, 1)
-        with pytest.raises(ValueError):
-            pair_survival_two_sided_line(T_GRID, 0.05, 0.3, 6, 7)
+        s1_half = _circle_survivals(T_GRID, 0.05, 0.15, 5)
+        with pytest.raises(ValueError, match="j must be in 2..6"):
+            pair_survival_two_sided_line(s1_half, 6, 1)
+        with pytest.raises(ValueError, match="j must be in 2..6"):
+            pair_survival_two_sided_line(s1_half, 6, 7)
+        with pytest.raises(ValueError, match="sizes up to 6; the table has 5"):
+            pair_survival_two_sided_line(s1_half, 7, 2)
 
     def test_quadrature_route_matches_ode_route(self):
         p, q, M = 0.04, 0.22, 5
@@ -456,7 +463,7 @@ class TestDiagnostics:
     def test_alpha_small_k_is_plain_difference(self):
         S1, _ = survival_circle(T_GRID, 0.05, 0.3, 1)
         S2, _ = survival_circle(T_GRID, 0.05, 0.3, 2)
-        assert np.max(np.abs(alpha_diag(T_GRID, 0.05, 0.3, 1) - (S1 - S2))) < 1e-10
+        assert np.max(np.abs(alpha_diag(T_GRID, 0.05, 0.3, 1)[0] - (S1 - S2))) < 1e-10
 
     @pytest.mark.parametrize("k", [8, 9])
     def test_alpha_deep_tail_matches_high_precision(self, k):
@@ -466,16 +473,16 @@ class TestDiagnostics:
             ref = hierarchy_expm_survival(t, 0.01, 0.1, k) - hierarchy_expm_survival(
                 t, 0.01, 0.1, k + 1
             )
-            got = alpha_diag(np.array([t]), 0.01, 0.1, k)[0]
+            got = alpha_diag(np.array([t]), 0.01, 0.1, k)[-1, 0]
             assert got == pytest.approx(ref, rel=1e-8)
 
     def test_alpha_table_rows_are_the_single_solves(self):
         # the appendix suite's grid: one k = 9 solve gives every row
         t = np.linspace(1.5, 30.0, 20)
-        table = _alpha_table(t, 0.01, 0.1, 9)
+        table = alpha_diag(t, 0.01, 0.1, 9)
         assert table.shape == (9, t.size) and np.all(table > 0)
         for k in range(1, 10):
-            np.testing.assert_allclose(table[k - 1], alpha_diag(t, 0.01, 0.1, k), rtol=1e-7)
+            np.testing.assert_allclose(table[k - 1], alpha_diag(t, 0.01, 0.1, k)[-1], rtol=1e-7)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -515,19 +522,23 @@ class TestDiagnostics:
         Sq, _ = survival_circle(T_GRID, p, q, M)
         Sh, _ = survival_circle(T_GRID, p, q / 2, M)
         expected = np.exp(-p * T_GRID) + Sq - 2 * Sh
-        assert np.max(np.abs(nu_diag(T_GRID, p, q, 1, M) - expected)) < 1e-10
+        s_one = _circle_survivals(T_GRID, p, q, M)
+        _, (s_two,) = _two_sided_lines(T_GRID, p, q, (M,))
+        assert np.max(np.abs(nu_diag(s_one, s_two, 1) - expected)) < 1e-10
 
     def test_nu_positive_all_k(self):
         t = T_GRID[1:]
+        s_one = _circle_survivals(t, 0.01, 0.1, 6)
+        _, (s_two,) = _two_sided_lines(t, 0.01, 0.1, (6,))
         for k in range(1, 7):
-            assert np.all(nu_diag(t, 0.01, 0.1, k, 6) > 0)
+            assert np.all(nu_diag(s_one, s_two, k) > 0)
 
     def test_nu_from_survivals_validation(self):
         s = np.ones((4, 3))
-        with pytest.raises(ValueError):
-            nu_from_node_survivals(s, np.ones((5, 3)), 1)
-        with pytest.raises(ValueError):
-            nu_from_node_survivals(s, s, 5)
+        with pytest.raises(ValueError, match="equal shapes"):
+            nu_diag(s, np.ones((5, 3)), 1)
+        with pytest.raises(ValueError, match="k must be in 1..4"):
+            nu_diag(s, s, 5)
 
     def test_psi_positive(self):
         t = T_GRID[1:]
@@ -568,21 +579,53 @@ class TestDecaySpan:
             f_circle(default_time_grid(1e-14, 0.1), 1e-14, 0.1, 6)
 
 
-@pytest.mark.parametrize("t", [[-1.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, np.nan]],
-                         ids=["negative-start", "descending", "repeated", "nan"])
-@pytest.mark.parametrize("solve", [
-    lambda t: f_circle(t, 0.01, 0.1, 6),  # closed form
-    lambda t: f_circle(t, 0.01, 0.1, CLOSED_FORM_MAX_M + 1),  # the S_1 recursion
-    lambda t: f_line_one_sided(t, 0.01, 0.1, 6),
-    lambda t: f_line_two_sided(t, 0.01, 0.1, 6),
-    lambda t: f_hybrid(t, 0.01, 0.1, 4, 2),
-    lambda t: alpha_diag(t, 0.01, 0.1, 3),
-], ids=["circle", "circle-ode", "line-one-sided", "line-two-sided", "hybrid", "alpha"])
-def test_bad_grid_is_refused_before_solving(monkeypatch, solve, t):
-    # f_circle once read f = -0.0095 at t = -1, outside [0, 1]
+_S1 = np.ones((4, T_GRID.size))  # an S_1 table; the size is refused before it is read
+
+# (case, call, the argument the refusal names)
+NON_INTEGER_SIZES = [
+    ("f_circle-closed-form", lambda: f_circle(T_GRID, 0.01, 0.1, 6.0), "M"),
+    ("f_circle-ode", lambda: f_circle(T_GRID, 0.01, 0.1, float(CLOSED_FORM_MAX_M + 1)), "M"),
+    ("survival_circle_closed_form", lambda: survival_circle_closed_form(T_GRID, 0.01, 0.1, 6.0), "M"),
+    ("circle_coefficients", lambda: circle_coefficients(0.01, 0.1, np.float64(6)), "M"),
+    ("default_time_grid", lambda: default_time_grid(0.01, 0.1, 200.0), "points"),
+    ("f_line_one_sided", lambda: f_line_one_sided(T_GRID, 0.01, 0.1, 6.0), "M"),
+    ("f_line_two_sided", lambda: f_line_two_sided(T_GRID, 0.01, 0.1, 2.5), "M"),
+    ("f_line_two_sided-one-node", lambda: f_line_two_sided(T_GRID, 0.01, 0.1, 1.0), "M"),
+    ("f_hybrid-circle", lambda: f_hybrid(T_GRID, 0.01, 0.1, 2.5, 2), "circle_size"),
+    ("f_hybrid-ray", lambda: f_hybrid(T_GRID, 0.01, 0.1, 2, "2"), "ray_size"),
+    ("alpha_diag", lambda: alpha_diag(T_GRID, 0.01, 0.1, 2.5), "k"),
+    ("beta_diag", lambda: beta_diag(T_GRID, 0.01, 1.0, 4, _S1, _S1), "k"),
+    ("gamma_diag", lambda: gamma_diag(T_GRID, 0.01, 1, 4.0, _S1), "M"),
+    ("nu_diag", lambda: nu_diag(_S1, _S1, 1.0), "k"),
+    ("pair_survival_two_sided_line", lambda: pair_survival_two_sided_line(_S1, 4, 2.0), "j"),
+    ("psi_diag", lambda: psi_diag(T_GRID, 0.01, 2, 4.0, _S1, _S1), "M"),
+    ("build_circle", lambda: build_circle(6.0, 0.01, 0.1), "M"),
+    ("build_line", lambda: build_line(6.0, 0.01, 0.1, sided="two"), "M"),
+    ("build_grid-D", lambda: build_grid(2.0, 3, 0.01, 0.1), "D"),
+    ("build_grid-side", lambda: build_grid(2, 3.0, 0.01, 0.1), "side"),
+    ("build_hybrid_circle_ray-circle", lambda: build_hybrid_circle_ray(2.5, 2, 0.01, 0.1), "circle_size"),
+    ("build_hybrid_circle_ray-ray", lambda: build_hybrid_circle_ray(2, 2.5, 0.01, 0.1), "ray_size"),
+]
+
+
+@pytest.mark.parametrize("call, name", [(call, name) for _, call, name in NON_INTEGER_SIZES],
+                         ids=[case for case, _, _ in NON_INTEGER_SIZES])
+def test_non_integer_size_is_refused(monkeypatch, call, name):
+    # the two-sided line once took 2.5 nodes for 2, and the other sizes
+    # ended in a TypeError of Python or numpy
     monkeypatch.setattr(analytic, "solve_ivp", lambda *args, **kwargs: pytest.fail("solved"))
-    with pytest.raises(ValueError, match="time grid"):
-        solve(np.array(t))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_sizes_pass():
+    t = np.linspace(0.0, 30.0, 7)
+    for solve in (f_line_one_sided, f_line_two_sided):
+        assert np.array_equal(solve(t, 0.01, 0.1, np.int64(5))[0], solve(t, 0.01, 0.1, 5)[0])
+    assert np.array_equal(f_hybrid(t, 0.01, 0.1, np.int32(3), np.int64(2))[0],
+                          f_hybrid(t, 0.01, 0.1, 3, 2)[0])
+    assert np.array_equal(alpha_diag(t, 0.01, 0.1, np.int64(3)), alpha_diag(t, 0.01, 0.1, 3))
+    assert build_circle(np.int64(6), 0.01, 0.1).edges == build_circle(6, 0.01, 0.1).edges
 
 
 class TestTimeGrid:

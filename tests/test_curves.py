@@ -207,10 +207,7 @@ GRID_TAKERS = [
     ("f_one_dim_limit", "closed-form", lambda t: analytic.f_one_dim_limit(t, P, Q)),
     ("gamma_diag", "table", lambda t: analytic.gamma_diag(t, P, 1, 4, _S1)),
     ("node_frequencies", "aggregate", lambda t: simulator.node_frequencies(_TIMES, t)),
-    ("nu_diag", "ode", lambda t: analytic.nu_diag(t, P, Q, 1, 4)),
     ("oracle_dominance_report", "oracle", lambda t: principles.oracle_dominance_report(P, Q, t)),
-    ("pair_survival_two_sided_line", "closed-form",
-     lambda t: analytic.pair_survival_two_sided_line(t, P, Q, 4, 2)),
     ("psi_diag", "table", lambda t: analytic.psi_diag(t, P, 2, 4, _S1, _S1)),
     ("run_event_driven", "dijkstra",
      lambda t: simulator.run_event_driven(build_circle(5, 0.1, 0.3), SimConfig(trials=300), t)),

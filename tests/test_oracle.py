@@ -10,6 +10,7 @@ import pytest
 
 from basslab import oracle
 from basslab.analytic import (
+    _circle_survivals,
     f_circle,
     f_hybrid,
     f_line_one_sided,
@@ -118,8 +119,9 @@ class TestSurvival:
     def test_adjacent_pair_on_two_sided_line_factorizes(self):
         p, q, M = 0.05, 0.3, 5
         sol = solve_master(build_line(M, p, q, sided="two"), T)
+        s1_half = _circle_survivals(T, p, q / 2, M)
         for j in range(2, M + 1):
-            ref = pair_survival_two_sided_line(T, p, q, M, j)
+            ref = pair_survival_two_sided_line(s1_half, M, j)
             assert np.max(np.abs(sol.survival([j - 2, j - 1]) - ref)) < 1e-10
 
     def test_set_monotone_in_omega(self):

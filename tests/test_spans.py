@@ -89,3 +89,24 @@ def test_ode_counter_counts_each_solve(tmp_path):
     proc = fresh_python(["-c", script], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0.0", "1.0"]
+
+
+def test_appendix_diagnostics_are_traced(tmp_path):
+    """verify --suite appendix calls each diagnostic through its public
+    name, so the tracer books it to analytic.diag: one alpha table and
+    36 beta, 28 gamma, 44 nu and 16 psi calls. Its ODE solves are the S_1
+    table at q, the joint two-sided lines and alpha's difference system."""
+    script = textwrap.dedent(f"""
+        import sys
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, {str(SPANS_PATH.parent)!r})
+        import basslab.cli
+        import spans
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        status = basslab.cli.main(["verify", "--suite", "appendix", "--out", "appendix.json"])
+        print(status, tracer.calls["analytic.diag"], tracer.counts["analytic.ode_calls"])
+    """)
+    proc = fresh_python(["-c", script], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "125", "3.0"]

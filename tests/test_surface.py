@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "curve_from_times", "default_time_grid", "dominance_pairs", "dominates",
     "event_trajectories", "exact_f", "exact_marginals", "f_circle", "f_hybrid",
     "f_line_one_sided", "f_line_two_sided", "f_one_dim_limit", "figure_plan", "gamma_diag",
-    "node_frequencies", "non_influential_edges", "nu_diag", "nu_from_node_survivals",
+    "node_frequencies", "non_influential_edges", "nu_diag",
     "oracle_dominance_report", "pair_survival_two_sided_line", "psi_diag", "read_curve_csv",
     "remove_edges", "run_coupled", "run_event_driven", "solve_master", "survival",
     "survival_circle", "survival_circle_closed_form", "verify_indifference",

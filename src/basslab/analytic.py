@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _check_time_grid
-from .network import _check_pq, _check_sizes
+from .network import _check_counts, _check_pq, _check_sizes
 
 # Degeneracy detection: the closed form excludes q = jp, j = 1..M-1.
 DEGENERACY_TOL = 1e-9
@@ -103,10 +103,8 @@ class CircleCoefficients:
 
 
 def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
-    _check_sizes(M=M)
+    _check_counts(M=M)
     _check_pq(p, q)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
     if M > CLOSED_FORM_MAX_M:
         raise ValueError(
             f"closed form capped at M <= {CLOSED_FORM_MAX_M} (got {M}); use the S_1 recursion"
@@ -209,10 +207,8 @@ def _survival_rates(t: float, u: np.ndarray, p: float, q: float) -> np.ndarray:
 def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndarray:
     """S_1(t;m) of the m-circle for every m = 1..M, shape (M, T), from one
     solve of the recursion."""
-    _check_sizes(M=M)
+    _check_counts(M=M)
     _check_pq(p, q)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
     return _integrate(lambda t, u: _survival_rates(t, u, p, q), t_grid, np.ones(M),
                       "circle recursion", p + q)
 
@@ -344,10 +340,8 @@ def f_line_two_sided(t_grid, p: float, q: float, M: int):
     Returns (per_node (M,T), f (T,), source): source "ode", or for M = 1
     the route survival_circle took.
     """
-    _check_sizes(M=M)
+    _check_counts(M=M)
     _check_pq(p, q)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
     if M == 1:
         S, source = survival_circle(t_grid, p, q / 2, 1)
         per_node = (1.0 - S)[None, :]
@@ -367,9 +361,7 @@ def f_hybrid(t_grid, p: float, q: float, circle_size: int, ray_size: int):
 
     Returns (per_node (C+K,T), f (T,), source="ode").
     """
-    _check_sizes(circle_size=circle_size, ray_size=ray_size)
-    if circle_size < 1 or ray_size < 1:
-        raise ValueError("circle_size and ray_size must be >= 1")
+    _check_counts(circle_size=circle_size, ray_size=ray_size)
     C, K = circle_size, ray_size
     f = 1.0 - _circle_survivals(t_grid, p, q, C + K)
     per_node = np.vstack([np.repeat(f[C - 1 : C], C, axis=0), f[C:]])

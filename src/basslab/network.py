@@ -151,10 +151,12 @@ def _check_sizes(**sizes) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_rates(M: int, p: float, q: float) -> None:
-    if M <= 0:
-        raise ValueError(f"M must be positive, got {M}")
-    _check_pq(p, q)
+def _check_counts(**counts) -> None:
+    """Refuse a node count that is not an integer >= 1, naming it."""
+    _check_sizes(**counts)
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _sided_ok(sided: str) -> None:
@@ -167,7 +169,7 @@ def _lattice(D: int, side: int, p: float, q: float, sided: str, periodic: bool) 
     coordinate from the left neighbor at q/D (one-sided), or both neighbors
     at q/(2D) (two-sided). periodic wraps coordinates; otherwise out-of-box
     neighbors are omitted with weights unchanged."""
-    _check_rates(side, p, q)
+    _check_pq(p, q)
     _sided_ok(sided)
     M = side**D
     shape = (side,) * D
@@ -188,13 +190,13 @@ def _lattice(D: int, side: int, p: float, q: float, sided: str, periodic: bool) 
 def build_circle(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Circle of M nodes; one-sided: edge (j-1)->j weight q; two-sided adds
     both neighbors at q/2 each."""
-    _check_sizes(M=M)
+    _check_counts(M=M)
     return _lattice(1, M, p, q, sided, periodic=True)
 
 
 def build_line(M: int, p: float, q: float, sided: str = "one") -> Network:
     """Line of M nodes (missing neighbors act as permanent non-adopters)."""
-    _check_sizes(M=M)
+    _check_counts(M=M)
     return _lattice(1, M, p, q, sided, periodic=False)
 
 
@@ -213,7 +215,8 @@ def build_grid(
     coordinates; otherwise out-of-box neighbors are omitted with weights
     unchanged.
     """
-    _check_sizes(D=D, side=side)
+    _check_sizes(D=D)
+    _check_counts(side=side)
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     return _lattice(D, side, p, q, sided, periodic)
@@ -223,10 +226,8 @@ def build_hybrid_circle_ray(circle_size: int, ray_size: int, p: float, q: float)
     """One-sided circle of circle_size nodes from which a one-sided ray of
     ray_size nodes issues (all weights q). Circle nodes are 0..C-1, ray nodes
     C..C+K-1; the ray issues from circle node C-1."""
-    _check_sizes(circle_size=circle_size, ray_size=ray_size)
-    if circle_size < 1 or ray_size < 1:
-        raise ValueError("circle_size and ray_size must be >= 1")
-    _check_rates(circle_size + ray_size, p, q)
+    _check_counts(circle_size=circle_size, ray_size=ray_size)
+    _check_pq(p, q)
     C, K = circle_size, ray_size
     circle, ray = np.arange(C), np.arange(K)
     return Network(

@@ -7,20 +7,25 @@ Monte Carlo curve, and `node_frequencies` into per-node frequencies.
 Curves come from one sampler, exact continuous-time sampling as
 first-passage percolation. Hazards add, so each adoption time is a
 shortest-path distance from a virtual source, with an Exp(1)/p_j edge into
-every node and an Exp(1)/w_ij edge along every network edge. The distances
-take one of two exact routes, with the same floats (see `_first_passage`):
-an acyclic network (every one-sided line and box) is swept once per block
-of trials in topological order (DAG-SHORTEST-PATHS, Cormen et al.,
-*Introduction to Algorithms*, 24.2) when that pays, and every other network
-goes to Dijkstra on a block-diagonal graph of a sub-block of trials. Both
-stop at a horizon: the grid's last point for a curve, config.t_max for the
-raw times, and a time past it is inf.
+every node and an Exp(1)/w_ij edge along every network edge. Every network
+takes one exact route to the distances (see `_first_passage`): label-
+correcting shortest paths done as Gauss-Seidel sweeps over the two DAGs of
+one node order (Bertsekas, *Network Optimization*, 1998, ch. 2; the "fast
+sweeping" of Zhao, *Math. Comp.* 2005), forward and backward in turn until
+a sweep changes nothing. That is the least fixed point of
+d(v) = min fl(d(u) + l_uv), the floats Dijkstra returns. An acyclic network
+(every one-sided line and box) has no backward DAG, and its one sweep in
+topological order is DAG-SHORTEST-PATHS (Cormen et al., *Introduction to
+Algorithms*, 24.2). Trials whose sweeps would cost more than Dijkstra go to
+it, on a block-diagonal graph of a sub-block of trials. The times past a
+horizon are inf: the grid's last point for a curve, config.t_max for the
+raw times.
 
 `run_coupled` checks pathwise dominance on a pair of networks by the
 standard monotone coupling of first-passage times (Lindvall, *Lectures on
 the Coupling Method*, 1992): each trial draws its Exp(1) clocks once, over
 the union of both networks' clocks, and each network divides the clocks it
-has by its own rates. Each network then takes its own route on those
+has by its own rates. Each network then runs the same kernel on those
 clocks, so the coupling needs no time step; when A's rates are
 componentwise <= B's, every clock is at least as short in B, and so is
 every first-passage time.
@@ -46,12 +51,18 @@ TRIAL_BLOCK = 512
 # graph nodes per Dijkstra call: small enough that its heap and arrays stay
 # in cache
 DIJKSTRA_NODES = 8192
-# the time of one level of the acyclic sweep over that of one node or edge
-# of one trial in Dijkstra. On 2 vCPUs a level of a one-sided line took
-# 6-15 us and Dijkstra 150-270 ns per node or edge, and the sweep overtook
-# Dijkstra on such lines at 16-24 trials per block, a ratio of 32-48; 64
-# leans towards Dijkstra where the two are close
-SWEEP_LEVEL_COST = 64
+# slot lengths per sweep sub-block: a sub-block gathers its trials' slot
+# lengths once, 1 MB of them before the padding, and reads them in every
+# sweep
+SWEEP_SLOTS = 2**17
+# the time of one level of a sweep over that of one node or edge of one
+# trial in Dijkstra. On 2 vCPUs a level took 4-5 us on lines and on the
+# two-sided 32x32 and 64x64 tori (sub-blocks of 512, 25 and 6 trials) and
+# 8-14 us on the two-sided 6x6x6 torus (86 trials), and Dijkstra 50-135 ns
+# per node or edge: ratios of about 40 on lines, 50-90 on those tori and
+# 160-200 on the 6x6x6 torus. Near the top of that range, the sweeps that a
+# budget cuts short cost at most about one Dijkstra solve of the same trials
+SWEEP_LEVEL_COST = 192
 DEFAULT_TRIALS = 4000
 # violation lists are for diagnosis; cap them so a badly ordered pair
 # cannot produce a gigabyte of report
@@ -75,141 +86,270 @@ class SimConfig:
             _check_t_max(self.t_max)
 
 
-def _graph(nets: list[Network], seeded: list[np.ndarray], R: int):
-    """Block-diagonal graph of R trials, with its edge lengths left to fill:
-    node 0 the virtual source, then each network's R*M nodes, trial r's
-    node j at r*M + j. Returns the CSR graph and, per network, two (R, .)
-    views of its data: the source's edges into the seeded nodes, and the
-    network's edges in edge order."""
+def _graph(net: Network, seeded: np.ndarray, R: int):
+    """Block-diagonal CSR graph of R trials of net, its edge lengths left to
+    fill: node 0 the virtual source, trial r's node j at 1 + r*M + j. Its
+    data holds the source's edges into the seeded nodes first, trial by
+    trial, then each trial's edges in edge order."""
     from scipy.sparse import csr_matrix
 
-    nodes_per_trial = sum(net.n for net in nets)
-    n_src = sum(s.size for s in seeded)
-    nnz = R * (n_src + sum(net.dst.size for net in nets))
-    # CSR rows: the source's edges first, R*n_p per network, then each
-    # network's node rows, trial r's with node ids offset by r*M and edge
-    # slots by r*E
-    indptr = np.empty(R * nodes_per_trial + 2, dtype=np.int32)
+    M, n_p, E = net.n, seeded.size, net.dst.size
+    trial = np.arange(R, dtype=np.int32)[:, None]
+    indptr = np.empty(R * M + 2, dtype=np.int32)
     indptr[0] = 0
-    indptr[-1] = nnz
-    indices = np.empty(nnz, dtype=np.int32)
-    slots = []
-    node, src_slot, edge_slot = 1, 0, R * n_src
-    for net, s in zip(nets, seeded):
-        M, n_p, E = net.n, s.size, net.dst.size
-        first = node + M * np.arange(R, dtype=np.int32)  # graph id of trial r's node 0
-        rows = indptr[node : node + R * M].reshape(R, M)
-        rows[:] = net.indptr[:M]
-        rows += (edge_slot + E * np.arange(R, dtype=np.int32))[:, None]
-        src = slice(src_slot, src_slot + R * n_p)
-        edge = slice(edge_slot, edge_slot + R * E)
-        np.add(first[:, None], s, out=indices[src].reshape(R, n_p))
-        np.add(first[:, None], net.dst, out=indices[edge].reshape(R, E))
-        slots.append((src, edge, n_p, E))
-        node, src_slot, edge_slot = node + R * M, src.stop, edge.stop
-    graph = csr_matrix((np.empty(nnz), indices, indptr), shape=(R * nodes_per_trial + 1,) * 2)
-    views = [(graph.data[src].reshape(R, n_p), graph.data[edge].reshape(R, E))
-             for src, edge, n_p, E in slots]
-    return graph, views
+    indptr[1:-1].reshape(R, M)[:] = R * n_p + E * trial + net.indptr[:M]
+    indptr[-1] = R * (n_p + E)
+    first = 1 + M * trial  # graph id of trial r's node 0
+    indices = np.concatenate([(first + seeded).ravel(), (first + net.dst).ravel()])
+    return csr_matrix((np.empty(indices.size), indices, indptr), shape=(R * M + 1,) * 2)
 
 
-def _levels(net: Network, max_levels: int) -> list[list[int]] | None:
-    """Topological levels of net's influence graph by Kahn's algorithm: level
-    0 holds the nodes without in-edges, and level l the nodes whose last
-    in-neighbour is on level l - 1. None for a cyclic graph, and as soon as
-    a level past max_levels would be needed, so a graph the sweep would not
-    pay for costs at most max_levels levels here."""
-    indeg = np.bincount(net.dst, minlength=net.n)
+def _dijkstra(net: Network, seeded: np.ndarray, length: np.ndarray, limit: float) -> np.ndarray:
+    """Adoption times, shape (R, M), of the R trials of length by Dijkstra
+    in calls of B = DIJKSTRA_NODES // M trials (at least 1, at most R), so
+    that the heap stays in cache. One graph of B trials (see `_graph`)
+    serves every call, its lengths refilled; a short last call of c trials
+    gives the source's edges into the other B - c length inf, so Dijkstra
+    reaches none of their nodes. Trials are disconnected components, so a
+    time does not depend on which trials share a call. Dijkstra keeps a
+    distance <= limit and returns inf above it: a node within limit is
+    reached only through nodes within limit, so this is the unlimited time
+    with every time past limit set to inf."""
+    # imported here, not at module level, as every scipy import in the
+    # package is: a command pays only for the parts of scipy it runs
+    from scipy.sparse.csgraph import dijkstra
+
+    R, M, n_p = len(length), net.n, seeded.size
+    B = min(R, max(1, DIJKSTRA_NODES // M))
+    graph = _graph(net, seeded, B)
+    src = graph.data[: B * n_p].reshape(B, n_p)
+    edge = graph.data[B * n_p :].reshape(B, -1)
+    out = np.empty((R, M))
+    for lo in range(0, R, B):
+        part = length[lo : lo + B]
+        c = len(part)
+        src[:c] = part[:, :n_p]
+        src[c:] = np.inf
+        edge[:c] = part[:, n_p:]
+        dist = dijkstra(graph, directed=True, indices=0, limit=limit)
+        out[lo : lo + c] = dist[1 : 1 + c * M].reshape(c, M)
+    return out
+
+
+def _levels(n: int, src: np.ndarray, dst: np.ndarray,
+            max_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Topological levels of the graph of n nodes with edges src -> dst, src
+    ascending, by Kahn's algorithm: level 0 holds the nodes without
+    in-edges, and level l the nodes whose last in-neighbour is on level
+    l - 1. Returns the nodes level by level and the number on each level.
+    A cyclic graph leaves the nodes on a cycle, and those it feeds, out of
+    every level. The search stops at max_levels + 1 levels, so a graph too
+    deep for the sweep to pay costs no more than that here."""
+    indeg = np.bincount(dst, minlength=n)
     level = np.flatnonzero(indeg == 0).tolist()
-    if not level:  # every circle, torus, hybrid and two-sided network
-        return None
-    indeg, indptr, dst = indeg.tolist(), net.indptr.tolist(), net.dst.tolist()
-    levels = []
-    while level:
-        if len(levels) == max_levels:
-            return None
-        levels.append(level)
-        level = []
-        for u in levels[-1]:
+    order, counts = [], []
+    if level:  # else no level: every circle, torus, hybrid and two-sided network
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        indeg, indptr, dst = indeg.tolist(), indptr.tolist(), dst.tolist()
+    while level and len(counts) <= max_levels:
+        order += level
+        counts.append(len(level))
+        last, level = level, []
+        for u in last:
             for v in dst[indptr[u] : indptr[u + 1]]:
                 indeg[v] -= 1
                 if not indeg[v]:
                     level.append(v)
-    return levels if sum(map(len, levels)) == net.n else None
+    return np.array(order, dtype=np.intp), np.array(counts, dtype=np.intp)
+
+
+_Level = tuple[slice | np.ndarray, int, int, int]  # (heads, lo, hi, number of heads)
 
 
 @dataclass(frozen=True)
 class _Sweep:
-    """Padded in-edge tables of an acyclic network of M nodes, renumbered in
-    topological order: row pos[j] of the sweep's (M + 2, R) time array
-    holds node j, row M the virtual source at time 0, and row M + 1 a
+    """Padded in-edge tables of a network of M nodes, one per DAG of its
+    in-edges (see `_sweep_plan`). Row pos[j] of the sweep's (M + 2, b) time
+    array holds node j, row M the virtual source at time 0, and row M + 1 a
     dummy node at time inf. Each in-edge, the source's edge into a seeded
     node included, is a slot: `rows` holds its tail's row and `cols` its
-    length's column in the network's clocks (its node clocks, then its
-    edge clocks). A level's nodes are rows a:b and its slots lo:hi, the
-    same number k per node; a node with fewer in-edges is padded with
-    slots from the dummy node, which read column 0."""
+    length's column in the network's clocks (its node clocks, then its edge
+    clocks). A level's heads are rows, a slice or an index array, and its
+    slots lo:hi are k runs of one slot per head, in the heads' order; a
+    head with fewer than k in-edges in the DAG is padded with slots from
+    the dummy node, which read column 0.
+    `sweeps` holds the levels of each DAG that has a slot, forward first.
+    `least` counts the levels of the fewest sweeps that end on most
+    trials: the one sweep of an acyclic network, and forward, backward and
+    a forward sweep that changes nothing on a cyclic one. `trials` is the
+    most trials a sub-block sweeps at once."""
 
     pos: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    levels: tuple[tuple[int, int, int, int], ...]  # (a, b, lo, hi) per level
+    sweeps: tuple[tuple[_Level, ...], ...]
+    least: int
+    trials: int
 
 
-def _sweep_plan(net: Network, seeded: np.ndarray, max_levels: int) -> _Sweep | None:
-    """The sweep's tables of net, or None when its graph is cyclic, has
-    more than max_levels levels or has no clock, so no column to read."""
-    levels = _levels(net, max_levels)
-    M, n_p, E = net.n, seeded.size, net.dst.size
-    if levels is None or n_p + E == 0:
-        return None
-    pos = np.empty(M, dtype=np.intp)
-    pos[np.concatenate(levels)] = np.arange(M)
-    # every slot's head row, tail row and length column, grouped by head
-    head = pos[np.concatenate([seeded, net.dst])]
-    by_head = np.argsort(head, kind="stable")
-    head = head[by_head]
-    tail = np.concatenate([np.full(n_p, M), pos[net.src]])[by_head]
-    indeg = np.bincount(head, minlength=M)
-    size = np.array([len(level) for level in levels])
-    first = np.cumsum(size) - size  # row of each level's first node
-    width = np.maximum(np.maximum.reduceat(indeg, first), 1)  # k of each level
-    hi = np.cumsum(size * width)
-    lo = hi - size * width
-    which = np.repeat(np.arange(len(levels)), size)  # level of each row
-    # a row's first slot: its level's lo, then k per earlier row of the
-    # level; a head's i-th in-edge takes the i-th slot from there
-    start = lo[which] + (np.arange(M) - first[which]) * width[which]
-    slot = start[head] + np.arange(head.size) - (np.cumsum(indeg) - indeg)[head]
+def _table(order: np.ndarray, counts: np.ndarray, head: np.ndarray, tail: np.ndarray,
+           col: np.ndarray, M: int, offset: int) -> tuple[np.ndarray, np.ndarray, list[_Level]]:
+    """Padded slot table of one DAG, from the rows of its heads level by
+    level, the number of heads on each level, and each slot's head row,
+    tail row and length column: the tail rows and columns of the padded
+    slots, and each level's (heads, lo, hi, number of heads), its slots
+    numbered from offset."""
+    place = np.empty(M, dtype=np.intp)  # a head's place in order
+    place[order] = np.arange(order.size)
+    at = place[head]
+    by_head = np.argsort(at, kind="stable")
+    at = at[by_head]
+    indeg = np.bincount(at, minlength=order.size)
+    first = np.cumsum(counts) - counts  # place of each level's first head
+    width = np.maximum.reduceat(indeg, first)  # k of each level
+    hi = np.cumsum(counts * width)
+    lo = hi - counts * width
+    which = np.repeat(np.arange(counts.size), counts)[at]  # level of each slot's head
+    # the i-th in-edges of a level's heads fill its i-th run of slots, in
+    # the heads' order, so that k runs of equal length hold its slots
+    i = np.arange(at.size) - (np.cumsum(indeg) - indeg)[at]
+    slot = lo[which] + i * counts[which] + at - first[which]
     rows = np.full(hi[-1], M + 1, dtype=np.intp)
     cols = np.zeros(hi[-1], dtype=np.intp)
-    rows[slot] = tail
-    cols[slot] = by_head
-    bounds = zip(first.tolist(), (first + size).tolist(), lo.tolist(), hi.tolist())
-    return _Sweep(pos, rows, cols, tuple(bounds))
+    rows[slot] = tail[by_head]
+    cols[slot] = col[by_head]
+    # a level whose rows ascend without a gap is a slice of the time array
+    gap = np.concatenate([[0], np.cumsum(np.diff(order) != 1)])
+    run = gap[first] == gap[first + counts - 1]
+    table = []
+    for a, n, r, row, start, end in zip(first.tolist(), counts.tolist(), run.tolist(),
+                                        order[first].tolist(), (lo + offset).tolist(),
+                                        (hi + offset).tolist()):
+        table.append((slice(row, row + n) if r else order[a : a + n], start, end, n))
+    return rows, cols, table
 
 
-def _sweep(plan: _Sweep, length: np.ndarray, limit: float, out: np.ndarray) -> None:
-    """Adoption times of R trials of an acyclic network into out, shape
-    (R, M), from its (R, n_clocks) edge lengths: one gather-add-min over
-    the trials per level, in topological order, its slots gathered from
-    the lengths with no copy of them. Every tail of a level's slots is on
-    an earlier level, the source or the dummy, so its time is final, and a
-    node's time is the minimum of fl(d(u) + l_uv) over its in-edges, the
-    same floats Dijkstra compares. A time past limit is then inf, as
-    Dijkstra's limit makes it."""
-    R = len(length)
-    slots = length.T[plan.cols]
-    times = np.empty((plan.pos.size + 2, R))
+def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep | None:
+    """The sweep's tables of net for blocks of R trials, or None when even
+    the fewest sweeps that can end (see `_Sweep`) would cost more than
+    Dijkstra on a sub-block: SWEEP_LEVEL_COST * least > b * (nodes + edges).
+
+    The nodes take one order: topological when the graph is acyclic, node
+    index otherwise. A slot whose tail comes before its head in that order,
+    the source's slots included, is in the forward DAG, and every other
+    slot in the backward DAG; both are acyclic. A node with no slot in a DAG
+    is no head of it, and a sweep of that DAG leaves its time alone. One
+    sweep reads each slot once, so an acyclic network sweeps a whole block
+    at a time; repeated sweeps keep their sub-block's slot lengths, so a
+    cyclic network sweeps b = SWEEP_SLOTS // slots trials at a time (at
+    least 1, at most R)."""
+    M, n_p, size = net.n, seeded.size, net.n + net.dst.size
+    order, counts = _levels(M, net.src, net.dst, R * size // SWEEP_LEVEL_COST)
+    if counts.size > R * size // SWEEP_LEVEL_COST:
+        return None
+    acyclic = order.size == M
+    b = R if acyclic else min(R, max(1, SWEEP_SLOTS // (n_p + net.dst.size)))
+    max_levels = b * size // SWEEP_LEVEL_COST
+    place = np.empty(M + 1, dtype=np.intp)  # each node's place in the order
+    place[M] = -1  # the source comes first
+    place[order if acyclic else np.arange(M)] = np.arange(M)
+    head = np.concatenate([seeded, net.dst])
+    tail = np.concatenate([np.full(n_p, M), net.src])
+    forward = place[tail] < place[head]
+    parts = [forward] if acyclic else [forward, ~forward]
+    dags = []
+    for part in parts:
+        edge = part[n_p:]
+        if not acyclic:
+            order, counts = _levels(M, net.src[edge], net.dst[edge], max_levels)
+        if counts.size > max_levels:
+            return None
+        # the DAG's heads level by level, less the levels that hold none
+        keep = np.bincount(head[part], minlength=M)[order] > 0
+        kept = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
+                           minlength=counts.size)
+        dags.append((order[keep], kept[kept > 0]))
+    least = sum(c.size for _, c in dags) + (dags[0][1].size if len(dags) == 2 else 0)
+    if least > max_levels:
+        return None
+    # rows: the forward DAG's heads level by level, then every other node
+    fwd = dags[0][0]
+    pos = np.empty(M, dtype=np.intp)
+    rest = np.ones(M, dtype=bool)
+    rest[fwd] = False
+    pos[np.concatenate([fwd, np.flatnonzero(rest)])] = np.arange(M)
+    row = np.append(pos, M)  # row of each node, then of the source
+    rows, cols, sweeps = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
+    for part, (heads, counts) in zip(parts, dags):
+        if heads.size:
+            r, c, table = _table(pos[heads], counts, pos[head[part]], row[tail[part]],
+                                 np.flatnonzero(part), M, sum(map(len, rows)))
+            rows.append(r)
+            cols.append(c)
+            sweeps.append(tuple(table))
+    return _Sweep(pos, np.concatenate(rows), np.concatenate(cols), tuple(sweeps), least, b)
+
+
+def _sweep(levels: tuple[_Level, ...], rows: np.ndarray, slots: np.ndarray,
+           times: np.ndarray) -> None:
+    """One sweep of a DAG's levels over times, the (M + 2, b) time array of b
+    trials, with slots the trials' slot lengths, one row per slot: for each
+    level in turn, one gather-add-min over the trials, whose result
+    min-updates the level's heads. Every tail of a level's slots is a head
+    of an earlier level or no head of the DAG, so the sweep leaves each
+    head's time at most fl(d(u) + l_uv) over its slots: the floats Dijkstra
+    compares."""
+    b = times.shape[1]
+    # method calls and ufunc.reduce skip numpy's Python wrappers, about a
+    # quarter of a level's time at a few trials per sub-block
+    for heads, lo, hi, n in levels:
+        cand = times.take(rows[lo:hi], axis=0)
+        cand += slots[lo:hi]
+        best = np.minimum.reduce(cand.reshape(-1, n, b)) if hi - lo > n else cand
+        if isinstance(heads, slice):
+            head = times[heads]
+            np.minimum(head, best, out=head)
+        else:
+            times[heads] = np.minimum(times[heads], best, out=best)
+
+
+def _solve(plan: _Sweep, length: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
+    """Adoption times of the b trials of length, shape (b, n_clocks), into
+    out, shape (b, M), by sweeps of the forward and the backward DAG in
+    turn, from every time inf but the source's. Returns the mask of the
+    trials whose times may not be final, which Dijkstra must solve.
+
+    A sweep of a DAG leaves d(v) <= fl(d(u) + l) on every slot of it, and
+    the start meets that on every backward slot, whose tails are all at
+    inf. So when a sweep changes no time of a trial, every slot of that
+    trial is met: its times are the least fixed point, the floats Dijkstra
+    returns, and no later sweep changes them. An acyclic network has no
+    backward DAG, and its one sweep is final. The sweeps stop when one
+    changes nothing, or before one whose levels, at SWEEP_LEVEL_COST each,
+    would take their cost past Dijkstra's on these trials, b * size."""
+    b = len(length)
+    times = np.full((out.shape[1] + 2, b), np.inf)
     times[-2] = 0.0
-    times[-1] = np.inf
-    for a, b, lo, hi in plan.levels:
-        cand = slots[lo:hi]
-        cand += times[plan.rows[lo:hi]]
-        cand.reshape(b - a, -1, R).min(axis=1, out=times[a:b])
+    changing = np.full(b, bool(plan.sweeps))
+    budget = b * size // SWEEP_LEVEL_COST  # the levels that cost what Dijkstra does
+    if plan.sweeps and plan.least <= budget:
+        slots = length.T[plan.cols]
+        if len(plan.sweeps) == 1:  # acyclic: its one sweep is final
+            _sweep(plan.sweeps[0], plan.rows, slots, times)
+            changing[:] = False
+        swept, k = 0, 0
+        while changing.any() and swept + len(plan.sweeps[k]) <= budget:
+            swept += len(plan.sweeps[k])
+            before = times.copy()
+            _sweep(plan.sweeps[k], plan.rows, slots, times)
+            changing = (times != before).any(axis=0)
+            del before
+            k = 1 - k
+        # freed first, so that the gather below does not add to the peak
+        del slots
     out[:] = times[plan.pos].T
-    if limit < np.inf:
-        out[out > limit] = np.inf
+    return changing
 
 
 def _first_passage(
@@ -224,24 +364,16 @@ def _first_passage(
     An index array picks a copy; a slice, for a lone network, picks a view
     that the division overwrites, which saves copying the draw.
 
-    Each network takes one of two exact routes over the same lengths. An
-    acyclic network (a one-sided line or box) sweeps its topological levels
-    once per RNG block of R trials (see `_sweep`), when
-    SWEEP_LEVEL_COST * levels <= R * (nodes + edges); the sweep's cost
-    grows with levels, Dijkstra's with R * (nodes + edges). Every other
-    network goes to Dijkstra: each RNG block's rows in sub-blocks of B =
-    DIJKSTRA_NODES // nodes_per_trial trials (at least 1, at most R),
-    nodes_per_trial over the networks that take it, so the heap stays in
-    cache, at O(trials * E * log(B * E)) cost. One block-diagonal graph of
-    B trials (see `_graph`) serves every sub-block; a short one of b trials
-    gives the source's edges into the other B - b length inf, so Dijkstra
-    reaches none of their nodes. Trials are disconnected components and a
-    distance is the minimum of d(u) + w over settled predecessors, so the
-    times do not depend on which trials share a call. Dijkstra keeps a
-    distance <= limit and returns inf above it: a node within limit is
-    reached only through nodes within limit, so the result is the
-    unlimited one with every time past limit set to inf. Both routes thus
-    give the same floats."""
+    Every network takes one exact route. Its sweep tables (see
+    `_sweep_plan`) are built once per call. Each RNG block's trials are
+    split evenly into sub-blocks of at most the plan's trials, and each
+    sub-block is swept, forward and backward in turn, to its fixed point
+    (see `_solve`). The trials still changing when the sweeps' cost,
+    SWEEP_LEVEL_COST per level, would pass Dijkstra's, b * (nodes + edges)
+    for b trials, go to Dijkstra (see `_dijkstra`). So does every trial of
+    a network whose fewest sweeps would already cost more, such as a thin
+    line at 1 trial. Both give the same floats, and a time past limit is
+    then inf. The worst case is thus the budget plus one Dijkstra solve."""
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
     R_max = min(TRIAL_BLOCK, config.trials)
@@ -250,16 +382,7 @@ def _first_passage(
             f"a block of {R_max} trials draws {R_max * n_clocks} clocks at once, "
             "16 GiB or more; use fewer trials or a smaller network"
         )
-    plans = [_sweep_plan(net, s, R_max * (net.n + net.dst.size) // SWEEP_LEVEL_COST)
-             for net, s in zip(nets, seeded)]
-    heap = [k for k, plan in enumerate(plans) if plan is None]  # the networks Dijkstra solves
-    if heap:
-        # imported here, not at module level, as every scipy import in the
-        # package is: a command pays only for the parts of scipy it runs
-        from scipy.sparse.csgraph import dijkstra
-
-        B = min(R_max, max(1, DIJKSTRA_NODES // sum(nets[k].n for k in heap)))
-        graph, views = _graph([nets[k] for k in heap], [seeded[k] for k in heap], B)
+    plans = [_sweep_plan(net, s, R_max) for net, s in zip(nets, seeded)]
     all_times = [np.empty((config.trials, net.n)) for net in nets]
     for block, done in enumerate(range(0, config.trials, TRIAL_BLOCK)):
         R = min(TRIAL_BLOCK, config.trials - done)
@@ -271,22 +394,18 @@ def _first_passage(
         del clocks
         for length, rate in zip(lengths, rates):
             length /= rate
-        for plan, length, times in zip(plans, lengths, all_times):
-            if plan is not None:
-                _sweep(plan, length, limit, times[done : done + R])
-        for lo in range(0, R, B) if heap else ():
-            b = min(B, R - lo)
-            for (src, edge), k in zip(views, heap):
-                n_p = src.shape[1]
-                src[:b] = lengths[k][lo : lo + b, :n_p]
-                src[b:] = np.inf
-                edge[:b] = lengths[k][lo : lo + b, n_p:]
-            dist = dijkstra(graph, directed=True, indices=0, limit=limit)
-            node = 1
-            for k in heap:
-                M = nets[k].n
-                all_times[k][done + lo : done + lo + b] = dist[node : node + b * M].reshape(b, M)
-                node += B * M
+        for net, s, plan, length, times in zip(nets, seeded, plans, lengths, all_times):
+            times = times[done : done + R]
+            if plan is None:
+                times[:] = _dijkstra(net, s, length, limit)
+                continue
+            b = -(-R // -(-R // plan.trials))  # even sub-blocks of at most plan.trials
+            for lo in range(0, R, b):
+                part, out = length[lo : lo + b], times[lo : lo + b]
+                late = _solve(plan, part, net.n + net.dst.size, out)
+                out[out > limit] = np.inf
+                if late.any():
+                    out[late] = _dijkstra(net, s, part[late], limit)
     return all_times
 
 
@@ -399,11 +518,15 @@ def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig())
     Each trial draws one Exp(1) clock per node with p_j > 0 in either
     network and one per edge of either; each network divides the clocks it
     has by its own rates. A clock a network lacks is not an edge of its
-    graph, so nothing is divided by 0. If A's parameters
-    are componentwise <= B's (the check is "not applicable" otherwise),
-    every length in B is at most the one in A, since IEEE division is
-    monotone, and so are path sums and the minimum over paths: the ordering
-    then holds in every cell, exactly.
+    graph, so nothing is divided by 0. Both networks then run the kernel of
+    `_first_passage` on their own lengths, each with its own sweep tables
+    and sub-blocks. Either way a time is the least fixed point of
+    d(v) = min fl(d(u) + l_uv), the minimum over paths of the path's
+    rounded sum, whether the sweeps reach it or a budget hands the trial to
+    Dijkstra. If A's parameters are componentwise <= B's (the check is "not
+    applicable" otherwise), every length in B is at most the one in A,
+    since IEEE division is monotone, and so are the rounded path sums and
+    their minimum: the ordering then holds in every cell, exactly.
 
     A violation is a (trial, node) cell with time_a < time_b. The report
     counts them and lists the first VIOLATION_LIST_CAP in trial-then-node

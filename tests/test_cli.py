@@ -296,6 +296,10 @@ class TestBadInput:
             (["simulate", "--topology", "grid", "-D", "0"], "D must be >= 1"),
             (["simulate", "--t-max", "-1"], "t_max must be positive"),
             (["analytic", "-p", "1e-13", "-q", "0"], "grid horizon T = 4.61e+13 is past 1e12"),
+            # the flag given is the one named, by one rule on both sides
+            (["simulate", "--topology", "grid", "-D", "2", "--side", "0"],
+             "side must be positive, got 0"),
+            (["analytic", "--topology", "circle", "-M", "0"], "M must be positive, got 0"),
         ],
     )
     def test_library_rejection_is_one_line(self, tmp_path, args, message):

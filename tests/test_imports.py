@@ -28,16 +28,18 @@ def test_import_and_parser_load_no_scipy(tmp_path):
 
 
 def test_closed_form_and_event_commands_skip_integrate_and_optimize(tmp_path):
-    loaded = loaded_after("""
+    # the closed form needs no scipy, and the sampler sweeps every one of
+    # these networks, cyclic or not, and calls no Dijkstra
+    assert loaded_after("""
         import basslab.cli
         assert basslab.cli.main(["analytic", "--topology", "circle", "-M", "6",
                                  "--out", "circle.csv"]) == 0
-        assert basslab.cli.main(["simulate", "--topology", "circle", "-M", "6",
-                                 "--trials", "20", "--out", "sim.csv"]) == 0
-    """, tmp_path)
-    assert "scipy.sparse.csgraph" in loaded  # the event sampler ran
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+        for k, argv in enumerate([["--topology", "circle", "-M", "6"],
+                                  ["--topology", "grid", "-D", "2", "--side", "6", "--sided", "two"],
+                                  ["--topology", "hybrid", "-M", "12", "--ray", "6"],
+                                  ["--preset", "fig12", "--trials", "20"]]):
+            assert basslab.cli.main(["simulate", *argv, "--out", f"sim{k}"]) == 0
+    """, tmp_path) == []
 
 
 def test_one_sided_line_and_box_load_no_scipy(tmp_path):
@@ -49,3 +51,19 @@ def test_one_sided_line_and_box_load_no_scipy(tmp_path):
         assert basslab.cli.main(["simulate", "--topology", "grid", "--sided", "one",
                                  "--out", "box.csv"]) == 0
     """, tmp_path) == []
+
+
+def test_sweep_budget_fallback_alone_loads_csgraph(tmp_path):
+    # the sweeps load nothing; a level cost that leaves the budget short of
+    # a fixed point sends trials to Dijkstra, and only then is csgraph loaded
+    loaded = loaded_after("""
+        import sys
+        from basslab import simulator
+        from basslab.network import build_circle
+        net = build_circle(6, 0.01, 0.1, sided="two")
+        simulator.event_trajectories(net, simulator.SimConfig(trials=512))
+        assert not any(m.startswith("scipy") for m in sys.modules)
+        simulator.SWEEP_LEVEL_COST = 512 * (net.n + net.dst.size) // 20
+        simulator.event_trajectories(net, simulator.SimConfig(trials=512))
+    """, tmp_path)
+    assert "scipy.sparse.csgraph" in loaded

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basslab import simulator
 from basslab.analytic import default_time_grid
@@ -14,6 +16,7 @@ from basslab.network import (
     build_hybrid_circle_ray,
     build_line,
     dominates,
+    _merge_edges,
 )
 from basslab.oracle import exact_f
 from basslab.principles import dominance_pairs
@@ -100,6 +103,22 @@ def _count_dijkstra(monkeypatch):
 
     monkeypatch.setattr(csgraph, "dijkstra", counted)
     return calls
+
+
+def _count_routes(monkeypatch):
+    """Count the sampler's sweeps and Dijkstra calls from here on; returns a
+    function that names the route they took."""
+    calls = _count_dijkstra(monkeypatch)
+    sweeps = []
+    sweep = simulator._sweep
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(simulator, "_sweep", counted)
+    return lambda: {(True, False): "sweep", (False, True): "dijkstra",
+                    (True, True): "both", (False, False): "none"}[bool(sweeps), bool(calls)]
 
 
 def _attained_time(times):
@@ -235,20 +254,23 @@ class TestEventDriven:
     # one, in each Dijkstra call; TRIAL_BLOCK 16 then splits 6 + 6 + 4, and
     # 45 trials leave a last RNG block of 13, split 6 + 6 + 1. None keeps
     # the module's value: 8 trials of the 32x32 torus per call, 20 trials
-    # in blocks of 16, split 8 + 8 and 4. The acyclic networks sweep their
-    # levels and call no Dijkstra.
-    @pytest.mark.parametrize("net, dijkstra_nodes, trials, trial_block, sweeps", [
-        (_silent_net(), 40, 45, 16, False),
-        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16, False),
-        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512, True),
-        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16, False),
-        (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False), None, 45, 16, True),
-        (_backward_line(7, 0.05, 0.3), None, 45, 512, True),
-        (_acyclic_silent_net(), None, 45, 512, True),
+    # in blocks of 16 and 4. At so few trials the small networks' sweeps
+    # would cost more than Dijkstra, so they take it at once. The torus's
+    # block of 16 sweeps until its budget runs out and hands the trials
+    # still changing to Dijkstra; its block of 4 takes Dijkstra at once.
+    # TestSweepRoute checks the sweeps themselves.
+    @pytest.mark.parametrize("net, dijkstra_nodes, trials, trial_block, route", [
+        (_silent_net(), 40, 45, 16, "dijkstra"),
+        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16, "dijkstra"),
+        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512, "dijkstra"),
+        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16, "both"),
+        (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False), None, 45, 16, "dijkstra"),
+        (_backward_line(7, 0.05, 0.3), None, 45, 512, "dijkstra"),
+        (_acyclic_silent_net(), None, 45, 512, "dijkstra"),
     ], ids=["silent", "torus4", "line", "torus32", "box3", "backward-line", "acyclic-silent"])
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_sampler_matches_reference_bit_for_bit(
-        self, monkeypatch, net, dijkstra_nodes, trials, trial_block, sweeps, horizon
+        self, monkeypatch, net, dijkstra_nodes, trials, trial_block, route, horizon
     ):
         if dijkstra_nodes is not None:
             monkeypatch.setattr(simulator, "DIJKSTRA_NODES", dijkstra_nodes)
@@ -258,9 +280,9 @@ class TestEventDriven:
         t_max = {"none": None, "attained": _attained_time(free), "early": 0.5}[horizon]
         cfg = SimConfig(trials=trials, base_seed=21, t_max=t_max)
         (ref,) = reference_first_passage([net], cfg)
-        calls = _count_dijkstra(monkeypatch)
+        taken = _count_routes(monkeypatch)
         assert np.array_equal(event_trajectories(net, cfg), ref)
-        assert (len(calls) == 0) == sweeps
+        assert taken() == route
         if t_max is not None:  # the horizon cuts some times and keeps others
             assert np.isinf(free).sum() < np.isinf(ref).sum() < ref.size
         if horizon == "attained":
@@ -480,7 +502,9 @@ class TestCoupled:
             "short-horizon": (build_circle(4, 0.05, 0.3, sided="one"),
                               build_circle(4, 0.05, 0.3, sided="two")),
             "one-trial-blocks": (lo, hi),
-            # the one-sided box sweeps, the two-sided box takes Dijkstra
+            # both boxes sweep: the one-sided box once, the two-sided box
+            # until a sweep changes nothing or, for a few trials of the
+            # short last block, its budget runs out
             "box-sides": (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
                           build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False)),
         }[case]
@@ -496,10 +520,10 @@ class TestCoupled:
 
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_shared_clock_times_match_reference_across_sub_blocks(self, monkeypatch, horizon):
-        # silent pair: 12 nodes per trial, 3 trials per Dijkstra call, so
-        # blocks of 16 split 3 x 5 + 1, and 45 trials leave a last RNG block
-        # of 13. Box pair: the one-sided box sweeps each block, and the
-        # two-sided box alone takes Dijkstra, one trial per call.
+        # at blocks of 16 trials no network here pays for its sweeps, so
+        # each takes Dijkstra on its own. Silent pair: 6 nodes, 6 trials per
+        # call, so blocks of 16 split 6 + 6 + 4, and 45 trials leave a last
+        # RNG block of 13. Box pair: 27 nodes, one trial per call.
         monkeypatch.setattr(simulator, "DIJKSTRA_NODES", 40)
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
         pairs = [(_silent_net(), _scaled(_silent_net(), 1.5)),
@@ -648,9 +672,11 @@ def test_large_network_needs_no_dense_matrix():
 
 def test_event_sampler_holds_little_beyond_its_draw():
     """On the 32x32 two-sided torus at 200 trials, the clock draw is 8.2 MB
-    (200 x 5120 float64) and the adoption times 1.6 MB. Dijkstra graphs of
-    8 trials each add about 0.6 MB: the run peaked at 10.5 MB, where one
-    graph of the whole 200-trial block peaked at 23 MB."""
+    (200 x 5120 float64) and the adoption times 1.6 MB. Sweeps of 25 trials
+    at a time keep their 6106 padded slot lengths, 1.2 MB: the run peaked
+    at 11.7 MB. Up to 0.23.0 it took Dijkstra on graphs of 8 trials and
+    peaked at 10.5 MB; one graph of the whole 200-trial block peaked at
+    23 MB."""
     net = build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True)
     t = default_time_grid(0.01, 0.1)
     run_event_driven(net, SimConfig(trials=2), t)  # keep scipy's first-call set-up out
@@ -663,23 +689,26 @@ def test_event_sampler_holds_little_beyond_its_draw():
     assert peak < 12e6
 
 
-@pytest.mark.parametrize("net, trials, dijkstra", [
-    (build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False), 2000, False),
-    (build_circle(6, 0.01, 0.1, sided="one"), 2000, True),
-    # 20,000 levels against 1 trial of 39,999 nodes and edges
-    (build_line(20000, 0.01, 0.1, sided="one"), 1, True),
-], ids=["one-sided-box", "one-sided-circle", "thin-line"])
-def test_route_of_each_network(monkeypatch, net, trials, dijkstra):
-    calls = _count_dijkstra(monkeypatch)
+@pytest.mark.parametrize("net, trials, route", [
+    (build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False), 2000, "sweep"),
+    (build_circle(6, 0.01, 0.1, sided="one"), 2000, "sweep"),
+    (build_grid(3, 6, 0.01, 0.1, sided="two", periodic=True), 2000, "sweep"),
+    (build_hybrid_circle_ray(30, 30, 0.01, 0.1), 2000, "sweep"),
+    # 20,000 levels against 1 trial of 39,999 nodes and edges: not even
+    # one sweep would pay
+    (build_line(20000, 0.01, 0.1, sided="one"), 1, "dijkstra"),
+], ids=["one-sided-box", "one-sided-circle", "two-sided-torus", "hybrid", "thin-line"])
+def test_route_of_each_network(monkeypatch, net, trials, route):
+    taken = _count_routes(monkeypatch)
     event_trajectories(net, SimConfig(trials=trials, base_seed=1))
-    assert (len(calls) > 0) == dijkstra
+    assert taken() == route
 
 
 def test_level_sweep_holds_little_beyond_its_draw():
     """On the one-sided 6x6x6 box at 512 trials, the clock draw is 3.1 MB
     (512 x 756 float64) and the adoption times 0.9 MB. The sweep gathers
     its 849 padded slots (3.5 MB) straight from the draw: the run peaked
-    at 9.3 MB. Up to 0.20.0 the sweep gathered them from a transposed
+    at 9.4 MB. Up to 0.20.0 the sweep gathered them from a transposed
     copy of the draw (3.1 MB more), and the run peaked at 10.6 MB. The
     Dijkstra route peaked at 4.8 MB."""
     net = build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False)
@@ -691,3 +720,108 @@ def test_level_sweep_holds_little_beyond_its_draw():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_sweeps_of_a_cyclic_network_hold_little_beyond_their_draw():
+    """On the two-sided 6x6x6 torus at 512 trials, the clock draw is 6.2 MB
+    (512 x 1512 float64) and the adoption times 0.9 MB. Sweeps of 86 trials
+    at a time keep their 1824 padded slot lengths, 1.3 MB: the run peaked
+    at 8.9 MB. Up to 0.23.0 it took Dijkstra and peaked at 7.9 MB."""
+    net = build_grid(3, 6, 0.01, 0.1, sided="two", periodic=True)
+    event_trajectories(net, SimConfig(trials=2))
+    tracemalloc.start()
+    try:
+        event_trajectories(net, SimConfig(trials=512, base_seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+@st.composite
+def cyclic_digraphs(draw):
+    """A digraph of 2-7 nodes, cyclic more often than not, some of its nodes
+    silent (p = 0), and coincident edges merged into one of their summed
+    weight."""
+    n = draw(st.integers(2, 7))
+    p = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=n, max_size=n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=n, max_size=3 * n))
+    src, step = np.array(pairs).T
+    return Network(n, p, _merge_edges(n, src, (src + step) % n, draw(st.sampled_from([0.1, 0.7, 2.5]))))
+
+
+class TestSweepRoute:
+    """The sweeps alone, forced by a level cost of 1, so that no budget runs
+    out; SWEEP_SLOTS 200 splits each block of 16 trials into sub-blocks of a
+    few trials."""
+
+    @pytest.fixture(autouse=True)
+    def _sweep_only(self, monkeypatch):
+        monkeypatch.setattr(simulator, "SWEEP_LEVEL_COST", 1)
+        monkeypatch.setattr(simulator, "SWEEP_SLOTS", 200)
+        monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
+
+    @pytest.mark.parametrize("net", [
+        build_circle(7, 0.05, 0.3, sided="one"),
+        build_circle(7, 0.05, 0.3, sided="two"),
+        build_grid(2, 4, 0.05, 0.3, sided="one", periodic=True),
+        build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True),
+        build_grid(3, 6, 0.01, 0.5, sided="two", periodic=True),
+        build_grid(2, 5, 0.01, 1.0, sided="two", periodic=False),
+        build_hybrid_circle_ray(5, 4, 0.05, 0.3),
+        _silent_net(),
+        # acyclic: one sweep of a whole block, in topological order
+        build_line(6, 0.05, 0.3, sided="one"),
+        build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
+        _backward_line(7, 0.05, 0.3),
+        _acyclic_silent_net(),
+    ], ids=["circle-one", "circle-two", "torus4-one", "torus4-two", "torus666-two", "box-two",
+            "hybrid", "silent", "line-one", "box3-one", "backward-line", "acyclic-silent"])
+    @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
+    def test_sweeps_match_reference_bit_for_bit(self, monkeypatch, net, horizon):
+        cfg = SimConfig(trials=21, base_seed=5)
+        (free,) = reference_first_passage([net], cfg)
+        t_max = {"none": None, "attained": _attained_time(free), "early": 2.0}[horizon]
+        cfg = SimConfig(trials=21, base_seed=5, t_max=t_max)
+        (ref,) = reference_first_passage([net], cfg)
+        taken = _count_routes(monkeypatch)
+        assert np.array_equal(event_trajectories(net, cfg), ref)
+        assert taken() == "sweep"
+        if t_max is not None:  # the horizon cuts some times and keeps others
+            assert np.isinf(free).sum() < np.isinf(ref).sum() < ref.size
+
+    def test_coupled_pair_sweeps_match_reference_bit_for_bit(self, monkeypatch):
+        _, lo, hi = dominance_pairs()[2]
+        cfg = SimConfig(trials=37, base_seed=13, t_max=40.0)
+        ref_a, ref_b = reference_first_passage([lo, hi], cfg)
+        taken = _count_routes(monkeypatch)
+        rep = run_coupled(lo, hi, cfg)
+        assert np.array_equal(rep["times_a"], ref_a)
+        assert np.array_equal(rep["times_b"], ref_b)
+        assert taken() == "sweep"
+
+    @given(cyclic_digraphs(), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_digraphs_match_reference_bit_for_bit(self, net, seed):
+        cfg = SimConfig(trials=9, base_seed=seed)
+        (ref,) = reference_first_passage([net], cfg)
+        assert np.array_equal(event_trajectories(net, cfg), ref)
+
+
+def test_budget_hands_the_trials_still_changing_to_dijkstra(monkeypatch):
+    # a level cost that pays for the first forward, backward and forward
+    # sweeps of a block of 16 trials and for no more: the trials that the
+    # third sweep still changes go to Dijkstra, and the rest keep their
+    # swept times
+    net = build_grid(2, 6, 0.01, 1.0, sided="two", periodic=True)
+    plan = simulator._sweep_plan(net, np.flatnonzero(net.p > 0).astype(np.int32), 10**9)
+    size = net.n + net.dst.size
+    monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
+    monkeypatch.setattr(simulator, "SWEEP_LEVEL_COST", 16 * size // plan.least)
+    assert 16 * size // simulator.SWEEP_LEVEL_COST < plan.least + len(plan.sweeps[1])
+    cfg = SimConfig(trials=32, base_seed=3)
+    (ref,) = reference_first_passage([net], cfg)
+    taken = _count_routes(monkeypatch)
+    assert np.array_equal(event_trajectories(net, cfg), ref)
+    assert taken() == "both"

@@ -6,11 +6,8 @@ simulation and an exact coupled dominance check, and structural
 verification of edge-indifference and parameter-monotonicity principles.
 """
 from .analytic import (
-    CircleCoefficients,
-    DegenerateParameters,
     alpha_diag,
     beta_diag,
-    circle_coefficients,
     default_time_grid,
     f_circle,
     f_hybrid,
@@ -22,9 +19,8 @@ from .analytic import (
     pair_survival_two_sided_line,
     psi_diag,
     survival_circle,
-    survival_circle_closed_form,
 )
-from .curves import AdoptionCurve, read_curve_csv, write_curve_csv
+from .curves import AdoptionCurve, write_curve_csv
 from .network import (
     Dominance,
     Network,
@@ -48,12 +44,9 @@ from .principles import (
     EdgeClassification,
     PlanCase,
     TransformPlan,
-    apply_transform,
     classify_edge,
-    corollary_monotonicity_suite,
     dominance_pairs,
     figure_plan,
-    non_influential_edges,
     oracle_dominance_report,
     verify_indifference,
 )
@@ -66,12 +59,10 @@ from .simulator import (
     run_event_driven,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 __all__ = [
     "AdoptionCurve",
-    "CircleCoefficients",
-    "DegenerateParameters",
     "Dominance",
     "EdgeClassification",
     "MasterSolution",
@@ -81,15 +72,12 @@ __all__ = [
     "TransformPlan",
     "add_edges",
     "alpha_diag",
-    "apply_transform",
     "beta_diag",
     "build_circle",
     "build_grid",
     "build_hybrid_circle_ray",
     "build_line",
-    "circle_coefficients",
     "classify_edge",
-    "corollary_monotonicity_suite",
     "curve_from_times",
     "default_time_grid",
     "dominance_pairs",
@@ -105,19 +93,16 @@ __all__ = [
     "figure_plan",
     "gamma_diag",
     "node_frequencies",
-    "non_influential_edges",
     "nu_diag",
     "oracle_dominance_report",
     "pair_survival_two_sided_line",
     "psi_diag",
-    "read_curve_csv",
     "remove_edges",
     "run_coupled",
     "run_event_driven",
     "solve_master",
     "survival",
     "survival_circle",
-    "survival_circle_closed_form",
     "verify_indifference",
     "weakly_dominates",
     "write_curve_csv",

@@ -37,7 +37,6 @@ infinite-line fraction, with no scipy root finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,90 +74,33 @@ GRID_COVERAGE = 0.99
 DEFAULT_GRID_POINTS = 200
 
 
-class DegenerateParameters(ValueError):
-    """q is within tolerance of jp for some j < M, so the closed-form
-    coefficients are singular; use the S_1 recursion instead."""
-
-
-def is_degenerate(p: float, q: float, M: int) -> bool:
-    """True if q is within tolerance of jp for some j in 1..M-1."""
-    _check_pq(p, q)
+def _closed_form(t: np.ndarray, p: float, q: float, M: int) -> np.ndarray | None:
+    """S_1(t;M) on the circle by the exponent sum, or None where the router
+    must not take it: M past CLOSED_FORM_MAX_M, q within DEGENERACY_TOL of a
+    resonance jp (j < M), where the coefficients are singular, or a rounding
+    bound eps * (sum_k |A_k| + |B|) past CLOSED_FORM_ROUNDING. The
+    coefficients grow like (q/p)^k / k!, so large q/p or a near-resonance
+    fails the bound long before the cap. survival_circle checks t, p, q and
+    M first."""
     tol = DEGENERACY_TOL * max(p, q)
-    return any(abs(q - j * p) < tol for j in range(1, M))
-
-
-@dataclass(frozen=True, eq=False)
-class CircleCoefficients:
-    """Closed-form exponent coefficients for S_1(t;M) on the circle.
-
-    A has length M-1 (A[k-1] multiplies e^{-(kp+q)t}); B multiplies
-    e^{-Mpt}.
-    """
-
-    M: int
-    p: float
-    q: float
-    A: np.ndarray
-    B: float
-
-
-def circle_coefficients(p: float, q: float, M: int) -> CircleCoefficients:
-    _check_counts(M=M)
-    _check_pq(p, q)
-    if M > CLOSED_FORM_MAX_M:
-        raise ValueError(
-            f"closed form capped at M <= {CLOSED_FORM_MAX_M} (got {M}); use the S_1 recursion"
-        )
-    if is_degenerate(p, q, M):
-        raise DegenerateParameters(f"q={q} is within tolerance of a multiple of p={p} below M={M}")
-    if M == 1:
-        return CircleCoefficients(M=1, p=p, q=q, A=np.zeros(0), B=1.0)
+    if M > CLOSED_FORM_MAX_M or any(abs(q - j * p) < tol for j in range(1, M)):
+        return None
     # Forward recursion over sizes 2..M: each size's A vector comes from the
-    # previous size's.
-    A_prev: list[float] = []
-    B_prev = 1.0
-    A_cur: list[float] = []
-    B_cur = 1.0
+    # previous size's. A[k-1] multiplies e^{-(kp+q)t}, B multiplies e^{-Mpt}.
+    A: list[float] = []
+    B = 1.0
     for m in range(2, M + 1):
         denom = q - (m - 1) * p
-        B_cur = q * B_prev / denom
-        A_cur = [0.0] * (m - 1)
-        A_cur[0] = 1.0 + (q / p) * sum(A_prev[k - 1] / k for k in range(1, m - 1)) - q * B_prev / denom
-        for k in range(2, m):
-            A_cur[k - 1] = -q * A_prev[k - 2] / ((k - 1) * p)
-        A_prev, B_prev = A_cur, B_cur
-    return CircleCoefficients(M=M, p=p, q=q, A=np.asarray(A_cur), B=B_cur)
-
-
-def _trusted_coefficients(p: float, q: float, M: int) -> CircleCoefficients | None:
-    """The closed-form coefficients when automatic routing may use them, else
-    None: M within CLOSED_FORM_MAX_M, q off every resonance, and the
-    exponent sum's rounding bound eps * (sum_k |A_k| + |B|) at most
-    CLOSED_FORM_ROUNDING. The coefficients grow like (q/p)^k / k!, so large
-    q/p or a near-resonance fails the bound long before the cap."""
-    if M > CLOSED_FORM_MAX_M or is_degenerate(p, q, M):
+        A = [1.0 + (q / p) * sum(A[k - 1] / k for k in range(1, m - 1)) - q * B / denom,
+             *(-q * A[k - 2] / ((k - 1) * p) for k in range(2, m))]
+        B = q * B / denom
+    bound = np.finfo(float).eps * (float(np.abs(np.asarray(A)).sum()) + abs(B))
+    if not bound <= CLOSED_FORM_ROUNDING:  # NaN fails too
         return None
-    coef = circle_coefficients(p, q, M)
-    bound = np.finfo(float).eps * (float(np.abs(coef.A).sum()) + abs(coef.B))
-    return coef if bound <= CLOSED_FORM_ROUNDING else None
-
-
-def _exponent_sum(t, coef: CircleCoefficients) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    S = coef.B * np.exp(-coef.M * coef.p * t)
-    for k in range(1, coef.M):
-        S = S + coef.A[k - 1] * np.exp(-(k * coef.p + coef.q) * t)
+    S = B * np.exp(-M * p * t)
+    for k in range(1, M):
+        S = S + A[k - 1] * np.exp(-(k * p + q) * t)
     return S
-
-
-def survival_circle_closed_form(t, p: float, q: float, M: int) -> np.ndarray:
-    """S_1(t;M) on the circle via the explicit exponent sum.
-
-    Raises DegenerateParameters when q is within tolerance of jp (j < M).
-    A scalar t is a one-point grid.
-    """
-    t = _check_time_grid(np.atleast_1d(t))
-    return _exponent_sum(t, circle_coefficients(p, q, M))
 
 
 def solve_ivp(*args, **kwargs):
@@ -214,18 +156,19 @@ def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndar
 
 
 def survival_circle(t_grid, p: float, q: float, M: int):
-    """S_1(t;M) with automatic routing: closed form where
-    _trusted_coefficients vouches for it, the S_1 recursion otherwise (near
-    a resonance, at large q/p, or at large M). survival_circle_closed_form
-    and _circle_survivals are the two routes without the router.
+    """S_1(t;M) with automatic routing: the exponent sum where _closed_form
+    vouches for it, the S_1 recursion otherwise (near a resonance, at large
+    q/p, or at large M).
 
     Returns (values, source) with source in {"closed_form", "ode"}.
     """
     _check_sizes(M=M)
     t_grid = _check_time_grid(t_grid)
-    coef = _trusted_coefficients(p, q, M)
-    if coef is not None:
-        return _exponent_sum(t_grid, coef), "closed_form"
+    _check_pq(p, q)
+    _check_counts(M=M)
+    S = _closed_form(t_grid, p, q, M)
+    if S is not None:
+        return S, "closed_form"
     return _circle_survivals(t_grid, p, q, M)[M - 1], "ode"
 
 

@@ -109,23 +109,3 @@ def write_curve_csv(path_or_file: str | IO[str], curve: AdoptionCurve) -> None:
             fh.write(text)
     else:
         path_or_file.write(text)
-
-
-def read_curve_csv(path: str) -> AdoptionCurve:
-    """Read a curve written by write_curve_csv. Source is not stored in the
-    file, so the result is tagged 'monte_carlo' when a stderr column exists
-    and 'ode' otherwise."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    cols = {name: data[:, k] for k, name in enumerate(header)}
-    node_names = [h for h in header if h.startswith("node_")]
-    per_node = np.vstack([cols[h] for h in node_names]) if node_names else None
-    stderr = cols.get("stderr")
-    return AdoptionCurve(
-        t=cols["t"],
-        f=cols["f"],
-        source="monte_carlo" if stderr is not None else "ode",
-        per_node=per_node,
-        stderr=stderr,
-    )

@@ -91,15 +91,6 @@ def classify_edge(net: Network, omega, edge: tuple[int, int]) -> EdgeClassificat
     return EdgeClassification((a, b), True, None, "carries influence to the observed set")
 
 
-def non_influential_edges(net: Network, omega) -> list[EdgeClassification]:
-    """All edges of the network that are non-influential for omega."""
-    return [
-        cls
-        for i, j in zip(net.src.tolist(), net.dst.tolist())
-        if not (cls := classify_edge(net, omega, (i, j))).influential
-    ]
-
-
 @dataclass(frozen=True)
 class TransformPlan:
     """Edge deletions then insertions to apply against a fixed observed set.
@@ -124,8 +115,8 @@ class TransformPlan:
             raise ValueError("omega must be non-empty")
 
 
-def _apply_with_records(net: Network, plan: TransformPlan, strict: bool):
-    """Shared engine: returns (transformed network, classification list)."""
+def _apply_with_records(net: Network, plan: TransformPlan):
+    """The plan's network and the classification of every edge it touches."""
     records: list[EdgeClassification] = []
     for e in plan.removals:
         records.append(classify_edge(net, plan.omega, e))
@@ -133,25 +124,14 @@ def _apply_with_records(net: Network, plan: TransformPlan, strict: bool):
     for i, j, w in plan.additions:
         cur = add_edges(cur, [(i, j, w)])
         records.append(classify_edge(cur, plan.omega, (i, j)))
-    if strict:
-        bad = [r for r in records if r.influential]
-        if bad:
-            raise ValueError(f"plan touches influential edges: {[r.edge for r in bad]}")
     return cur, records
-
-
-def apply_transform(net: Network, plan: TransformPlan) -> Network:
-    """Apply the plan's removals then additions; raises if any touched edge
-    is influential for the plan's node set."""
-    transformed, _records = _apply_with_records(net, plan, strict=True)
-    return transformed
 
 
 def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID) -> dict:
     """Check that the plan leaves Prob(omega untouched) invariant, by exact
     master-equation solves of both networks."""
     t_grid = _check_time_grid(t_grid)
-    transformed, records = _apply_with_records(net, plan, strict=False)
+    transformed, records = _apply_with_records(net, plan)
     before = survival(net, plan.omega, t_grid)
     after = survival(transformed, plan.omega, t_grid)
     max_gap = float(np.max(np.abs(before - after)))
@@ -332,39 +312,3 @@ def oracle_dominance_report(p: float = 0.01, q: float = 0.1, t_grid=VERIFY_GRID)
             }
         )
     return out
-
-
-def corollary_monotonicity_suite(base: Network, added_edges, t_grid=VERIFY_GRID) -> dict:
-    """Exact check that adding positive-weight edges can only speed adoption:
-    the expected adopter fraction after the additions is strictly larger at
-    every sampled t > 0 (and exactly equal when nothing is added)."""
-    t_grid = _check_time_grid(t_grid)
-    added = tuple((int(i), int(j), float(w)) for i, j, w in added_edges)
-    for i, j, w in added:
-        if w <= 0:
-            raise ValueError(f"edge {i}->{j} must have positive weight, got {w}")
-        if base.has_edge(i, j):
-            raise ValueError(f"edge {i}->{j} already present in the base network")
-    augmented = add_edges(base, added) if added else base
-    relation = dominates(base, augmented)
-    f_base = exact_marginals(base, t_grid).mean(axis=0)
-    f_aug = exact_marginals(augmented, t_grid).mean(axis=0)
-    gap = f_aug - f_base
-    positive = t_grid > 0
-    min_gap = float(gap[positive].min()) if positive.any() else 0.0
-    max_abs_gap = float(np.max(np.abs(gap)))
-    if added:
-        passed = bool(np.all(gap >= 0) and (not positive.any() or min_gap > 0))
-    else:
-        passed = bool(max_abs_gap == 0.0)
-    return {
-        "n_added": len(added),
-        "relation": relation.value,
-        "t": t_grid.tolist(),
-        "f_base": f_base.tolist(),
-        "f_augmented": f_aug.tolist(),
-        "min_gap": min_gap,
-        "max_abs_gap": max_abs_gap,
-        "strict": bool(added),
-        "passed": passed,
-    }

@@ -10,14 +10,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from basslab import simulator
-from basslab.analytic import (
-    _exponent_sum,
-    _integrate,
-    _survival_rates,
-    _trusted_coefficients,
-    f_one_dim_limit,
-    survival_circle,
-)
+from basslab.analytic import _closed_form, _integrate, _survival_rates, f_one_dim_limit, survival_circle
+from basslab.curves import AdoptionCurve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -32,6 +26,26 @@ def fresh_python(args, cwd, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def read_curve_csv(path):
+    """Read back a curve the CLI wrote with write_curve_csv. The file holds no
+    source, so the curve is tagged 'monte_carlo' when it has a stderr
+    column and 'ode' otherwise."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    cols = {name: data[:, k] for k, name in enumerate(header)}
+    node_names = [h for h in header if h.startswith("node_")]
+    per_node = np.vstack([cols[h] for h in node_names]) if node_names else None
+    stderr = cols.get("stderr")
+    return AdoptionCurve(
+        t=cols["t"],
+        f=cols["f"],
+        source="monte_carlo" if stderr is not None else "ode",
+        per_node=per_node,
+        stderr=stderr,
+    )
 
 
 def independent_survival(t, p_vec, nodes):
@@ -164,9 +178,8 @@ def shift_identity_residual(t_grid, p, q, k, M, sided="one"):
 def survival_interpolant(p, q, M, t_max, k=1):
     """Evaluator for S_k(tau;M) at any tau in [0, t_max]: the closed form for
     k = 1 where the library trusts it, else the hierarchy's dense output."""
-    coef = _trusted_coefficients(p, q, M) if k == 1 else None
-    if coef is not None:
-        return lambda tau: _exponent_sum(tau, coef)
+    if k == 1 and _closed_form(np.zeros(1), p, q, M) is not None:
+        return lambda tau: _closed_form(np.atleast_1d(np.asarray(tau, dtype=float)), p, q, M)
     L = _hierarchy_matrix(p, q, M)
     sol = solve_ivp(lambda _t, y: L @ y, (0.0, float(t_max)), np.ones(M), dense_output=True,
                     method="DOP853", rtol=HIERARCHY_RTOL, atol=HIERARCHY_ATOL)

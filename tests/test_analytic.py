@@ -9,13 +9,12 @@ from basslab import analytic
 from basslab.analytic import (
     CLOSED_FORM_MAX_M,
     MAX_DECAY_SPAN,
-    DegenerateParameters,
     _block_survival,
     _circle_survivals,
+    _closed_form,
     _two_sided_lines,
     alpha_diag,
     beta_diag,
-    circle_coefficients,
     default_time_grid,
     f_circle,
     f_hybrid,
@@ -23,12 +22,10 @@ from basslab.analytic import (
     f_line_two_sided,
     f_one_dim_limit,
     gamma_diag,
-    is_degenerate,
     nu_diag,
     pair_survival_two_sided_line,
     psi_diag,
     survival_circle,
-    survival_circle_closed_form,
 )
 from basslab.network import (
     build_circle,
@@ -77,32 +74,36 @@ def hierarchy_expm_survival(t, p, q, M, k=1, dps=60):
     return hierarchy_expm_rows([t], p, q, M, t, dps)[0][k - 1]
 
 
+def closed_form(t, p, q, M):
+    """survival_circle on t, required to take the exponent sum."""
+    S, source = survival_circle(np.atleast_1d(t), p, q, M)
+    assert source == "closed_form"
+    return S
+
+
 class TestClosedForm:
     def test_two_block_value_from_first_principles(self):
         # S(t;2) solves S' = -(p+q)S + q e^{-2pt}, S(0)=1; at p=.1, q=.3, t=1
         # the explicit solution is 1.5 e^{-0.2} - 0.5 e^{-0.4}.
         expected = 1.5 * math.exp(-0.2) - 0.5 * math.exp(-0.4)
-        got = survival_circle_closed_form(1.0, 0.1, 0.3, 2)[0]
+        got = closed_form(1.0, 0.1, 0.3, 2)[0]
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(0.8929361065991531, abs=1e-15)
 
     @pytest.mark.parametrize("p,q", [(0.01, 0.1), (0.1, 0.45), (0.3, 2.0)])
     @pytest.mark.parametrize("M", [1, 2, 3, 5, 8, 10])
     def test_coefficients_sum_to_one(self, p, q, M):
-        coef = circle_coefficients(p, q, M)
-        assert abs(coef.A.sum() + coef.B - 1.0) < 1e-10
-
-    def test_leading_coefficient_factorial_relation(self):
-        p, q, M = 0.02, 0.17, 7
-        coef = circle_coefficients(p, q, M)
-        for m in range(2, M):
-            leading = circle_coefficients(p, q, M - m + 1).A[0]  # A_{1,M-m+1}
-            expected = (-q) ** (m - 1) / (math.factorial(m - 1) * p ** (m - 1)) * leading
-            assert coef.A[m - 1] == pytest.approx(expected, rel=1e-12)
+        # at t = 0 every exponential is 1, so the exponent sum reads
+        # sum_k A_k + B. At M = 8 and 10 these rates fail the rounding bound
+        # and the router takes the recursion, which starts at 1.
+        S, source = survival_circle(np.zeros(1), p, q, M)
+        assert source == ("closed_form" if M <= 5 else "ode")
+        assert abs(S[0] - 1.0) < 1e-10
 
     @pytest.mark.parametrize("p,q,M", [(0.01, 0.1, 4), (0.1, 0.45, 8), (0.05, 0.3, 5)])
     def test_matches_ode_hierarchy(self, p, q, M):
-        closed = survival_circle_closed_form(T_GRID, p, q, M)
+        # M = 8 at q/p = 4.5 fails the rounding bound: the router's recursion
+        closed, _ = survival_circle(T_GRID, p, q, M)
         ode = hierarchy_survivals(T_GRID, p, q, M)[0]
         assert np.max(np.abs(closed - ode)) < 1e-9
 
@@ -111,18 +112,18 @@ class TestClosedForm:
         p, q = 0.07, 0.23
         for t in (0.5, 3.0, 12.0):
             ref = hierarchy_expm_survival(t, p, q, M)
-            assert survival_circle_closed_form(t, p, q, M)[0] == pytest.approx(ref, abs=1e-13)
+            assert closed_form(t, p, q, M)[0] == pytest.approx(ref, abs=1e-13)
 
     def test_single_node_is_pure_spontaneous(self):
-        S = survival_circle_closed_form(T_GRID, 0.1, 0.45, 1)
+        S = closed_form(T_GRID, 0.1, 0.45, 1)
         assert np.allclose(S, np.exp(-0.1 * T_GRID), rtol=1e-15, atol=0)
 
     def test_zero_q_is_pure_spontaneous(self):
-        S = survival_circle_closed_form(T_GRID, 0.1, 0.0, 5)
+        S = closed_form(T_GRID, 0.1, 0.0, 5)
         assert np.allclose(S, np.exp(-0.1 * T_GRID), rtol=1e-12, atol=1e-15)
 
     def test_monotone_decreasing_from_one(self):
-        S = survival_circle_closed_form(T_GRID, 0.05, 0.4, 6)
+        S = closed_form(T_GRID, 0.05, 0.4, 6)
         assert S[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(S) < 0)
         assert np.all((S >= 0) & (S <= 1 + 1e-12))
@@ -130,14 +131,11 @@ class TestClosedForm:
 
 class TestDegeneracyRouting:
     def test_detection(self):
-        assert is_degenerate(0.05, 0.3, 7)  # q = 6p enters at M >= 7
-        assert not is_degenerate(0.05, 0.3, 6)
-        assert is_degenerate(0.1, 0.2, 3)
-        assert not is_degenerate(0.1, 0.25, 3)
-
-    def test_closed_form_raises_at_resonance(self):
-        with pytest.raises(DegenerateParameters):
-            survival_circle_closed_form(T_GRID, 0.05, 0.3, 7)
+        # q = 6p enters at M >= 7; the exponent sum is refused at a resonance
+        assert _closed_form(T_GRID, 0.05, 0.3, 7) is None
+        assert _closed_form(T_GRID, 0.05, 0.3, 6) is not None
+        assert _closed_form(T_GRID, 0.1, 0.2, 3) is None
+        assert _closed_form(T_GRID, 0.1, 0.25, 3) is not None
 
     def test_auto_reroutes_to_ode(self):
         S, source = survival_circle(T_GRID, 0.05, 0.3, 7)
@@ -155,16 +153,21 @@ class TestDegeneracyRouting:
         assert S[0] == pytest.approx(ref, abs=1e-10)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            survival_circle_closed_form(T_GRID, 0.01, 0.1, CLOSED_FORM_MAX_M + 1)
+        assert _closed_form(T_GRID, 0.1, 0.01, CLOSED_FORM_MAX_M) is not None
+        assert _closed_form(T_GRID, 0.1, 0.01, CLOSED_FORM_MAX_M + 1) is None
         S, source = survival_circle(T_GRID, 0.01, 0.1, CLOSED_FORM_MAX_M + 1)
         assert source == "ode"
 
     def test_parameter_validation(self):
+        # after M's type: the grid, then p and q, then M's value
+        with pytest.raises(ValueError, match="time grid"):
+            survival_circle(-T_GRID, 0.0, 0.1, 0)
         with pytest.raises(ValueError, match="positive"):
-            survival_circle_closed_form(T_GRID, 0.0, 0.1, 3)
+            survival_circle(T_GRID, 0.0, 0.1, 0)
         with pytest.raises(ValueError, match="non-negative"):
-            survival_circle_closed_form(T_GRID, 0.1, -0.1, 3)
+            survival_circle(T_GRID, 0.1, -0.1, 0)
+        with pytest.raises(ValueError, match="^M must be positive, got 0"):
+            survival_circle(T_GRID, 0.1, 0.1, 0)
         with pytest.raises(ValueError, match="M"):
             _circle_survivals(T_GRID, 0.1, 0.1, 0)
 
@@ -570,7 +573,7 @@ class TestDecaySpan:
         p, q = 0.01, 0.1
         t = np.linspace(0.0, MAX_DECAY_SPAN / (p + q), 50)
         S = _circle_survivals(t, p, q, 6)[-1]
-        assert np.max(np.abs(S - survival_circle_closed_form(t, p, q, 6))) < 1e-10
+        assert np.max(np.abs(S - closed_form(t, p, q, 6))) < 1e-10
 
     def test_automatic_route_at_tiny_p_is_refused(self):
         # q/p = 1e13 fails the closed form's rounding bound; the default
@@ -585,8 +588,6 @@ _S1 = np.ones((4, T_GRID.size))  # an S_1 table; the size is refused before it i
 NON_INTEGER_SIZES = [
     ("f_circle-closed-form", lambda: f_circle(T_GRID, 0.01, 0.1, 6.0), "M"),
     ("f_circle-ode", lambda: f_circle(T_GRID, 0.01, 0.1, float(CLOSED_FORM_MAX_M + 1)), "M"),
-    ("survival_circle_closed_form", lambda: survival_circle_closed_form(T_GRID, 0.01, 0.1, 6.0), "M"),
-    ("circle_coefficients", lambda: circle_coefficients(0.01, 0.1, np.float64(6)), "M"),
     ("default_time_grid", lambda: default_time_grid(0.01, 0.1, 200.0), "points"),
     ("f_line_one_sided", lambda: f_line_one_sided(T_GRID, 0.01, 0.1, 6.0), "M"),
     ("f_line_two_sided", lambda: f_line_two_sided(T_GRID, 0.01, 0.1, 2.5), "M"),

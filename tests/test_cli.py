@@ -9,10 +9,9 @@ import pytest
 
 import basslab.analytic as analytic
 import basslab.cli as cli
-from basslab.curves import read_curve_csv
 from basslab.network import Network, build_line
-from basslab.principles import PlanCase, TransformPlan, apply_transform, figure_plan
-from conftest import fresh_python
+from basslab.principles import PlanCase, TransformPlan, _apply_with_records, figure_plan
+from conftest import fresh_python, read_curve_csv
 
 
 Q_MESSAGE = "q must be non-negative and finite"
@@ -162,7 +161,7 @@ class TestVerify:
         for case in cases:
             (plan,) = [c for c in figure_plan(case["name"]) if c.label == case["label"]]
             for key, want in (("network_before", plan.network),
-                              ("network_after", apply_transform(plan.network, plan.plan))):
+                              ("network_after", _apply_with_records(plan.network, plan.plan)[0])):
                 got = Network.from_dict(case[key])
                 assert got.n == want.n
                 for field in ("p", "src", "dst", "w"):

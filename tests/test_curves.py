@@ -21,6 +21,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="equal length"):
             AdoptionCurve(t=T, f=F[:-1], source="ode")
 
+    def test_non_increasing_grid(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AdoptionCurve(t=np.array([0.0, 1.0, 1.0]), f=np.zeros(3), source="ode")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid(self, bad):
+        t = np.array([0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="only finite times"):
+            AdoptionCurve(t=t, f=np.zeros(3), source="ode")
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            AdoptionCurve(t=np.zeros(0), f=np.zeros(0), source="ode")
+
     @pytest.mark.parametrize("source", ["guesswork", "quadrature"])
     def test_unknown_source(self, source):
         with pytest.raises(ValueError, match="unknown source"):

@@ -269,6 +269,34 @@ class TestUniformization:
         assert origin.f.tolist() == [0.0] and np.all(origin.per_node == 0.0)
         assert survival(net, [1], [0.0]).tolist() == [1.0]
 
+    def test_grid_the_curve_refuses_is_refused_before_solving(self, monkeypatch):
+        # the master equation is never solved on a grid with a repeated time
+        monkeypatch.setattr(oracle, "_uniformized", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            exact_f(build_circle(16, 0.01, 0.1, sided="two"), [0.0, 50.0, 50.0, 100.0])
+
+    @pytest.mark.parametrize("solve", [
+        lambda net, t: survival(net, [0], t),
+        lambda net, t: exact_marginals(net, t),
+    ], ids=["survival", "exact_marginals"])
+    @pytest.mark.parametrize("net", [build_line(18, 0.01, 0.1, sided="one"),
+                                     build_circle(6, 0.01, 0.1)], ids=["line", "circle"])
+    def test_descending_grid_is_refused_before_any_build(self, monkeypatch, solve, net):
+        # the circle is lumped by its symmetries, the line is not
+        for name in ("build_generator", "_orbits"):
+            monkeypatch.setattr(oracle, name, lambda *args: pytest.fail("built"))
+        with pytest.raises(ValueError, match="time grid must be strictly increasing"):
+            solve(net, [0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_times_are_refused(self, bad):
+        net = build_line(4, 0.05, 0.3, sided="two")
+        t = np.array([0.0, 1.0, bad])
+        for solve in (lambda: exact_f(net, t), lambda: survival(net, [1], t),
+                      lambda: solve_master(net, t)):
+            with pytest.raises(ValueError, match="time grid must hold only finite times"):
+                solve()
+
     def test_folded_marginals_match_bit_table(self):
         v = np.random.default_rng(5).random(1 << 7)
         assert np.max(np.abs(_marginals(v) - v @ _bits(7))) < 1e-13

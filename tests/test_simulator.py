@@ -300,6 +300,16 @@ class TestEventDriven:
         assert np.array_equal(got.f, want.f)
         assert np.array_equal(got.stderr, want.stderr)
 
+    @pytest.mark.parametrize("t", [np.array([0.0, 1.0, np.nan]), np.array([0.0, 1.0, np.inf]),
+                                   np.array([0.0, 2.0, 1.0])],
+                             ids=["nan-end", "inf-end", "descending"])
+    def test_grid_the_curve_refuses_is_refused_before_sampling(self, monkeypatch, t):
+        # such a grid has no horizon at which the sampler could stop
+        monkeypatch.setattr(simulator, "_event_times", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="time grid"):
+            run_event_driven(build_circle(5, 0.1, 0.3), SimConfig(trials=300, base_seed=2),
+                             t_grid=t)
+
     def test_oversized_block_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", 2**30)
         net = build_circle(4, 0.05, 0.3)

@@ -59,7 +59,7 @@ from .simulator import (
     run_event_driven,
 )
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 __all__ = [
     "AdoptionCurve",

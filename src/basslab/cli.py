@@ -280,11 +280,12 @@ def cmd_simulate(spec: argparse.Namespace) -> int:
 
 def _indifference_reports(names: tuple[str, ...], spec: argparse.Namespace) -> list[dict]:
     """One report per transform plan of each named figure, on the verify
-    grid (a point at each whole time up to VERIFY_T_MAX)."""
-    reports = []
+    grid (a point at each whole time up to VERIFY_T_MAX). The plans share
+    their solves: fig7 and fig15 start from the same network and omega."""
+    reports, solved = [], {}
     for name in names:
         for case in figure_plan(name, p=spec.p, q=spec.q):
-            report = verify_indifference(case.network, case.plan)
+            report = verify_indifference(case.network, case.plan, _solved=solved)
             reports.append({"name": case.name, "label": case.label, "note": case.note, **report})
     return reports
 

@@ -127,13 +127,27 @@ def _apply_with_records(net: Network, plan: TransformPlan):
     return cur, records
 
 
-def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID) -> dict:
+def _survival_once(net: Network, omega: tuple[int, ...], t_grid: np.ndarray,
+                   solved: dict) -> np.ndarray:
+    """survival(net, omega, t_grid), solved unless solved already holds it
+    under the network's fields, omega and the grid; a new solve is added."""
+    key = (net.n, net.p.tobytes(), net.edges, omega, t_grid.tobytes())
+    if key not in solved:
+        solved[key] = survival(net, omega, t_grid)
+    return solved[key]
+
+
+def verify_indifference(net: Network, plan: TransformPlan, t_grid=VERIFY_GRID, *,
+                        _solved: dict | None = None) -> dict:
     """Check that the plan leaves Prob(omega untouched) invariant, by exact
-    master-equation solves of both networks."""
+    master-equation solves of both networks. _solved is for a caller that
+    checks several plans: one dict passed to each call, so that a network
+    and omega two plans share is solved once."""
     t_grid = _check_time_grid(t_grid)
     transformed, records = _apply_with_records(net, plan)
-    before = survival(net, plan.omega, t_grid)
-    after = survival(transformed, plan.omega, t_grid)
+    solved = {} if _solved is None else _solved
+    before = _survival_once(net, plan.omega, t_grid, solved)
+    after = _survival_once(transformed, plan.omega, t_grid, solved)
     max_gap = float(np.max(np.abs(before - after)))
     all_safe = all(not r.influential for r in records)
     return {

@@ -63,6 +63,13 @@ SWEEP_SLOTS = 2**17
 # 160-200 on the 6x6x6 torus. Near the top of that range, the sweeps that a
 # budget cuts short cost at most about one Dijkstra solve of the same trials
 SWEEP_LEVEL_COST = 192
+# keys `_grid_index` bins per pass: its temporaries, a few arrays of this
+# many floats and indices, stay in cache and far below a block's times
+INDEX_CHUNK = 2**14
+# guess buckets of `_grid_index` per grid point, and their most: on a
+# uniform grid every bucket holds at most one grid point
+BUCKETS_PER_POINT = 4
+MAX_BUCKETS = 2**16
 DEFAULT_TRIALS = 4000
 # violation lists are for diagnosis; cap them so a badly ordered pair
 # cannot produce a gigabyte of report
@@ -420,6 +427,52 @@ def _horizon(config: SimConfig) -> float:
     return np.inf if config.t_max is None else config.t_max
 
 
+def _grid_index(t_grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(t_grid, x, side="left"), of x's shape: for each key
+    the number of grid points below it, so a time is <= t_grid[i] iff i >= k,
+    and an inf (never adopted) time gets k = T.
+
+    [t_0, t_end] is cut into nb equal buckets, BUCKETS_PER_POINT per grid
+    point and at most MAX_BUCKETS, and a table holds the grid points below
+    each bucket's start. A key, clipped into [t_0, t_end], takes its
+    bucket's entry k and steps up once if it is above t[k], which covers a
+    bucket that holds one grid point. The result is kept where
+    t[k-1] < x <= t[k], reading t[k-1] as -inf at k = 0 and t[k] as inf at
+    k = T: then exactly k grid points are below x, however the rounding
+    binned it. The keys that fail
+    the check, those past the first grid point of a crowded bucket, near a
+    bucket's edge or NaN, are binary-searched. Keys go in chunks of
+    INDEX_CHUNK, so the temporaries stay small."""
+    T = t_grid.size
+    t0, t_end = t_grid[0], t_grid[-1]
+    nb = min(BUCKETS_PER_POINT * T, MAX_BUCKETS)
+    span = float(t_end - t0)
+    # every key is in bucket 0 where nb / span is not finite: at T = 1, and
+    # on a grid that spans less than about 1e-304. The clip below keeps
+    # inf * 0 out of the scaling
+    scale = nb / span if 0 < span and nb / span < np.inf else 0.0
+    guess = np.searchsorted(t_grid, t0 + span / nb * np.arange(nb + 1), side="left")
+    lower = np.concatenate([[-np.inf], t_grid])  # t[k - 1] at k
+    upper = np.append(t_grid, np.inf)  # t[k] at k
+    keys = x.ravel()
+    out = np.empty(keys.size, dtype=np.intp)
+    for lo in range(0, keys.size, INDEX_CHUNK):
+        key = keys[lo : lo + INDEX_CHUNK]
+        k = out[lo : lo + key.size]
+        u = np.fmin(key, t_end)  # fmin and fmax send NaN into the grid too
+        np.fmax(u, t0, out=u)
+        u -= t0
+        u *= scale
+        guess.take(u.astype(np.intp), out=k)
+        k += key > upper.take(k)
+        ok = lower.take(k) < key
+        ok &= key <= upper.take(k)
+        miss = np.flatnonzero(~ok)
+        if miss.size:
+            k[miss] = np.searchsorted(t_grid, key[miss], side="left")
+    return out.reshape(x.shape)
+
+
 def _fraction_stats(times: np.ndarray, t_grid: np.ndarray,
                     base: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean over trials, and its stderr, of each trial's adopter fraction on
@@ -432,14 +485,11 @@ def _fraction_stats(times: np.ndarray, t_grid: np.ndarray,
     T = t_grid.size
 
     def fractions(x: np.ndarray) -> np.ndarray:
-        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T.
-        # A trial's counts do not depend on its nodes' order, and the search
-        # is faster on sorted keys
-        k = np.searchsorted(t_grid, np.sort(x, axis=1), side="left")
+        # times <= t[i] iff i >= k; an inf (never adopted) time gets k = T
+        k = _grid_index(t_grid, x)
         R = k.shape[0]
-        per_trial = np.bincount(
-            (k + (T + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (T + 1)
-        )
+        k += (T + 1) * np.arange(R)[:, None]
+        per_trial = np.bincount(k.ravel(), minlength=R * (T + 1))
         return per_trial.reshape(R, T + 1).cumsum(axis=1)[:, :T] / M
 
     sum_f = np.zeros(T)
@@ -461,7 +511,10 @@ def _fraction_stats(times: np.ndarray, t_grid: np.ndarray,
 
 def curve_from_times(times: np.ndarray, t_grid) -> AdoptionCurve:
     """Empirical mean adopter fraction, with stderr, from per-trial adoption
-    times, shape (trials, M), summed per block of TRIAL_BLOCK trials.
+    times, shape (trials, M), summed per block of TRIAL_BLOCK trials. Each
+    time is binned on the grid by `_grid_index`, one exact guess-and-check
+    pass with a binary search only for the keys its guess misses, and each
+    trial's fraction comes from its integer counts.
     Per-node frequencies come from `node_frequencies`; the curve carries
     none, since they cost (M, T) arrays that a large network's mean curve
     does not need.
@@ -477,15 +530,15 @@ def curve_from_times(times: np.ndarray, t_grid) -> AdoptionCurve:
 def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
     """Per-node adoption frequencies, shape (M, T): entry (j, i) is the
     share of trials in which node j has adopted by t_grid[i]. times as for
-    `curve_from_times`. The adoption counts of every block go into one
-    (M, T + 1) float array, which the cumulative sum and the division
-    overwrite."""
+    `curve_from_times`, binned by the same `_grid_index`. The adoption
+    counts of every block go into one (M, T + 1) float array, which the
+    cumulative sum and the division overwrite."""
     t_grid = _check_time_grid(t_grid)
     trials, M = times.shape
     T = t_grid.size
     counts = np.zeros(M * (T + 1))
     for lo in range(0, trials, TRIAL_BLOCK):
-        k = np.searchsorted(t_grid, times[lo : lo + TRIAL_BLOCK], side="left")
+        k = _grid_index(t_grid, times[lo : lo + TRIAL_BLOCK])
         k += (T + 1) * np.arange(M)
         counts += np.bincount(k.ravel(), minlength=M * (T + 1))
     counts = counts.reshape(M, T + 1)

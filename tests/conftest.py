@@ -114,6 +114,45 @@ def reference_first_passage(nets, cfg):
     return out
 
 
+def sort_and_search_stats(times, t_grid, base=None):
+    """Mean and stderr of the adopter fraction on t_grid, or with base of
+    the paired difference from base, by the aggregation of 0.20.0-0.25.0:
+    each block's rows sorted, then binary-searched on the grid, and each
+    trial's integer counts cumulated and divided by M."""
+    trials, M = times.shape
+    T = t_grid.size
+
+    def fractions(x):
+        k = np.searchsorted(t_grid, np.sort(x, axis=1), side="left")
+        R = k.shape[0]
+        per_trial = np.bincount((k + (T + 1) * np.arange(R)[:, None]).ravel(),
+                                minlength=R * (T + 1))
+        return per_trial.reshape(R, T + 1).cumsum(axis=1)[:, :T] / M
+
+    sum_f, sum_f2 = np.zeros(T), np.zeros(T)
+    for lo in range(0, trials, simulator.TRIAL_BLOCK):
+        frac = fractions(times[lo : lo + simulator.TRIAL_BLOCK])
+        if base is not None:
+            frac -= fractions(base[lo : lo + simulator.TRIAL_BLOCK])
+        sum_f += frac.sum(axis=0)
+        sum_f2 += (frac**2).sum(axis=0)
+    mean = sum_f / trials
+    var = (sum_f2 - trials * mean**2) / (trials - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / trials)
+
+
+def search_node_frequencies(times, t_grid):
+    """Per-node adoption frequencies, shape (M, T), by the binary search of
+    0.13.0-0.25.0 on each block's unsorted times."""
+    trials, M = times.shape
+    T = t_grid.size
+    counts = np.zeros(M * (T + 1))
+    for lo in range(0, trials, simulator.TRIAL_BLOCK):
+        k = np.searchsorted(t_grid, times[lo : lo + simulator.TRIAL_BLOCK], side="left")
+        counts += np.bincount((k + (T + 1) * np.arange(M)).ravel(), minlength=M * (T + 1))
+    return (counts.reshape(M, T + 1).cumsum(axis=1) / trials)[:, :T]
+
+
 def brentq_horizon(p, q):
     """T at which f_one_dim_limit reaches 0.99, by brentq on a bracket
     [T/2, T] found by doubling T from 1: the reference for the default

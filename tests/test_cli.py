@@ -9,6 +9,7 @@ import pytest
 
 import basslab.analytic as analytic
 import basslab.cli as cli
+import basslab.oracle as oracle
 from basslab.network import Network, build_line
 from basslab.principles import PlanCase, TransformPlan, _apply_with_records, figure_plan
 from conftest import fresh_python, read_curve_csv
@@ -166,6 +167,16 @@ class TestVerify:
                 assert got.n == want.n
                 for field in ("p", "src", "dst", "w"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (key, field)
+
+    def test_indifference_suite_solves_each_master_equation_once(self, tmp_path, monkeypatch):
+        # 9 plans, 18 survivals: fig7 and fig15 both start from the
+        # two-sided 8-line with omega = {7}, so 17 are distinct
+        solves = []
+        uniformized = oracle._uniformized
+        monkeypatch.setattr(oracle, "_uniformized",
+                            lambda *args: solves.append(1) or uniformized(*args))
+        assert run(["verify", "--suite", "indifference", "--out", str(tmp_path / "v.json")]) == 0
+        assert len(solves) == 17
 
     def test_preset_report_to_stdout(self, capsys):
         assert run(["verify", "--preset", "fig6"]) == 0

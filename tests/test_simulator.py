@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from basslab import simulator
 from basslab.analytic import default_time_grid
+from basslab.curves import _check_time_grid
 from basslab.network import (
     Network,
     build_circle,
@@ -19,7 +20,7 @@ from basslab.network import (
     _merge_edges,
 )
 from basslab.oracle import exact_f
-from basslab.principles import dominance_pairs
+from basslab.principles import VERIFY_GRID, dominance_pairs
 from basslab.simulator import (
     TRIAL_BLOCK,
     VIOLATION_LIST_CAP,
@@ -30,7 +31,12 @@ from basslab.simulator import (
     run_coupled,
     run_event_driven,
 )
-from conftest import reference_first_passage, two_node_chain_survival
+from conftest import (
+    reference_first_passage,
+    search_node_frequencies,
+    sort_and_search_stats,
+    two_node_chain_survival,
+)
 
 
 def _awkward_times(t, trials, M):
@@ -436,6 +442,84 @@ class TestCurveAssembly:
             curve_from_times(np.array([[0.0, 2.0]]), np.linspace(0, 3, 4))
         with pytest.raises(ValueError, match="adoption times must be > 0"):
             curve_from_times(np.array([[1.0, np.nan]]), np.linspace(0, 3, 4))
+
+
+@st.composite
+def time_grids(draw):
+    """Grids of 1 to 300 points that `_check_time_grid` accepts: linspace
+    from 0 or from t_0 > 0, geomspace, gaps drawn from 1e-12 to 1e3, a
+    coarse uniform grid with a run of points packed into a sliver of it,
+    so that one guess bucket holds many, and subnormal steps from 0, a span
+    so small that buckets per unit time overflow."""
+    T = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["linspace", "geomspace", "gaps", "crowded", "subnormal"]))
+    t0 = draw(st.sampled_from([0.0, 1.5]) | st.floats(1e-9, 1e3))
+    span = draw(st.floats(1e-6, 1e6))
+    if kind == "linspace":
+        t = np.linspace(t0, t0 + span, T)
+    elif kind == "geomspace":
+        start = draw(st.floats(1e-9, 1e3))
+        t = np.geomspace(start, start * draw(st.floats(1.5, 1e9)), T)
+    elif kind == "gaps":
+        exponents = draw(st.lists(st.floats(-12.0, 3.0), min_size=T - 1, max_size=T - 1))
+        t = t0 + np.concatenate([[0.0], np.cumsum(10.0 ** np.array(exponents))])
+    elif kind == "subnormal":
+        t = np.arange(T) * 5e-324
+    else:
+        coarse = draw(st.integers(1, T))
+        at, width = draw(st.floats(0.0, 1.0)), draw(st.floats(1e-12, 1e-2))
+        t = t0 + span * np.concatenate([np.linspace(0.0, 1.0, coarse),
+                                        at + width * np.linspace(0.0, 1.0, T - coarse)])
+    return _check_time_grid(np.unique(t))
+
+
+class TestGridIndex:
+    """`simulator._grid_index` is np.searchsorted(side="left") on every grid
+    and key, and the aggregation built on it is the sort-and-search one of
+    0.20.0-0.25.0, bit for bit."""
+
+    @given(time_grids(), st.lists(st.floats(0.0, 2.0), max_size=200))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_searchsorted(self, t, fractions):
+        tiny = np.finfo(float).tiny
+        keys = np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+            [0.0, np.inf, 5e-324, tiny / 3, tiny, t[0] / 2, t[0] * (1 - 1e-16),
+             t[-1] * (1 + 1e-15), 2 * t[-1] + 1, 1e300],
+            t[0] + (t[-1] - t[0]) * np.array(fractions),  # up to a span past t_end
+        ])
+        got = simulator._grid_index(t, keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(t, keys, side="left"))
+        assert np.array_equal(simulator._grid_index(t, keys[::-1].reshape(-1, 1))[::-1, 0],
+                              np.searchsorted(t, keys, side="left"))
+
+    @pytest.mark.parametrize("kind, one, two", [
+        ("torus", build_grid(3, 6, 0.01, 0.1, sided="one", periodic=True),
+         build_grid(3, 6, 0.01, 0.1, sided="two", periodic=True)),
+        ("box", build_grid(3, 6, 0.01, 0.1, sided="one", periodic=False),
+         build_grid(3, 6, 0.01, 0.1, sided="two", periodic=False)),
+        ("torus32", build_grid(2, 32, 0.01, 0.1, sided="one", periodic=True),
+         build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True)),
+    ])
+    @pytest.mark.parametrize("grid", ["default", "verify"])
+    def test_aggregation_equals_sort_and_search(self, kind, one, two, grid):
+        # the fig12 networks over two RNG blocks, the last one partial, and
+        # a 32x32 torus; on shared clocks, as the sidedness suite pairs them
+        t = default_time_grid(0.01, 0.1) if grid == "default" else VERIFY_GRID
+        trials = 200 if kind == "torus32" else 700
+        report = run_coupled(one, two, SimConfig(trials=trials, base_seed=9, t_max=t[-1]))
+        times_a, times_b = report["times_a"], report["times_b"]
+        for times in (times_a, times_b):
+            mean, stderr = sort_and_search_stats(times, t)
+            curve = curve_from_times(times, t)
+            assert np.array_equal(curve.f, mean)
+            assert np.array_equal(curve.stderr, stderr)
+            assert np.array_equal(node_frequencies(times, t), search_node_frequencies(times, t))
+        paired = simulator._fraction_stats(times_b, t, base=times_a)
+        want = sort_and_search_stats(times_b, t, base=times_a)
+        assert np.array_equal(paired[0], want[0])
+        assert np.array_equal(paired[1], want[1])
 
 
 class TestCoupled:

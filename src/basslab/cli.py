@@ -541,6 +541,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"basslab: error: out of memory: {exc}") from None
     except RuntimeError as exc:  # an internal check failed, e.g. probability conservation
         raise SystemExit(f"basslab: error: internal check failed: {exc}") from None
+    except OSError as exc:  # an --out that cannot be written, e.g. a directory
+        raise SystemExit(f"basslab: error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -16,10 +16,8 @@ a sweep changes nothing. That is the least fixed point of
 d(v) = min fl(d(u) + l_uv), the floats Dijkstra returns. An acyclic network
 (every one-sided line and box) has no backward DAG, and its one sweep in
 topological order is DAG-SHORTEST-PATHS (Cormen et al., *Introduction to
-Algorithms*, 24.2). Trials whose sweeps would cost more than Dijkstra go to
-it, on a block-diagonal graph of a sub-block of trials. The times past a
-horizon are inf: the grid's last point for a curve, config.t_max for the
-raw times.
+Algorithms*, 24.2). The times past a horizon are inf: the grid's last
+point for a curve, config.t_max for the raw times.
 
 `run_coupled` checks pathwise dominance on a pair of networks by the
 standard monotone coupling of first-passage times (Lindvall, *Lectures on
@@ -48,21 +46,10 @@ from .network import Network, _keys, weakly_dominates
 # trials per RNG block: block b draws from SeedSequence((seed, b)), so this
 # fixes the random stream; the aggregation sums its counts per block too
 TRIAL_BLOCK = 512
-# graph nodes per Dijkstra call: small enough that its heap and arrays stay
-# in cache
-DIJKSTRA_NODES = 8192
 # slot lengths per sweep sub-block: a sub-block gathers its trials' slot
 # lengths once, 1 MB of them before the padding, and reads them in every
 # sweep
 SWEEP_SLOTS = 2**17
-# the time of one level of a sweep over that of one node or edge of one
-# trial in Dijkstra. On 2 vCPUs a level took 4-5 us on lines and on the
-# two-sided 32x32 and 64x64 tori (sub-blocks of 512, 25 and 6 trials) and
-# 8-14 us on the two-sided 6x6x6 torus (86 trials), and Dijkstra 50-135 ns
-# per node or edge: ratios of about 40 on lines, 50-90 on those tori and
-# 160-200 on the 6x6x6 torus. Near the top of that range, the sweeps that a
-# budget cuts short cost at most about one Dijkstra solve of the same trials
-SWEEP_LEVEL_COST = 192
 # keys `_grid_index` bins per pass: its temporaries, a few arrays of this
 # many floats and indices, stay in cache and far below a block's times
 INDEX_CHUNK = 2**14
@@ -93,65 +80,13 @@ class SimConfig:
             _check_t_max(self.t_max)
 
 
-def _graph(net: Network, seeded: np.ndarray, R: int):
-    """Block-diagonal CSR graph of R trials of net, its edge lengths left to
-    fill: node 0 the virtual source, trial r's node j at 1 + r*M + j. Its
-    data holds the source's edges into the seeded nodes first, trial by
-    trial, then each trial's edges in edge order."""
-    from scipy.sparse import csr_matrix
-
-    M, n_p, E = net.n, seeded.size, net.dst.size
-    trial = np.arange(R, dtype=np.int32)[:, None]
-    indptr = np.empty(R * M + 2, dtype=np.int32)
-    indptr[0] = 0
-    indptr[1:-1].reshape(R, M)[:] = R * n_p + E * trial + net.indptr[:M]
-    indptr[-1] = R * (n_p + E)
-    first = 1 + M * trial  # graph id of trial r's node 0
-    indices = np.concatenate([(first + seeded).ravel(), (first + net.dst).ravel()])
-    return csr_matrix((np.empty(indices.size), indices, indptr), shape=(R * M + 1,) * 2)
-
-
-def _dijkstra(net: Network, seeded: np.ndarray, length: np.ndarray, limit: float) -> np.ndarray:
-    """Adoption times, shape (R, M), of the R trials of length by Dijkstra
-    in calls of B = DIJKSTRA_NODES // M trials (at least 1, at most R), so
-    that the heap stays in cache. One graph of B trials (see `_graph`)
-    serves every call, its lengths refilled; a short last call of c trials
-    gives the source's edges into the other B - c length inf, so Dijkstra
-    reaches none of their nodes. Trials are disconnected components, so a
-    time does not depend on which trials share a call. Dijkstra keeps a
-    distance <= limit and returns inf above it: a node within limit is
-    reached only through nodes within limit, so this is the unlimited time
-    with every time past limit set to inf."""
-    # imported here, not at module level, as every scipy import in the
-    # package is: a command pays only for the parts of scipy it runs
-    from scipy.sparse.csgraph import dijkstra
-
-    R, M, n_p = len(length), net.n, seeded.size
-    B = min(R, max(1, DIJKSTRA_NODES // M))
-    graph = _graph(net, seeded, B)
-    src = graph.data[: B * n_p].reshape(B, n_p)
-    edge = graph.data[B * n_p :].reshape(B, -1)
-    out = np.empty((R, M))
-    for lo in range(0, R, B):
-        part = length[lo : lo + B]
-        c = len(part)
-        src[:c] = part[:, :n_p]
-        src[c:] = np.inf
-        edge[:c] = part[:, n_p:]
-        dist = dijkstra(graph, directed=True, indices=0, limit=limit)
-        out[lo : lo + c] = dist[1 : 1 + c * M].reshape(c, M)
-    return out
-
-
-def _levels(n: int, src: np.ndarray, dst: np.ndarray,
-            max_levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _levels(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Topological levels of the graph of n nodes with edges src -> dst, src
     ascending, by Kahn's algorithm: level 0 holds the nodes without
     in-edges, and level l the nodes whose last in-neighbour is on level
     l - 1. Returns the nodes level by level and the number on each level.
     A cyclic graph leaves the nodes on a cycle, and those it feeds, out of
-    every level. The search stops at max_levels + 1 levels, so a graph too
-    deep for the sweep to pay costs no more than that here."""
+    every level."""
     indeg = np.bincount(dst, minlength=n)
     level = np.flatnonzero(indeg == 0).tolist()
     order, counts = [], []
@@ -159,7 +94,7 @@ def _levels(n: int, src: np.ndarray, dst: np.ndarray,
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         indeg, indptr, dst = indeg.tolist(), indptr.tolist(), dst.tolist()
-    while level and len(counts) <= max_levels:
+    while level:
         order += level
         counts.append(len(level))
         last, level = level, []
@@ -187,16 +122,12 @@ class _Sweep:
     head with fewer than k in-edges in the DAG is padded with slots from
     the dummy node, which read column 0.
     `sweeps` holds the levels of each DAG that has a slot, forward first.
-    `least` counts the levels of the fewest sweeps that end on most
-    trials: the one sweep of an acyclic network, and forward, backward and
-    a forward sweep that changes nothing on a cyclic one. `trials` is the
-    most trials a sub-block sweeps at once."""
+    `trials` is the most trials a sub-block sweeps at once."""
 
     pos: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     sweeps: tuple[tuple[_Level, ...], ...]
-    least: int
     trials: int
 
 
@@ -237,10 +168,8 @@ def _table(order: np.ndarray, counts: np.ndarray, head: np.ndarray, tail: np.nda
     return rows, cols, table
 
 
-def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep | None:
-    """The sweep's tables of net for blocks of R trials, or None when even
-    the fewest sweeps that can end (see `_Sweep`) would cost more than
-    Dijkstra on a sub-block: SWEEP_LEVEL_COST * least > b * (nodes + edges).
+def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep:
+    """The sweep's tables of net for blocks of R trials.
 
     The nodes take one order: topological when the graph is acyclic, node
     index otherwise. A slot whose tail comes before its head in that order,
@@ -251,13 +180,10 @@ def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep | None:
     at a time; repeated sweeps keep their sub-block's slot lengths, so a
     cyclic network sweeps b = SWEEP_SLOTS // slots trials at a time (at
     least 1, at most R)."""
-    M, n_p, size = net.n, seeded.size, net.n + net.dst.size
-    order, counts = _levels(M, net.src, net.dst, R * size // SWEEP_LEVEL_COST)
-    if counts.size > R * size // SWEEP_LEVEL_COST:
-        return None
+    M, n_p = net.n, seeded.size
+    order, counts = _levels(M, net.src, net.dst)
     acyclic = order.size == M
     b = R if acyclic else min(R, max(1, SWEEP_SLOTS // (n_p + net.dst.size)))
-    max_levels = b * size // SWEEP_LEVEL_COST
     place = np.empty(M + 1, dtype=np.intp)  # each node's place in the order
     place[M] = -1  # the source comes first
     place[order if acyclic else np.arange(M)] = np.arange(M)
@@ -269,17 +195,12 @@ def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep | None:
     for part in parts:
         edge = part[n_p:]
         if not acyclic:
-            order, counts = _levels(M, net.src[edge], net.dst[edge], max_levels)
-        if counts.size > max_levels:
-            return None
+            order, counts = _levels(M, net.src[edge], net.dst[edge])
         # the DAG's heads level by level, less the levels that hold none
         keep = np.bincount(head[part], minlength=M)[order] > 0
         kept = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
                            minlength=counts.size)
         dags.append((order[keep], kept[kept > 0]))
-    least = sum(c.size for _, c in dags) + (dags[0][1].size if len(dags) == 2 else 0)
-    if least > max_levels:
-        return None
     # rows: the forward DAG's heads level by level, then every other node
     fwd = dags[0][0]
     pos = np.empty(M, dtype=np.intp)
@@ -295,7 +216,7 @@ def _sweep_plan(net: Network, seeded: np.ndarray, R: int) -> _Sweep | None:
             rows.append(r)
             cols.append(c)
             sweeps.append(tuple(table))
-    return _Sweep(pos, np.concatenate(rows), np.concatenate(cols), tuple(sweeps), least, b)
+    return _Sweep(pos, np.concatenate(rows), np.concatenate(cols), tuple(sweeps), b)
 
 
 def _sweep(levels: tuple[_Level, ...], rows: np.ndarray, slots: np.ndarray,
@@ -321,42 +242,39 @@ def _sweep(levels: tuple[_Level, ...], rows: np.ndarray, slots: np.ndarray,
             times[heads] = np.minimum(times[heads], best, out=best)
 
 
-def _solve(plan: _Sweep, length: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
+def _solve(plan: _Sweep, length: np.ndarray, out: np.ndarray) -> None:
     """Adoption times of the b trials of length, shape (b, n_clocks), into
     out, shape (b, M), by sweeps of the forward and the backward DAG in
-    turn, from every time inf but the source's. Returns the mask of the
-    trials whose times may not be final, which Dijkstra must solve.
+    turn, from every time inf but the source's, until a sweep changes
+    nothing.
 
-    A sweep of a DAG leaves d(v) <= fl(d(u) + l) on every slot of it, and
-    the start meets that on every backward slot, whose tails are all at
-    inf. So when a sweep changes no time of a trial, every slot of that
-    trial is met: its times are the least fixed point, the floats Dijkstra
-    returns, and no later sweep changes them. An acyclic network has no
-    backward DAG, and its one sweep is final. The sweeps stop when one
-    changes nothing, or before one whose levels, at SWEEP_LEVEL_COST each,
-    would take their cost past Dijkstra's on these trials, b * size."""
+    Every time stays at or above the least fixed point d* of
+    d(v) = min fl(d(u) + l_uv), the floats Dijkstra returns: d* meets every
+    slot, and fl(x + l) is monotone in x. A sweep of a DAG leaves
+    d(v) <= fl(d(u) + l) on every slot of it, and the start meets that on
+    every backward slot, whose tails are all at inf. So when a sweep changes
+    nothing, every slot is met and the times are d*. The loop ends: a path
+    of Dijkstra's shortest-path tree that takes r runs of slots of one DAG,
+    the first forward, is final after r sweeps, and r <= M, so at most
+    M + 1 sweeps run. An acyclic network has no backward DAG, and its one
+    sweep is final."""
     b = len(length)
     times = np.full((out.shape[1] + 2, b), np.inf)
     times[-2] = 0.0
-    changing = np.full(b, bool(plan.sweeps))
-    budget = b * size // SWEEP_LEVEL_COST  # the levels that cost what Dijkstra does
-    if plan.sweeps and plan.least <= budget:
+    if len(plan.sweeps) == 1:
+        _sweep(plan.sweeps[0], plan.rows, length.T[plan.cols], times)
+    elif plan.sweeps:
         slots = length.T[plan.cols]
-        if len(plan.sweeps) == 1:  # acyclic: its one sweep is final
-            _sweep(plan.sweeps[0], plan.rows, slots, times)
-            changing[:] = False
-        swept, k = 0, 0
-        while changing.any() and swept + len(plan.sweeps[k]) <= budget:
-            swept += len(plan.sweeps[k])
+        k, changed = 0, True
+        while changed:
             before = times.copy()
             _sweep(plan.sweeps[k], plan.rows, slots, times)
-            changing = (times != before).any(axis=0)
+            changed = not np.array_equal(times, before)
             del before
             k = 1 - k
         # freed first, so that the gather below does not add to the peak
         del slots
     out[:] = times[plan.pos].T
-    return changing
 
 
 def _first_passage(
@@ -375,12 +293,7 @@ def _first_passage(
     `_sweep_plan`) are built once per call. Each RNG block's trials are
     split evenly into sub-blocks of at most the plan's trials, and each
     sub-block is swept, forward and backward in turn, to its fixed point
-    (see `_solve`). The trials still changing when the sweeps' cost,
-    SWEEP_LEVEL_COST per level, would pass Dijkstra's, b * (nodes + edges)
-    for b trials, go to Dijkstra (see `_dijkstra`). So does every trial of
-    a network whose fewest sweeps would already cost more, such as a thin
-    line at 1 trial. Both give the same floats, and a time past limit is
-    then inf. The worst case is thus the budget plus one Dijkstra solve."""
+    (see `_solve`)."""
     seeded = [np.flatnonzero(net.p > 0).astype(np.int32) for net in nets]  # own clocks
     rates = [np.concatenate([net.p[s], net.w]) for net, s in zip(nets, seeded)]
     R_max = min(TRIAL_BLOCK, config.trials)
@@ -401,18 +314,13 @@ def _first_passage(
         del clocks
         for length, rate in zip(lengths, rates):
             length /= rate
-        for net, s, plan, length, times in zip(nets, seeded, plans, lengths, all_times):
+        for plan, length, times in zip(plans, lengths, all_times):
             times = times[done : done + R]
-            if plan is None:
-                times[:] = _dijkstra(net, s, length, limit)
-                continue
             b = -(-R // -(-R // plan.trials))  # even sub-blocks of at most plan.trials
             for lo in range(0, R, b):
-                part, out = length[lo : lo + b], times[lo : lo + b]
-                late = _solve(plan, part, net.n + net.dst.size, out)
+                out = times[lo : lo + b]
+                _solve(plan, length[lo : lo + b], out)
                 out[out > limit] = np.inf
-                if late.any():
-                    out[late] = _dijkstra(net, s, part[late], limit)
     return all_times
 
 
@@ -473,14 +381,20 @@ def _grid_index(t_grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _check_times(times: np.ndarray) -> None:
+    """Refuse adoption times that are not all > 0: nobody has adopted at
+    t = 0, and a NaN is no time."""
+    if not np.all(times > 0):
+        raise ValueError(f"adoption times must be > 0, got minimum {np.min(times)}")
+
+
 def _fraction_stats(times: np.ndarray, t_grid: np.ndarray,
                     base: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean over trials, and its stderr, of each trial's adopter fraction on
     t_grid, from adoption times of shape (trials, M). With base, adoption
     times of the same shape on the same trials (a coupled run), of each
     trial's fraction minus base's, so the stderr is the paired one."""
-    if not np.all(times > 0):
-        raise ValueError(f"adoption times must be > 0, got minimum {np.min(times)}")
+    _check_times(times)
     trials, M = times.shape
     T = t_grid.size
 
@@ -534,6 +448,7 @@ def node_frequencies(times: np.ndarray, t_grid) -> np.ndarray:
     counts of every block go into one (M, T + 1) float array, which the
     cumulative sum and the division overwrite."""
     t_grid = _check_time_grid(t_grid)
+    _check_times(times)
     trials, M = times.shape
     T = t_grid.size
     counts = np.zeros(M * (T + 1))
@@ -573,11 +488,10 @@ def run_coupled(net_a: Network, net_b: Network, config: SimConfig = SimConfig())
     has by its own rates. A clock a network lacks is not an edge of its
     graph, so nothing is divided by 0. Both networks then run the kernel of
     `_first_passage` on their own lengths, each with its own sweep tables
-    and sub-blocks. Either way a time is the least fixed point of
+    and sub-blocks. In each a time is the least fixed point of
     d(v) = min fl(d(u) + l_uv), the minimum over paths of the path's
-    rounded sum, whether the sweeps reach it or a budget hands the trial to
-    Dijkstra. If A's parameters are componentwise <= B's (the check is "not
-    applicable" otherwise), every length in B is at most the one in A,
+    rounded sum. If A's parameters are componentwise <= B's (the check is
+    "not applicable" otherwise), every length in B is at most the one in A,
     since IEEE division is monotone, and so are the rounded path sums and
     their minimum: the ordering then holds in every cell, exactly.
 

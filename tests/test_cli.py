@@ -399,6 +399,25 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, out", [
+        (["simulate", "--preset", "fig5", "--trials", "2"], "file"),
+        (["analytic"], "dir"),
+        (["verify", "--suite", "appendix"], "dir"),
+        (["simulate"], "file/x.csv"),
+    ], ids=["preset-dir-is-a-file", "analytic-out-is-a-dir", "verify-out-is-a-dir",
+            "parent-is-a-file"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, args, out):
+        # each once ended in a FileExistsError or IsADirectoryError
+        # traceback; verify's summary line comes before the error
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        proc = fresh_python(["-m", "basslab.cli", *args, "--out", out], cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines()[-1].startswith("basslab: error: [Errno ")
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert list((tmp_path / "dir").iterdir()) == []
+
     @pytest.mark.parametrize("args, config, message", [
         (["analytic", "--config", "cfg.json"], {"M": 2.5},
          "--config value for 'M' must be an integer, got 2.5"),

@@ -212,11 +212,8 @@ GRID_TAKERS = [
     ("node_frequencies", "aggregate", lambda t: simulator.node_frequencies(_TIMES, t)),
     ("oracle_dominance_report", "oracle", lambda t: principles.oracle_dominance_report(P, Q, t)),
     ("psi_diag", "table", lambda t: analytic.psi_diag(t, P, 2, 4, _S1, _S1)),
-    # one trial of a 5-line has too few to pay for its 5 levels of sweeps
-    ("run_event_driven", "dijkstra",
-     lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=1), t)),
     ("run_event_driven", "sweep",
-     lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=300), t)),
+     lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=1), t)),
     ("solve_master", "unlumped", lambda t: oracle.solve_master(_LINE, t)),
     ("survival", "unlumped", lambda t: oracle.survival(_LINE, [0], t)),
     ("survival", "circle", lambda t: oracle.survival(_CIRCLE, [0], t)),
@@ -249,10 +246,8 @@ def test_bad_grid_is_refused(monkeypatch, call, grid, message):
                          ids=[route for name, route, _ in GRID_TAKERS if name == "run_event_driven"])
 def test_sampler_rows_take_their_labelled_route(monkeypatch, route, call):
     taken = set()
-    for kernel in ("_sweep", "_dijkstra"):
-        real = getattr(simulator, kernel)
-        monkeypatch.setattr(simulator, kernel,
-                            lambda *args, real=real, kernel=kernel: taken.add(kernel) or real(*args))
+    real = simulator._sweep
+    monkeypatch.setattr(simulator, "_sweep", lambda *args: taken.add("_sweep") or real(*args))
     call(np.linspace(0.0, 10.0, 6))
     assert taken == {f"_{route}"}
 

@@ -29,7 +29,7 @@ def test_import_and_parser_load_no_scipy(tmp_path):
 
 def test_closed_form_and_event_commands_skip_integrate_and_optimize(tmp_path):
     # the closed form needs no scipy, and the sampler sweeps every one of
-    # these networks, cyclic or not, and calls no Dijkstra
+    # these networks, cyclic or not, with numpy alone
     assert loaded_after("""
         import basslab.cli
         assert basslab.cli.main(["analytic", "--topology", "circle", "-M", "6",
@@ -43,7 +43,7 @@ def test_closed_form_and_event_commands_skip_integrate_and_optimize(tmp_path):
 
 
 def test_one_sided_line_and_box_load_no_scipy(tmp_path):
-    # both are acyclic, so the sampler sweeps them and calls no Dijkstra
+    # both are acyclic, so the sampler sweeps each block once
     assert loaded_after("""
         import basslab.cli
         assert basslab.cli.main(["simulate", "--topology", "line", "--sided", "one",
@@ -53,17 +53,26 @@ def test_one_sided_line_and_box_load_no_scipy(tmp_path):
     """, tmp_path) == []
 
 
-def test_sweep_budget_fallback_alone_loads_csgraph(tmp_path):
-    # the sweeps load nothing; a level cost that leaves the budget short of
-    # a fixed point sends trials to Dijkstra, and only then is csgraph loaded
+def test_few_trial_and_deep_simulations_load_no_scipy(tmp_path):
+    # the sampler sweeps every network to its fixed point, however few its
+    # trials or deep its levels: a 1000-line at 1 trial, the two-sided
+    # 32x32 torus at 2, fig12 at 20 and a per-node run. The dominance suite
+    # loads scipy.sparse for its oracle, and csgraph still not
+    assert loaded_after("""
+        import basslab.cli
+        for k, argv in enumerate([
+            ["--topology", "line", "-M", "1000", "--trials", "1"],
+            ["--topology", "grid", "-D", "2", "--side", "32", "--sided", "two", "--periodic",
+             "--trials", "2"],
+            ["--preset", "fig12", "--trials", "20", "--seed", "305"],
+            ["--topology", "line", "-M", "20", "--trials", "3", "--per-node"],
+        ]):
+            assert basslab.cli.main(["simulate", *argv, "--out", f"sim{k}"]) == 0
+    """, tmp_path) == []
     loaded = loaded_after("""
-        import sys
-        from basslab import simulator
-        from basslab.network import build_circle
-        net = build_circle(6, 0.01, 0.1, sided="two")
-        simulator.event_trajectories(net, simulator.SimConfig(trials=512))
-        assert not any(m.startswith("scipy") for m in sys.modules)
-        simulator.SWEEP_LEVEL_COST = 512 * (net.n + net.dst.size) // 20
-        simulator.event_trajectories(net, simulator.SimConfig(trials=512))
+        import basslab.cli
+        assert basslab.cli.main(["verify", "--suite", "dominance", "--trials", "100",
+                                 "--out", "dominance.json"]) == 0
     """, tmp_path)
-    assert "scipy.sparse.csgraph" in loaded
+    assert "scipy.sparse" in loaded
+    assert "scipy.sparse.csgraph" not in loaded

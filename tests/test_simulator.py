@@ -96,25 +96,9 @@ def _backward_line(M, p, q):
     return Network(M, np.full(M, p), [(j + 1, j, q) for j in range(M - 1)])
 
 
-def _count_dijkstra(monkeypatch):
-    """Count the sampler's Dijkstra calls from here on."""
-    from scipy.sparse import csgraph
-
-    calls = []
-    dijkstra = csgraph.dijkstra
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "dijkstra", counted)
-    return calls
-
-
 def _count_routes(monkeypatch):
-    """Count the sampler's sweeps and Dijkstra calls from here on; returns a
-    function that names the route they took."""
-    calls = _count_dijkstra(monkeypatch)
+    """Count the sampler's sweeps from here on; returns a function that
+    names the route they took."""
     sweeps = []
     sweep = simulator._sweep
 
@@ -123,8 +107,7 @@ def _count_routes(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(simulator, "_sweep", counted)
-    return lambda: {(True, False): "sweep", (False, True): "dijkstra",
-                    (True, True): "both", (False, False): "none"}[bool(sweeps), bool(calls)]
+    return lambda: "sweep" if sweeps else "none"
 
 
 def _attained_time(times):
@@ -256,30 +239,28 @@ class TestEventDriven:
         assert 0 < finite.size < 200
         assert max(finite) <= 1.0
 
-    # DIJKSTRA_NODES 40 puts 6 trials of a 6-node network, 2 of a 16-node
-    # one, in each Dijkstra call; TRIAL_BLOCK 16 then splits 6 + 6 + 4, and
-    # 45 trials leave a last RNG block of 13, split 6 + 6 + 1. None keeps
-    # the module's value: 8 trials of the 32x32 torus per call, 20 trials
-    # in blocks of 16 and 4. At so few trials the small networks' sweeps
-    # would cost more than Dijkstra, so they take it at once. The torus's
-    # block of 16 sweeps until its budget runs out and hands the trials
-    # still changing to Dijkstra; its block of 4 takes Dijkstra at once.
-    # TestSweepRoute checks the sweeps themselves.
-    @pytest.mark.parametrize("net, dijkstra_nodes, trials, trial_block, route", [
-        (_silent_net(), 40, 45, 16, "dijkstra"),
-        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 40, 45, 16, "dijkstra"),
-        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512, "dijkstra"),
-        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16, "both"),
-        (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False), None, 45, 16, "dijkstra"),
-        (_backward_line(7, 0.05, 0.3), None, 45, 512, "dijkstra"),
-        (_acyclic_silent_net(), None, 45, 512, "dijkstra"),
+    # SWEEP_SLOTS 54 gives the silent network's 9 slots sub-blocks of 6
+    # trials, and 160 the 4x4 torus's 80 slots sub-blocks of 2; TRIAL_BLOCK
+    # 16 then splits 6 + 6 + 4 and 8 x 2, and 45 trials leave a last RNG
+    # block of 13, split 5 + 5 + 3 and 6 x 2 + 1. None keeps the module's
+    # value: 25 trials of the 32x32 torus per sub-block, so 20 trials in
+    # blocks of 16 and 4. An acyclic network sweeps a whole block at once.
+    # TestSweepRoute checks the sweeps on more networks.
+    @pytest.mark.parametrize("net, sweep_slots, trials, trial_block", [
+        (_silent_net(), 54, 45, 16),
+        (build_grid(2, 4, 0.05, 0.3, sided="two", periodic=True), 160, 45, 16),
+        (build_line(6, 0.05, 0.3, sided="one"), None, 45, 512),
+        (build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True), None, 20, 16),
+        (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False), None, 45, 16),
+        (_backward_line(7, 0.05, 0.3), None, 45, 512),
+        (_acyclic_silent_net(), None, 45, 512),
     ], ids=["silent", "torus4", "line", "torus32", "box3", "backward-line", "acyclic-silent"])
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_sampler_matches_reference_bit_for_bit(
-        self, monkeypatch, net, dijkstra_nodes, trials, trial_block, route, horizon
+        self, monkeypatch, net, sweep_slots, trials, trial_block, horizon
     ):
-        if dijkstra_nodes is not None:
-            monkeypatch.setattr(simulator, "DIJKSTRA_NODES", dijkstra_nodes)
+        if sweep_slots is not None:
+            monkeypatch.setattr(simulator, "SWEEP_SLOTS", sweep_slots)
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", trial_block)
         cfg = SimConfig(trials=trials, base_seed=21)
         (free,) = reference_first_passage([net], cfg)
@@ -288,7 +269,7 @@ class TestEventDriven:
         (ref,) = reference_first_passage([net], cfg)
         taken = _count_routes(monkeypatch)
         assert np.array_equal(event_trajectories(net, cfg), ref)
-        assert taken() == route
+        assert taken() == "sweep"
         if t_max is not None:  # the horizon cuts some times and keeps others
             assert np.isinf(free).sum() < np.isinf(ref).sum() < ref.size
         if horizon == "attained":
@@ -438,10 +419,12 @@ class TestCurveAssembly:
         assert np.all(curve.stderr == 0)
 
     def test_time_zero_adopter_is_rejected_by_name(self):
-        with pytest.raises(ValueError, match="adoption times must be > 0"):
-            curve_from_times(np.array([[0.0, 2.0]]), np.linspace(0, 3, 4))
-        with pytest.raises(ValueError, match="adoption times must be > 0"):
-            curve_from_times(np.array([[1.0, np.nan]]), np.linspace(0, 3, 4))
+        # node_frequencies once read [[0, nan], [-1, 2]] as frequency 1.0 at
+        # t = 0, with the NaN never adopted
+        for aggregate in (curve_from_times, node_frequencies):
+            for times in ([[0.0, 2.0]], [[1.0, np.nan]], [[0.0, np.nan], [-1.0, 2.0]]):
+                with pytest.raises(ValueError, match="adoption times must be > 0"):
+                    aggregate(np.array(times), np.linspace(0, 3, 4))
 
 
 @st.composite
@@ -587,8 +570,7 @@ class TestCoupled:
                               build_circle(4, 0.05, 0.3, sided="two")),
             "one-trial-blocks": (lo, hi),
             # both boxes sweep: the one-sided box once, the two-sided box
-            # until a sweep changes nothing or, for a few trials of the
-            # short last block, its budget runs out
+            # until a sweep changes nothing
             "box-sides": (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
                           build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False)),
         }[case]
@@ -604,11 +586,12 @@ class TestCoupled:
 
     @pytest.mark.parametrize("horizon", ["none", "attained", "early"])
     def test_shared_clock_times_match_reference_across_sub_blocks(self, monkeypatch, horizon):
-        # at blocks of 16 trials no network here pays for its sweeps, so
-        # each takes Dijkstra on its own. Silent pair: 6 nodes, 6 trials per
-        # call, so blocks of 16 split 6 + 6 + 4, and 45 trials leave a last
-        # RNG block of 13. Box pair: 27 nodes, one trial per call.
-        monkeypatch.setattr(simulator, "DIJKSTRA_NODES", 40)
+        # each network sweeps its own sub-blocks. SWEEP_SLOTS 54 gives the
+        # silent pair's 9 slots sub-blocks of 6 trials, so blocks of 16
+        # split 6 + 6 + 4, and 45 trials leave a last RNG block of 13. Box
+        # pair: the one-sided box sweeps whole blocks, the two-sided box's
+        # 135 slots one trial at a time.
+        monkeypatch.setattr(simulator, "SWEEP_SLOTS", 54)
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
         pairs = [(_silent_net(), _scaled(_silent_net(), 1.5)),
                  (build_grid(3, 3, 0.05, 0.3, sided="one", periodic=False),
@@ -763,7 +746,7 @@ def test_event_sampler_holds_little_beyond_its_draw():
     23 MB."""
     net = build_grid(2, 32, 0.01, 0.1, sided="two", periodic=True)
     t = default_time_grid(0.01, 0.1)
-    run_event_driven(net, SimConfig(trials=2), t)  # keep scipy's first-call set-up out
+    run_event_driven(net, SimConfig(trials=2), t)  # keep first-call set-up out
     tracemalloc.start()
     try:
         run_event_driven(net, SimConfig(trials=200, base_seed=1), t)
@@ -778,9 +761,8 @@ def test_event_sampler_holds_little_beyond_its_draw():
     (build_circle(6, 0.01, 0.1, sided="one"), 2000, "sweep"),
     (build_grid(3, 6, 0.01, 0.1, sided="two", periodic=True), 2000, "sweep"),
     (build_hybrid_circle_ray(30, 30, 0.01, 0.1), 2000, "sweep"),
-    # 20,000 levels against 1 trial of 39,999 nodes and edges: not even
-    # one sweep would pay
-    (build_line(20000, 0.01, 0.1, sided="one"), 1, "dijkstra"),
+    # 20,000 levels of one node each, in one sweep of 1 trial
+    (build_line(20000, 0.01, 0.1, sided="one"), 1, "sweep"),
 ], ids=["one-sided-box", "one-sided-circle", "two-sided-torus", "hybrid", "thin-line"])
 def test_route_of_each_network(monkeypatch, net, trials, route):
     taken = _count_routes(monkeypatch)
@@ -836,13 +818,11 @@ def cyclic_digraphs(draw):
 
 
 class TestSweepRoute:
-    """The sweeps alone, forced by a level cost of 1, so that no budget runs
-    out; SWEEP_SLOTS 200 splits each block of 16 trials into sub-blocks of a
-    few trials."""
+    """The sweeps on many networks; SWEEP_SLOTS 200 splits each block of 16
+    trials of a cyclic one into sub-blocks of a few trials."""
 
     @pytest.fixture(autouse=True)
-    def _sweep_only(self, monkeypatch):
-        monkeypatch.setattr(simulator, "SWEEP_LEVEL_COST", 1)
+    def _small_sub_blocks(self, monkeypatch):
         monkeypatch.setattr(simulator, "SWEEP_SLOTS", 200)
         monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
 
@@ -893,19 +873,38 @@ class TestSweepRoute:
         assert np.array_equal(event_trajectories(net, cfg), ref)
 
 
-def test_budget_hands_the_trials_still_changing_to_dijkstra(monkeypatch):
-    # a level cost that pays for the first forward, backward and forward
-    # sweeps of a block of 16 trials and for no more: the trials that the
-    # third sweep still changes go to Dijkstra, and the rest keep their
-    # swept times
-    net = build_grid(2, 6, 0.01, 1.0, sided="two", periodic=True)
-    plan = simulator._sweep_plan(net, np.flatnonzero(net.p > 0).astype(np.int32), 10**9)
-    size = net.n + net.dst.size
-    monkeypatch.setattr(simulator, "TRIAL_BLOCK", 16)
-    monkeypatch.setattr(simulator, "SWEEP_LEVEL_COST", 16 * size // plan.least)
-    assert 16 * size // simulator.SWEEP_LEVEL_COST < plan.least + len(plan.sweeps[1])
-    cfg = SimConfig(trials=32, base_seed=3)
+def _zigzag(M):
+    """A two-sided path through the nodes in the order 0, M-1, 1, M-2, ...,
+    seeded at node 0 alone: every edge of the path after the first goes
+    the other way in node order from the one before it."""
+    z = [j for pair in zip(range(M // 2), range(M - 1, M // 2 - 1, -1)) for j in pair]
+    p = np.zeros(M)
+    p[0] = 0.5
+    return Network(M, p, [(a, b, 1.0) for a, b in zip(z, z[1:])]
+                   + [(b, a, 1.0) for a, b in zip(z, z[1:])])
+
+
+@pytest.mark.parametrize("net, exact", [
+    # node 0's time crosses one run of slots per sweep: M - 1 sweeps carry
+    # it along the path, and one more changes nothing
+    (_zigzag(12), 12),
+    # the two-sided 64x64 torus at q/p = 1000, whose long chains of fast
+    # edges take the most sweeps of these lattices
+    (build_grid(2, 64, 0.001, 1.0, sided="two", periodic=True), None),
+    (build_circle(9, 0.05, 0.3, sided="two"), None),
+    (build_hybrid_circle_ray(8, 5, 0.05, 0.3), None),
+    (build_grid(3, 3, 0.05, 0.3, sided="two", periodic=False), None),
+    (_silent_net(), None),
+], ids=["zigzag", "torus64-fast", "circle-two", "hybrid", "box-two", "silent"])
+def test_sweeps_stop_within_M_plus_one(monkeypatch, net, exact):
+    # 3 trials make one sub-block, so every sweep counted is one of its
+    # sweeps, which stop by the (M + 1)-th (see simulator._solve)
+    sweeps = []
+    sweep = simulator._sweep
+    monkeypatch.setattr(simulator, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    cfg = SimConfig(trials=3, base_seed=7)
     (ref,) = reference_first_passage([net], cfg)
-    taken = _count_routes(monkeypatch)
     assert np.array_equal(event_trajectories(net, cfg), ref)
-    assert taken() == "both"
+    assert 2 <= len(sweeps) <= net.n + 1
+    if exact is not None:
+        assert len(sweeps) == exact

@@ -212,8 +212,12 @@ GRID_TAKERS = [
     ("node_frequencies", "aggregate", lambda t: simulator.node_frequencies(_TIMES, t)),
     ("oracle_dominance_report", "oracle", lambda t: principles.oracle_dominance_report(P, Q, t)),
     ("psi_diag", "table", lambda t: analytic.psi_diag(t, P, 2, 4, _S1, _S1)),
-    ("run_event_driven", "sweep",
+    # one trial of a 5-line: the case the deleted Dijkstra fallback used to
+    # take, kept under its old label; it sweeps now like every other
+    ("run_event_driven", "dijkstra",
      lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=1), t)),
+    ("run_event_driven", "sweep",
+     lambda t: simulator.run_event_driven(build_line(5, 0.1, 0.3), SimConfig(trials=300), t)),
     ("solve_master", "unlumped", lambda t: oracle.solve_master(_LINE, t)),
     ("survival", "unlumped", lambda t: oracle.survival(_LINE, [0], t)),
     ("survival", "circle", lambda t: oracle.survival(_CIRCLE, [0], t)),
@@ -249,7 +253,9 @@ def test_sampler_rows_take_their_labelled_route(monkeypatch, route, call):
     real = simulator._sweep
     monkeypatch.setattr(simulator, "_sweep", lambda *args: taken.add("_sweep") or real(*args))
     call(np.linspace(0.0, 10.0, 6))
-    assert taken == {f"_{route}"}
+    # the sweep is the sampler's one kernel, so every row, the few-trial
+    # one labelled dijkstra too, must reach it
+    assert taken == {"_sweep"}
 
 
 def test_every_grid_taking_name_is_in_the_table():

@@ -16,26 +16,30 @@ of the hierarchy into one recursion over circle sizes,
 
     u_m' = -(p+q) u_m + q e^{-pt} u_{m-1},   u_1 = e^{-pt},   u_m(0) = 1,
 
-so one solve of M states gives S_1(t;m) for every m <= M, with no exponent
+so one table of M rows gives S_1(t;m) for every m <= M, with no exponent
 sums to cancel. It feeds the circle (where the closed form is not trusted),
 the one-sided line (node j is a j-circle) and the hybrid (circle nodes are
 C-circles, ray node k a (C+k)-circle). The two-sided line adds its M-2
-interior non-adoption probabilities to the M half-rate survivals: 2M-2
-states. Lines of several sizes share one solve: the half-rate recursion
-up to the largest size and every size's interior unknowns. The rows
-k >= 2 of the hierarchy are read off the same table by the general shift
+interior non-adoption probabilities to the M half-rate survivals. Lines of
+several sizes share one pass: the half-rate table up to the largest size
+and every size's interior unknowns. The rows k >= 2 of the hierarchy are
+read off the same table by the general shift
 S_k(t;m) = e^{-(k-1)pt} S_1(t;m-k+1). Each appendix diagnostic has one
-function: alpha_diag is the one solve beyond the S_1 tables at q and q/2
+function: alpha_diag is the one table beyond the S_1 tables at q and q/2
 (the q/2 table comes with the two-sided lines), and beta_diag, gamma_diag,
 psi_diag, nu_diag and pair_survival_two_sided_line are algebra on them.
 
-scipy.integrate is imported at the first ODE solve, through this module's
-solve_ivp, so the closed form and default_time_grid run without it: the
-default grid's horizon is found by Newton's method on the closed-form
+Every one of these tables comes from one exact propagator, _propagate: in
+tau = (1 - e^{-pt})/p the recursion is a nilpotent chain, so each step is
+a convolution with Poisson-type weights plus a Gauss-Legendre sum, all
+terms >= 0 (an exponential integrator; uniformization in tau). It needs
+numpy alone, so no curve or table of this module loads scipy: the default
+grid's horizon is found by Newton's method on the closed-form
 infinite-line fraction, with no scipy root finder.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,23 +55,22 @@ CLOSED_FORM_MAX_M = 30
 # Automatic routing takes the exponent sum only when its rounding bound
 # eps * (sum_k |A_k| + |B|) is at most this; otherwise the S_1 recursion.
 CLOSED_FORM_ROUNDING = 1e-12
-# Adaptive Runge-Kutta relative tolerance of alpha's difference system. The
-# global error runs several times rtol.
-ODE_RTOL = 1e-11
-# Tolerances of the S_1 recursion over circle sizes. Its M sizes are chained
-# and DOP853's error norm is an RMS over all of them, so one size can drift
-# well past rtol: at ODE_RTOL the one-sided line at q/p = 45 ran 2.6e-10 off
-# the master equation (M = 16). At these, f_line_one_sided's rows 1-10 on
-# the default grid at p = 0.01, q = 0.1 ran at most 1.03e-11 off the lumped
-# oracle's m-circles at M = 16, 4.53e-11 at M = 60, 1.35e-10 at M = 200 and
-# 4.34e-10 at M = 1000: the error grows with M (ROADMAP item 2).
-RECURSION_RTOL = 1e-12
-RECURSION_ATOL = 1e-13
-# Largest (p+q)*t_max an ODE solve takes. DOP853's steps are bounded by its
-# stability region, so the work grows with the decay rate times the
-# horizon: at 1e4 the two-sided line of 200 nodes takes about 1.4 s and
-# the 6-circle at q/p = 1e13 about 0.6 s, at 1e5 about 12 s and 5 s.
+# Largest (p+q)*t_max a solve takes. The propagator's steps are at most one
+# decay time long, so this caps them at MAX_DECAY_SPAN plus the grid's points.
 MAX_DECAY_SPAN = 1e4
+# Gauss-Legendre nodes of the propagator's forcing and interior sums on one
+# step of at most one decay time.
+GAUSS_NODES = 8
+# Tail bound of the propagator's Poisson-type sums. With x = q (tau(b) -
+# tau(a)) <= 1 the largest over the steps, each step keeps the K terms
+# k < K of sum_k x^k/k!, K the least with x^K/K! <= POISSON_TAIL. The states
+# are <= 1 and a step contracts, so each step adds at most 2 * POISSON_TAIL
+# (dropped convolution terms and dropped forcing rows) to the error. A chain
+# from 0 keeps every term, since its rows have no floor.
+POISSON_TAIL = 1e-18
+# Steps whose filters, forcing and node tables are formed at once; bounds
+# the propagator's memory at a few MB whatever the number of steps.
+PROPAGATOR_CHUNK = 128
 # Fraction of the infinite-line curve reached at the default grid's horizon,
 # and the default grid's number of points.
 GRID_COVERAGE = 0.99
@@ -104,55 +107,161 @@ def _closed_form(t: np.ndarray, p: float, q: float, M: int) -> np.ndarray | None
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at the first solve: importing
-    scipy.integrate (which loads scipy.optimize) takes about 0.5 s, which
-    a command that never integrates need not pay."""
+    """scipy.integrate.solve_ivp, imported at the call. No solve of this
+    package calls it: the name stays because perfbench/spans.py counts ODE
+    solves through it (ROADMAP item 6), and that count reads 0."""
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
 
 
-def _integrate(rhs, t_grid, y0: np.ndarray, what: str, rate: float,
-               rtol: float = RECURSION_RTOL, atol: float = RECURSION_ATOL) -> np.ndarray:
-    """DOP853 solution of y' = rhs(t, y), y(0) = y0, on t_grid: shape
-    (len(y0), T). rate is the system's largest decay rate; a bad grid, or
-    a solve past MAX_DECAY_SPAN decay times, is refused before it starts."""
-    t_grid = _check_time_grid(t_grid)
-    span = rate * float(t_grid[-1])
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """GAUSS_NODES Gauss-Legendre nodes and weights on [0, 1]. numpy.polynomial
+    is imported at the first solve, not with the package."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(GAUSS_NODES)
+    return (1.0 + x) / 2, w / 2
+
+
+def _powers(y: np.ndarray, K: int) -> np.ndarray:
+    """y^k / k! for k = 0..K-1 along a new last axis; every term >= 0 for y >= 0."""
+    out = np.empty((K, *y.shape))
+    out[0] = 1.0
+    for k in range(1, K):
+        np.multiply(out[k - 1], y / k, out=out[k])
+    return np.moveaxis(out, 0, -1)
+
+
+def _propagate(t_grid: np.ndarray, p: float, q: float, r: float, rows: int, head, start: float,
+               what: str, pairs=None):
+    """The chain w_0 = head(t) and, for n = 1..rows-1,
+
+        w_n' = -(p+r) w_n + r e^{-pt} w_{n-1},   w_n(0) = start,
+
+    on a grid that passed _check_time_grid, stepped exactly: the table
+    (rows, T) with row n = w_n. head must be >= 0 and start in [0, 1].
+
+    With tau = (1 - e^{-pt})/p and w_n = e^{-(p+r)t} v_n the chain is
+    dv_n/dtau = r v_{n-1}, so over a step [a, b] with x = r (tau(b) - tau(a))
+
+        w_n(b) = e^{-(p+r)(b-a)} sum_{k<n} x^k/k! w_{n-k}(a)
+               + int_a^b e^{-(p+r)(b-s)} r (r (tau(b)-tau(s)))^{n-1}/(n-1)! e^{-ps} head(s) ds:
+
+    a convolution with Poisson-type weights, then a Gauss-Legendre sum.
+    Every term is >= 0, and the weights sum to at most e^{-p(b-a)}, so a
+    step contracts and rounding does not grow. Each grid interval is split
+    so that (p+q)(b-a) <= 1, after a first step from 0 to t_grid[0]; the
+    sums keep K terms (see POISSON_TAIL), or every term from start 0. A
+    solve past MAX_DECAY_SPAN decay times is refused before any work.
+
+    With pairs = (a, b, c, d), index arrays into the rows, it also steps
+    the interior unknowns of two-sided lines,
+
+        u' = -(p+q) u + (q/2) (w_a w_b + w_c w_d),   u(0) = 1,
+
+    by a Duhamel sum over each step's Gauss nodes, where the table is
+    evaluated as at b, and returns (table, interior (len(a), T)).
+
+    What does not depend on the state (filters, forcing, node tables) is
+    formed for PROPAGATOR_CHUNK steps at once; only the convolution
+    recurrence runs step by step.
+    """
+    span = (p + q) * float(t_grid[-1])
     if not span <= MAX_DECAY_SPAN:  # NaN fails too
         raise ValueError(
             f"{what}: (p+q)*t_max = {span:.3g} is past the {MAX_DECAY_SPAN:.0e} "
             "an ODE solve takes; use a shorter horizon"
         )
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 1.0),
-        y0,
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"{what} integration failed: {sol.message}")
-    return sol.y
+    T = t_grid.size
+    table = np.empty((rows, T))
+    table[0] = head(t_grid)
+    interior = None if pairs is None else np.empty((len(pairs[0]), T))
+    n = rows - 1
+    if n == 0:
+        return table
 
+    def dtau(x, y):  # tau(y) - tau(x) for y >= x, without cancellation
+        return np.exp(-p * x) * -np.expm1(-p * (y - x)) / p
 
-def _survival_rates(t: float, u: np.ndarray, p: float, q: float) -> np.ndarray:
-    """u' for u_m = S_1(t;m), m = 1..len(u): the recursion over circle sizes."""
-    du = -(p + q) * u
-    du[0] = -p * u[0]
-    du[1:] += q * np.exp(-p * t) * u[:-1]
-    return du
+    # the steps [lo, hi]: grid interval i (the first from 0) in count[i] parts
+    knots = np.concatenate([[0.0], t_grid])
+    width = np.diff(knots)
+    count = np.maximum(1, np.ceil((p + q) * width)).astype(np.int64)
+    interval = np.repeat(np.arange(T), count)
+    part = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
+    size = (width / count)[interval]
+    lo = knots[interval] + part * size
+    last = part + 1 == count[interval]
+    hi = np.where(last, knots[interval + 1], knots[interval] + (part + 1) * size)
+    if start == 0:
+        # rows from 0 have no floor (alpha_j grows like (qt)^j/j!), so an
+        # absolute tail bound says nothing of them: keep every term
+        K = n
+    else:
+        x_max = r * float(np.max(dtau(lo, hi)))
+        K, term = 0, 1.0
+        while term > POISSON_TAIL:
+            K += 1
+            term *= x_max / K
+    kept = min(K, n)  # forcing rows past K drop out
+
+    c, omega = _gauss_legendre()
+    G = c.size
+    # a step evaluates the table at its Gauss nodes (with pairs), then at b
+    where = np.ones(1) if pairs is None else np.append(c, 1.0)
+    at = np.empty((where.size, rows))  # column 0 is the head at the Gauss nodes
+    chain = at[:, 1:]
+    # the chain's state after K-1 zeros, and its window[k, m] = w_{m+1-k},
+    # so that filter @ window is the convolution
+    pad = np.zeros(K - 1 + n)
+    pad[K - 1:] = start
+    window = np.lib.stride_tricks.as_strided(pad[K - 1:], shape=(K, n),
+                                             strides=(-pad.itemsize, pad.itemsize))
+    if pairs is not None:
+        # flat indices into at of w_a, w_b, w_c, w_d at each Gauss node
+        gather = np.stack(pairs)[:, None, :] + rows * np.arange(G)[None, :, None]
+        u = np.ones(gather.shape[2])
+    column = 0
+    for first in range(0, lo.size, PROPAGATOR_CHUNK):
+        chunk = slice(first, first + PROPAGATOR_CHUNK)
+        a, b = lo[chunk, None], hi[chunk, None]
+        e = a + (b - a) * where
+        e[:, -1] = b[:, 0]
+        filt = np.exp(-(p + r) * (e - a))[..., None] * _powers(r * dtau(a, e), K)
+        s = a[..., None] + (e - a)[..., None] * c  # forcing nodes on each [a, e]
+        weight = (omega * (e - a)[..., None] * r * np.exp(-(p + r) * (e[..., None] - s))
+                  * np.exp(-p * s) * head(s))
+        forcing = (weight[..., None, :] @ _powers(r * dtau(s, e[..., None]), kept))[..., 0, :]
+        if pairs is not None:
+            head_e = head(e[:, :G])
+            decay = np.exp(-(p + q) * (b - a))[:, 0]
+            duhamel = omega * (b - a) * (q / 2) * np.exp(-(p + q) * (b - e[:, :G]))
+        for k, done in enumerate(last[chunk].tolist()):
+            np.matmul(filt[k], window, out=chain)
+            chain[:, :kept] += forcing[k]
+            pad[K - 1:] = chain[-1]
+            if pairs is not None:
+                at[:G, 0] = head_e[k]
+                w = at.take(gather)
+                u *= decay[k]
+                u += duhamel[k] @ (w[0] * w[1] + w[2] * w[3])
+            if done:
+                table[1:, column] = chain[-1]
+                if pairs is not None:
+                    interior[:, column] = u
+                column += 1
+    return table if pairs is None else (table, interior)
 
 
 def _circle_survivals(t_grid: np.ndarray, p: float, q: float, M: int) -> np.ndarray:
-    """S_1(t;m) of the m-circle for every m = 1..M, shape (M, T), from one
-    solve of the recursion."""
+    """S_1(t;m) of the m-circle for every m = 1..M, shape (M, T): the chain
+    u_1 = e^{-pt}, u_m' = -(p+q) u_m + q e^{-pt} u_{m-1}, u_m(0) = 1."""
     _check_counts(M=M)
     _check_pq(p, q)
-    return _integrate(lambda t, u: _survival_rates(t, u, p, q), t_grid, np.ones(M),
-                      "circle recursion", p + q)
+    return _propagate(_check_time_grid(t_grid), p, q, q, M, lambda s: np.exp(-p * s), 1.0,
+                      "circle recursion")
 
 
 def survival_circle(t_grid, p: float, q: float, M: int):
@@ -243,42 +352,36 @@ def _two_sided_lines(t_grid: np.ndarray, p: float, q: float, sizes) -> tuple[np.
         u_j' = -(p+q) u_j + (q/2) [S(j-1) S(M-j+1) + S(j) S(M-j)],
 
     fed by the pair survivals Prob(X_{j-1}=0, X_j=0) = S(j-1) S(M-j+1),
-    products of half-rate circle survivals S(m). The max(sizes) survivals
-    (the S_1 recursion) come first, then the M-2 interior unknowns of each
-    size in turn, all integrated as one system, so no interpolation error
-    enters. A single size M is the 2M-2 states of its line alone."""
+    products of half-rate circle survivals S(m). The propagator steps the
+    max(sizes) survivals and, at the Gauss nodes of each step, the M-2
+    interior unknowns of each size in turn, so no interpolation error
+    enters. A single size M is the M survivals and M-2 unknowns of its line
+    alone."""
     _check_pq(p, q)
     sizes = list(sizes)
     if not sizes or min(sizes) < 2:
         raise ValueError(f"two-sided line sizes must be >= 2, got {sizes}")
     N = max(sizes)
-    h = q / 2
-    # every interior node's 1-based label j and line size L, sizes in turn,
-    # and the S indices of its two pair survivals
+    # every interior node's 1-based label j and line size L, sizes in turn;
+    # its two pair survivals are S(j-1) S(L-j+1) and S(j) S(L-j)
     j = np.concatenate([np.arange(2, M) for M in sizes])
     L = np.concatenate([np.full(M - 2, M) for M in sizes])
-    a, b, c, d = j - 2, L - j, j - 1, L - j - 1
 
-    def rhs(t, y):
-        S, u = y[:N], y[N:]
-        du = -(p + q) * u + h * (S[a] * S[b] + S[c] * S[d])
-        return np.concatenate([_survival_rates(t, S, p, h), du])
-
-    y = _integrate(rhs, t_grid, np.ones(N + j.size), "two-sided line", p + q)
+    S, u = _propagate(_check_time_grid(t_grid), p, q, q / 2, N, lambda s: np.exp(-p * s), 1.0,
+                      "two-sided line", pairs=(j - 2, L - j, j - 1, L - j - 1))
     lines = []
-    start = N
+    start = 0
     for M in sizes:
-        lines.append(np.vstack([y[M - 1], y[start : start + M - 2], y[M - 1]]))
+        lines.append(np.vstack([S[M - 1], u[start : start + M - 2], S[M - 1]]))
         start += M - 2
-    return y[:N], lines
+    return S, lines
 
 
 def f_line_two_sided(t_grid, p: float, q: float, M: int):
     """Per-node and aggregate adoption on the two-sided line: its ends are
     half-rate M-circles and its interior nodes are driven by products of
-    half-rate circle survivals, integrated with them as one system of
-    2M-2 states (see _two_sided_lines). A single node is the half-rate
-    1-circle.
+    half-rate circle survivals, stepped with them in one pass (see
+    _two_sided_lines). A single node is the half-rate 1-circle.
 
     Returns (per_node (M,T), f (T,), source): source "ode", or for M = 1
     the route survival_circle took.
@@ -321,28 +424,21 @@ def alpha_diag(t_grid, p: float, q: float, k: int) -> np.ndarray:
 
     For j beyond ~6 the plain subtraction cancels catastrophically (the
     true value decays like (qt)^j / j! at small t, below round-off of the
-    two survivals), so the difference is integrated directly: combining the
+    two survivals), so the difference is stepped directly: combining the
     S_1 evolution with the block-shift identity gives the triangular system
 
         alpha_j' = -(p+q) alpha_j + q e^{-pt} alpha_{j-1},
         alpha_0  = 1 - e^{-pt},  alpha_j(0) = 0,
 
-    which is positivity-preserving and carries no cancellation. One solve
-    gives every row.
+    the S_1 chain with head 1 - e^{-pt} and start 0: every term of its
+    steps is >= 0, so nothing cancels. One pass gives every row.
     """
     _check_sizes(k=k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_pq(p, q)
-
-    def rhs(t, a):
-        d = -(p + q) * a
-        drive = q * np.exp(-p * t)
-        d[0] += drive * (1.0 - np.exp(-p * t))
-        d[1:] += drive * a[:-1]
-        return d
-
-    return _integrate(rhs, t_grid, np.zeros(k), "difference system", p + q, ODE_RTOL, 1e-18)
+    return _propagate(_check_time_grid(t_grid), p, q, q, k + 1, lambda s: -np.expm1(-p * s), 0.0,
+                      "difference system")[1:]
 
 
 def _block_survival(s1: np.ndarray, t_grid: np.ndarray, p: float, k: int, m: int) -> np.ndarray:

@@ -302,11 +302,11 @@ def _diag_entry(kind: str, k: int, M: int, vals: np.ndarray) -> dict:
 
 
 def _suite_appendix(spec: argparse.Namespace) -> dict:
-    """Positivity of alpha..psi at M <= 9, from three ODE solves. beta,
-    gamma, psi and the one-sided line of nu read every S_k off two S_1
-    tables, at q and q/2; alpha reads every k off one solve of its
+    """Positivity of alpha..psi at M <= 9, from three propagator passes.
+    beta, gamma, psi and the one-sided line of nu read every S_k off two
+    S_1 tables, at q and q/2; alpha reads every k off one pass of its
     difference system. The q/2 table and the two-sided lines of nu, every
-    M = 2..9, come from one joint solve."""
+    M = 2..9, come from one joint pass."""
     p, q = spec.p, spec.q
     t = np.linspace(1.5, VERIFY_T_MAX, 20)
     s1 = _circle_survivals(t, p, q, 9)

@@ -10,7 +10,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from basslab import simulator
-from basslab.analytic import _closed_form, _integrate, _survival_rates, f_one_dim_limit, survival_circle
+from basslab.analytic import _closed_form, _propagate, f_one_dim_limit, survival_circle
 from basslab.curves import AdoptionCurve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -266,15 +266,9 @@ def f_line_two_sided_quadrature(t_grid, p, q, M):
 def line_two_sided_single_solve(t_grid, p, q, M):
     """Per-node non-adoption probabilities (M, T) of the two-sided line,
     M >= 2, from a solve of that line alone: M half-rate survivals, then
-    the M-2 interior unknowns, through the library's _integrate call.
+    the M-2 interior unknowns, through the library's _propagate call.
     f_line_two_sided must match it bit for bit."""
-    h = q / 2
     j = np.arange(2, M)  # 1-based interior node labels
-
-    def rhs(t, y):
-        S, u = y[:M], y[M:]
-        du = -(p + q) * u + h * (S[j - 2] * S[M - j] + S[j - 1] * S[M - j - 1])
-        return np.concatenate([_survival_rates(t, S, p, h), du])
-
-    y = _integrate(rhs, np.asarray(t_grid, dtype=float), np.ones(2 * M - 2), "two-sided line", p + q)
-    return np.vstack([y[M - 1], y[M:], y[M - 1]])
+    S, u = _propagate(np.asarray(t_grid, dtype=float), p, q, q / 2, M, lambda s: np.exp(-p * s),
+                      1.0, "two-sided line", pairs=(j - 2, M - j, j - 1, M - j - 1))
+    return np.vstack([S[M - 1], u, S[M - 1]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -72,6 +73,18 @@ def hierarchy_expm_rows(times, p, q, M, step, dps=60):
 def hierarchy_expm_survival(t, p, q, M, k=1, dps=60):
     """S_k(t;M) by 60-digit matrix exponential of the hierarchy."""
     return hierarchy_expm_rows([t], p, q, M, t, dps)[0][k - 1]
+
+
+def alpha_tau_integral(t, p, q, j, dps=40):
+    """alpha(t,j) = e^{-(p+q)t} q^j/(j-1)! int_0^tau (tau-s)^{j-1} ps (1-ps)^{-1-q/p} ds,
+    tau = (1 - e^{-pt})/p, by mpmath quadrature at dps digits: the chain
+    of alpha_diag solved in tau, with no matrix and no step."""
+    with mp.workdps(dps):
+        t, p, q = mp.mpf(t), mp.mpf(p), mp.mpf(q)
+        tau = -mp.expm1(-p * t) / p
+        integrand = lambda s: (tau - s) ** (j - 1) * p * s * (1 - p * s) ** (-1 - q / p)
+        integral = mp.quad(integrand, [0, tau])
+        return mp.exp(-(p + q) * t) * q**j / mp.factorial(j - 1) * integral
 
 
 def closed_form(t, p, q, M):
@@ -304,6 +317,17 @@ class TestLines:
             assert np.max(np.abs(per_node[j - 1] - exact[j - 1])) <= 1e-10
         assert np.allclose(f, per_node.mean(axis=0), atol=0)
 
+    @pytest.mark.parametrize("M", [200, 1000])
+    def test_long_one_sided_rows_match_oracle_circles(self, M):
+        # the propagator's error does not grow with the table's size: DOP853
+        # ran 1.35e-10 (M = 200) and 4.3e-10 (M = 1000) off here
+        p, q = 0.01, 0.1
+        t = default_time_grid(p, q)
+        per_node, _, _ = f_line_one_sided(t, p, q, M)
+        for m in range(1, 11):
+            ref = exact_f(build_circle(m, p, q), t).f
+            assert np.max(np.abs(per_node[m - 1] - ref)) <= 1e-12, m
+
     def test_one_sided_matches_oracle(self):
         net = build_line(5, 0.05, 0.3, sided="one")
         t = np.linspace(0.0, 20.0, 21)
@@ -376,6 +400,39 @@ class TestLines:
         per_node, _, _ = f_line_two_sided(t, 0.05, 0.3, 5)
         ref = solve_master(net, t).marginals()
         assert np.max(np.abs(per_node - ref)) < 1e-8
+
+    def test_two_sided_matches_oracle_to_rounding(self):
+        # DOP853 ran 7.9e-12 off here
+        p, q, M = 0.01, 0.1, 16
+        t = default_time_grid(p, q)
+        per_node, _, _ = f_line_two_sided(t, p, q, M)
+        ref = exact_f(build_line(M, p, q, sided="two"), t).per_node
+        assert np.max(np.abs(per_node - ref)) <= 1e-13
+
+    def test_coarse_grid_is_stepped_exactly(self):
+        # (p+q) times each interval is 7 to 14: the propagator splits each
+        # into steps of at most one decay time (one step each ran 6.5e-12 off)
+        p, q, M = 0.05, 0.3, 8
+        t = np.array([0.0, 20.0, 40.0, 80.0])
+        for solve, sided in ((f_line_one_sided, "one"), (f_line_two_sided, "two")):
+            per_node, _, _ = solve(t, p, q, M)
+            ref = exact_f(build_line(M, p, q, sided=sided), t).per_node
+            assert np.max(np.abs(per_node - ref)) <= 1e-14, sided
+
+    def test_long_two_sided_line_memory_follows_its_output(self):
+        # the per-node output of M = 2000 is 3.2 MB on the default grid; the
+        # propagator's peak measured 9.6 MB (DOP853's 13.8 MB): the table,
+        # the interior and the stacked line, with a chunk of step tables
+        p, q, M = 0.01, 0.1, 2000
+        t = default_time_grid(p, q)
+        f_line_two_sided(t[:3], p, q, 8)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            per_node, _, _ = f_line_two_sided(t, p, q, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * per_node.nbytes
 
     def test_pair_survival_matches_oracle(self):
         p, q, M = 0.05, 0.3, 6
@@ -478,6 +535,18 @@ class TestDiagnostics:
             )
             got = alpha_diag(np.array([t]), 0.01, 0.1, k)[-1, 0]
             assert got == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("q", [0.1, 0.001])
+    def test_alpha_rows_match_the_tau_integral(self, q):
+        # the appendix suite's grid; DOP853 ran 1e-7 off in relative terms
+        # on alpha_9(1.5). At q = 0.001, alpha_9(1.5) is 1.5e-34: a chain
+        # from 0 has no floor, so no term may be dropped by an absolute bound
+        p = 0.01
+        t = np.linspace(1.5, 30.0, 20)
+        table = alpha_diag(t, p, q, 9)
+        for j in (1, 5, 9):
+            ref = np.array([float(alpha_tau_integral(ti, p, q, j)) for ti in t])
+            assert np.max(np.abs(table[j - 1] / ref - 1.0)) <= 1e-14, j
 
     def test_alpha_table_rows_are_the_single_solves(self):
         # the appendix suite's grid: one k = 9 solve gives every row
@@ -614,7 +683,7 @@ NON_INTEGER_SIZES = [
 def test_non_integer_size_is_refused(monkeypatch, call, name):
     # the two-sided line once took 2.5 nodes for 2, and the other sizes
     # ended in a TypeError of Python or numpy
-    monkeypatch.setattr(analytic, "solve_ivp", lambda *args, **kwargs: pytest.fail("solved"))
+    monkeypatch.setattr(analytic, "_propagate", lambda *args, **kwargs: pytest.fail("solved"))
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call()
 

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import basslab.analytic as analytic
 import basslab.cli as cli
 import basslab.oracle as oracle
-from basslab.network import Network, build_line
+from basslab.network import Network, build_circle, build_hybrid_circle_ray, build_line
 from basslab.principles import PlanCase, TransformPlan, _apply_with_records, figure_plan
 from conftest import fresh_python, read_curve_csv
 
@@ -87,6 +88,26 @@ class TestAnalytic:
     def test_grid_point_floor(self):
         with pytest.raises(SystemExit, match="grid"):
             run(["analytic", "--topology", "circle", "--grid", "1"])
+
+    @pytest.mark.parametrize("shape, network", [
+        (["--topology", "circle", "-M", "2"], lambda: build_circle(2, 1.0, 1.0)),
+        (["--topology", "line", "--sided", "two", "-M", "6"],
+         lambda: build_line(6, 1.0, 1.0, sided="two")),
+        (["--topology", "hybrid", "-M", "12", "--ray", "6"],
+         lambda: build_hybrid_circle_ray(6, 6, 1.0, 1.0)),
+    ], ids=["circle", "two-sided-line", "hybrid"])
+    def test_extreme_rates_give_the_rescaled_curve(self, tmp_path, shape, network):
+        # the 2-circle at p = q = 1e300 once printed a numpy RuntimeWarning
+        # and ended in "circle recursion integration failed". Rates scale
+        # out of the model: the curve is the p = q = 1 curve at 1e300 t
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analytic", *shape, "-p", "1e300", "-q", "1e300", "--out", str(out)]) == 0
+        curve = read_curve_csv(out)
+        assert np.all((curve.f >= 0) & (curve.f <= 1)) and np.all(np.diff(curve.f) >= 0)
+        ref = oracle.exact_f(network(), curve.t * 1e300).f
+        assert np.max(np.abs(curve.f - ref)) < 1e-10
 
 
 class TestSimulate:
@@ -281,18 +302,20 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_appendix_suite_makes_three_ode_solves(self, tmp_path, monkeypatch):
-        # the S_1 table at q, alpha's difference system, and one joint solve
-        # of the q/2 table with every two-sided line M = 2..9
-        sizes = []
-        solve = analytic.solve_ivp
+        # the S_1 table at q, alpha's difference system (its head row and 9
+        # rows), and one joint pass of the q/2 table with every two-sided
+        # line M = 2..9
+        passes = []
+        propagate = analytic._propagate
 
-        def counted(fun, t_span, y0, **kwargs):
-            sizes.append(len(y0))
-            return solve(fun, t_span, y0, **kwargs)
+        def counted(t, p, q, r, rows, head, start, what, pairs=None):
+            passes.append((what, rows, 0 if pairs is None else len(pairs[0])))
+            return propagate(t, p, q, r, rows, head, start, what, pairs)
 
-        monkeypatch.setattr(analytic, "solve_ivp", counted)
+        monkeypatch.setattr(analytic, "_propagate", counted)
         assert run(["verify", "--suite", "appendix", "--out", str(tmp_path / "a.json")]) == 0
-        assert sorted(sizes) == [9, 9, 9 + sum(M - 2 for M in range(2, 10))]
+        assert sorted(passes) == [("circle recursion", 9, 0), ("difference system", 10, 0),
+                                  ("two-sided line", 9, sum(M - 2 for M in range(2, 10)))]
 
 
 class TestBadInput:

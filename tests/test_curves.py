@@ -237,7 +237,7 @@ def test_bad_grid_is_refused(monkeypatch, call, grid, message):
     # must come before any work. f_one_dim_limit once read f = -0.0095 at
     # t = -1, outside [0, 1], and node_frequencies 0.268 at every point of
     # a descending grid
-    for module, name in ((analytic, "solve_ivp"), (oracle, "_uniformized"),
+    for module, name in ((analytic, "_propagate"), (oracle, "_uniformized"),
                          (oracle, "build_generator"), (oracle, "_orbits"),
                          (simulator, "_event_times"), (simulator, "_fraction_stats")):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("worked"))

@@ -42,6 +42,33 @@ def test_closed_form_and_event_commands_skip_integrate_and_optimize(tmp_path):
     """, tmp_path) == []
 
 
+def test_propagated_curves_and_the_appendix_load_no_scipy(tmp_path):
+    # lines, hybrids, a circle the closed form refuses (q/p = 45) and the
+    # appendix diagnostics all run on the propagator, which needs numpy alone
+    assert loaded_after("""
+        import basslab.cli
+        for k, argv in enumerate([
+            ["analytic", "--topology", "line", "--sided", "one", "-M", "60"],
+            ["analytic", "--topology", "line", "--sided", "two", "-M", "60"],
+            ["analytic", "--topology", "hybrid", "-M", "60", "--ray", "30"],
+            ["analytic", "--topology", "circle", "-M", "16", "-q", "0.45"],
+            ["verify", "--suite", "appendix"],
+        ]):
+            assert basslab.cli.main([*argv, "--out", f"out{k}"]) == 0
+    """, tmp_path) == []
+
+
+def test_verify_all_loads_sparse_but_not_integrate_or_optimize(tmp_path):
+    loaded = loaded_after("""
+        import basslab.cli
+        assert basslab.cli.main(["verify", "--suite", "all", "--trials", "100",
+                                 "--out", "all.json"]) == 0
+    """, tmp_path)
+    assert "scipy.sparse" in loaded
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded
+
+
 def test_one_sided_line_and_box_load_no_scipy(tmp_path):
     # both are acyclic, so the sampler sweeps each block once
     assert loaded_after("""

@@ -68,9 +68,11 @@ def test_hooks_read_fields_the_library_returns(monkeypatch):
 
 
 def test_ode_counter_counts_each_solve(tmp_path):
-    """The tracer counts ODE solves through the name analytic.solve_ivp; one
-    two-sided line is one solve, and a closed-form circle none. Run in a
-    fresh interpreter, because install() rebinds names for good."""
+    """The tracer counts ODE solves through the name analytic.solve_ivp,
+    which no solve calls any more: the count stays 0. The propagator that
+    replaced it runs once for a two-sided line and not for a closed-form
+    circle. Run in a fresh interpreter, because install() rebinds names
+    for good."""
     script = textwrap.dedent(f"""
         import sys
         sys.dont_write_bytecode = True
@@ -80,22 +82,26 @@ def test_ode_counter_counts_each_solve(tmp_path):
         import spans
         tracer = spans.Tracer()
         spans.install(tracer)
+        passes = []
+        propagate = basslab.analytic._propagate
+        basslab.analytic._propagate = lambda *args, **kw: passes.append(1) or propagate(*args, **kw)
         t = np.linspace(0.0, 30.0, 31)
         basslab.analytic.f_circle(t, 0.01, 0.1, 6)
-        before = tracer.counts["analytic.ode_calls"]
+        before = tracer.counts["analytic.ode_calls"], len(passes)
         basslab.analytic.f_line_two_sided(t, 0.01, 0.1, 8)
-        print(before, tracer.counts["analytic.ode_calls"])
+        print(*before, tracer.counts["analytic.ode_calls"], len(passes))
     """)
     proc = fresh_python(["-c", script], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0.0", "1.0"]
+    assert proc.stdout.split() == ["0.0", "0", "0.0", "1"]
 
 
 def test_appendix_diagnostics_are_traced(tmp_path):
     """verify --suite appendix calls each diagnostic through its public
     name, so the tracer books it to analytic.diag: one alpha table and
-    36 beta, 28 gamma, 44 nu and 16 psi calls. Its ODE solves are the S_1
-    table at q, the joint two-sided lines and alpha's difference system."""
+    36 beta, 28 gamma, 44 nu and 16 psi calls. It makes no ODE solve: its
+    three propagator passes are the S_1 table at q, the joint two-sided
+    lines and alpha's difference system."""
     script = textwrap.dedent(f"""
         import sys
         sys.dont_write_bytecode = True
@@ -104,9 +110,12 @@ def test_appendix_diagnostics_are_traced(tmp_path):
         import spans
         tracer = spans.Tracer()
         spans.install(tracer)
+        passes = []
+        propagate = basslab.analytic._propagate
+        basslab.analytic._propagate = lambda *args, **kw: passes.append(1) or propagate(*args, **kw)
         status = basslab.cli.main(["verify", "--suite", "appendix", "--out", "appendix.json"])
-        print(status, tracer.calls["analytic.diag"], tracer.counts["analytic.ode_calls"])
+        print(status, tracer.calls["analytic.diag"], tracer.counts["analytic.ode_calls"], len(passes))
     """)
     proc = fresh_python(["-c", script], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "125", "3.0"]
+    assert proc.stdout.split() == ["0", "125", "0.0", "3"]
